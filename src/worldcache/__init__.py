@@ -3,7 +3,7 @@
 The package approximates expensive per-step model calls by reusing or
 extrapolating recent outputs per token, and decides when a real call is
 unavoidable by tracking an accumulated drift budget. Everything is
-deterministic given a seed and a backend.
+deterministic given a seed.
 """
 
 __version__ = "0.1.0"

@@ -19,10 +19,9 @@ import numpy as np
 
 from .curvature import TokenGroup
 from .errors import DimensionError, ParameterError
-from .pipeline import RunResult
+from .pipeline import RunResult, step_errors
 
 DEFAULT_CACHE_COST = 0.01
-_TINY = 1e-30
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class RunMetrics:
         if not self.per_step_rel_error:
             return math.nan
         return float(np.mean(self.per_step_rel_error))
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / (np.linalg.norm(b) + _TINY))
 
 
 def compare_runs(
@@ -73,27 +68,20 @@ def compare_runs(
     if c_cache < 0 or not math.isfinite(c_cache):
         raise ParameterError(f"c_cache must be finite and >= 0, got {c_cache}")
 
-    per_step = tuple(
-        _rel(c.data, o.data)
-        for c, o in zip(cached.surrogates, oracle.surrogates)
-    )
-    final_rel = _rel(cached.final_latent.data, oracle.final_latent.data)
-
+    per_step = []
     sums = {g: 0.0 for g in TokenGroup}
     counts = {g: 0 for g in TokenGroup}
     for rec, c, o in zip(cached.records, cached.surrogates, oracle.surrogates):
-        if rec.assignment is None:
-            continue
-        diff = c.data - o.data
-        row_err = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        for g in TokenGroup:
-            idx = rec.assignment.indices(g)
-            if idx.size:
-                sums[g] += float(row_err[idx].mean())
+        rel, *group_errs = step_errors(c, o, rec.assignment)
+        per_step.append(rel)
+        for g, err in zip(TokenGroup, group_errs):
+            if not math.isnan(err):
+                sums[g] += err
                 counts[g] += 1
     per_group = {
         g: (sums[g] / counts[g]) if counts[g] else math.nan for g in TokenGroup
     }
+    final_rel = step_errors(cached.final_latent, oracle.final_latent, None)[0]
 
     steps = cached.steps
     if steps:
@@ -103,7 +91,7 @@ def compare_runs(
         full_ratio = 1.0
         est_speedup = 1.0
     return RunMetrics(
-        per_step_rel_error=per_step,
+        per_step_rel_error=tuple(per_step),
         final_latent_rel_error=final_rel,
         per_group_error=per_group,
         full_ratio=full_ratio,
@@ -153,22 +141,14 @@ def sweep(
         for seed in seeds
     ]
 
-    rows: list[SweepRow] = []
     if jobs == 1:
-        for idx, point, seed in tasks:
-            rows.append(_run_row(run_fn, idx, point, seed))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (idx, point, seed, pool.submit(run_fn, point, seed))
-                for idx, point, seed in tasks
-            ]
-            for idx, point, seed, fut in futures:
-                err = fut.exception()
-                if err is None:
-                    rows.append(SweepRow(idx, point, seed, fut.result()))
-                else:
-                    rows.append(SweepRow(idx, point, seed, None, error=str(err)))
+        return [_run_row(run_fn, *task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_run_row, run_fn, *task) for task in tasks]
+    rows = []
+    for task, fut in zip(tasks, futures):
+        err = fut.exception()  # only when the pool itself failed the task
+        rows.append(fut.result() if err is None else _failed_row(*task, err))
     return rows
 
 
@@ -176,4 +156,8 @@ def _run_row(run_fn, idx, point, seed) -> SweepRow:
     try:
         return SweepRow(idx, point, seed, run_fn(point, seed))
     except Exception as exc:  # noqa: BLE001 - per-row isolation is the point
-        return SweepRow(idx, point, seed, None, error=f"{type(exc).__name__}: {exc}")
+        return _failed_row(idx, point, seed, exc)
+
+
+def _failed_row(idx, point, seed, exc: BaseException) -> SweepRow:
+    return SweepRow(idx, point, seed, None, error=f"{type(exc).__name__}: {exc}")

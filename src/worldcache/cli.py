@@ -12,6 +12,8 @@ resolved configuration; feeding that manifest back through ``--config``
 reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 bad usage or configuration, 2 runtime failure.
+A sweep with any failed cell exits 2 after writing the CSV of the cells
+that succeeded.
 """
 
 from __future__ import annotations
@@ -390,7 +392,7 @@ def cmd_sweep(args) -> int:
     )
     for p in (sweep_path, manifest_path):
         print(f"wrote {p}")
-    return 0
+    return 2 if failures else 0
 
 
 def cmd_record(args) -> int:

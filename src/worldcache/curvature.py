@@ -106,6 +106,14 @@ def compute_curvature(h: FullHistory, eps: float = DEFAULT_EPS) -> np.ndarray:
     a_i = (v_latest,i - v_prev,i) / dt over the newest interval, and
     kappa_i = ||a_i||_2 / (||v_latest,i||_2^2 + eps). eps = 0 is allowed (the
     scale-invariance analysis evaluates it); a 0/0 row is defined as 0.
+
+    The result is accurate at every finite scale of the outputs: a row whose
+    sums of squares would underflow or overflow is rescaled by an exact power
+    of two, and an acceleration row below 2**-1042 (subnormal rounding noise)
+    counts as zero. With eps > 0, a row whose squares all underflow to 0
+    (every entry below 2**-537) is not rescaled; that moves kappa by less than
+    2**-537 * sqrt(d) / eps. kappa is inf only past the float range, or for a
+    nonzero acceleration over a zero velocity at eps = 0.
     """
     if len(h) < HISTORY_DEPTH:
         raise InsufficientHistoryError(

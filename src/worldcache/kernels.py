@@ -1,37 +1,21 @@
-"""Numeric kernels with two interchangeable backends.
+"""Numeric kernels for the rowwise policy math, in numpy.
 
-The rowwise policy math (norms, curvature, prediction blend, drift score) is
-the per-step hot path, so each kernel exists twice: a numba @njit version and
-a pure-numpy version. The active backend is chosen once at import time from
-the WORLDCACHE_BACKEND environment variable:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, raise if it cannot be imported
-    numpy  force the pure-numpy path
-
-Reductions that feed the skip decision accumulate strictly left to right in
-both backends so a given backend is bit-reproducible across runs. The two
-backends may differ from each other in the last ulp (numpy uses pairwise
-summation for row norms); repro tooling records which backend produced a run.
+Row norms, curvature, the prediction blend and the drift score run on every
+step. Row sums of squares come from einsum and the drift score adds its rows
+strictly left to right, so a run is bit-reproducible. curvature_rows is
+scale-safe: a row whose sum of squares leaves the normal float range is
+rescaled by an exact power of two first; all other rows are computed as is.
 """
 
-from __future__ import annotations
-
 import math
-import os
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
-    "row_norms",
-    "curvature_rows",
-    "blend_rows",
-    "drift_mean",
-]
+__all__ = ["BACKEND", "row_norms", "curvature_rows", "blend_rows", "drift_mean"]
 
-# Prediction blend modes shared by both backends.
+BACKEND = "numpy"  # recorded in manifests and benchmark environments
+
+# Prediction blend modes.
 MODE_BY_LABEL = 0   # heterogeneous: per-row label picks the rule
 MODE_LINEAR = 2     # one rule for all rows: y* + horizon * v_latest
 MODE_DAMPED = 3     # one rule for all rows: y* + horizon * blended velocity
@@ -40,29 +24,65 @@ LABEL_STABLE = 0
 LABEL_LINEAR = 1
 LABEL_CHAOTIC = 2
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _row_norms_np(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+_TINY = np.finfo(np.float64).tiny
+# Subnormals are spaced 2**-1074 apart, so an acceleration row whose entries
+# all lie below 2**-1042 keeps fewer than 32 significant bits: it is rounding
+# noise of the outputs it was differenced from, and counts as zero.
+_NOISE_EXP = -1042
 
 
-def _curvature_rows_np(v_latest, v_prev, dt, eps):
+def _sumsq(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sumsq(a))
+
+
+def _out_of_range(sums: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
+    """Rows whose sum of squares is inf, subnormal, or 0 from a nonzero row.
+
+    The last kind needs every entry below 2**-537, which under eps > 0 moves
+    kappa by less than 2**-537 * sqrt(d) / eps, so only eps = 0 looks for it."""
+    bad = (sums == math.inf) | ((sums < _TINY) & (sums != 0.0))
+    if eps == 0.0:
+        zero = np.flatnonzero(sums == 0.0)
+        bad[zero] = rows[zero].any(axis=1)
+    return bad
+
+
+def curvature_rows(v_latest, v_prev, dt, eps):
+    """kappa_i = ||a_i|| / (||v_i||^2 + eps); 0/0 is 0 and x/0 is inf."""
     acc = (v_latest - v_prev) / dt
-    a_norm = _row_norms_np(acc)
-    denom = np.einsum("ij,ij->i", v_latest, v_latest) + eps
-    kappa = np.empty(v_latest.shape[0])
-    for i in range(v_latest.shape[0]):
-        if denom[i] == 0.0:
-            kappa[i] = 0.0 if a_norm[i] == 0.0 else math.inf
-        else:
-            kappa[i] = a_norm[i] / denom[i]
+    a_sq, v_sq = _sumsq(acc), _sumsq(v_latest)
+    a_norm, denom = np.sqrt(a_sq), v_sq + eps
+    bad = _out_of_range(a_sq, acc, eps) | _out_of_range(v_sq, v_latest, eps)
+    bad = np.flatnonzero(bad)
+    with np.errstate(over="ignore"):  # past the float range, inf is the answer
+        if bad.size:
+            # a = 2**ka a' and v = 2**kv v', max |entry| of a', v' in [0.5, 1):
+            # kappa = 2**(ka - 2 kv) ||a'|| / (||v'||^2 + eps 2**(-2 kv)). Where
+            # eps 2**(-2 kv) is huge, ||v||^2 is added unscaled instead.
+            ka, kv = (np.frexp(np.abs(m[bad]).max(1))[1] for m in (acc, v_latest))
+            a_norm[bad] = row_norms(np.ldexp(acc[bad], -ka[:, None]))
+            a_norm[bad[ka <= _NOISE_EXP]] = 0.0
+            v_s = _sumsq(np.ldexp(v_latest[bad], -kv[:, None]))
+            eps_s = np.ldexp(eps, -2 * kv)
+            small = eps_s > 2.0**512
+            denom[bad] = np.where(small, np.ldexp(v_s, 2 * kv) + eps, v_s + eps_s)
+            shift = np.where(small, ka, ka - 2 * kv)
+        kappa = np.empty(v_latest.shape[0])
+        for i in range(v_latest.shape[0]):
+            if denom[i] == 0.0:
+                kappa[i] = 0.0 if a_norm[i] == 0.0 else math.inf
+            else:
+                kappa[i] = a_norm[i] / denom[i]
+        if bad.size:
+            kappa[bad] = np.ldexp(kappa[bad], shift)
     return kappa
 
 
-def _blend_rows_np(y_star, v_latest, v_prev, labels, horizon, alpha, mode):
+def blend_rows(y_star, v_latest, v_prev, labels, horizon, alpha, mode):
     if mode == MODE_LINEAR:
         return y_star + horizon * v_latest
     if mode == MODE_DAMPED:
@@ -77,8 +97,9 @@ def _blend_rows_np(y_star, v_latest, v_prev, labels, horizon, alpha, mode):
     return out
 
 
-def _drift_mean_np(y_t, y_prev, kappa, labels):
-    diff_norm = _row_norms_np(y_t - y_prev)
+def drift_mean(y_t, y_prev, kappa, labels):
+    """Mean of kappa_i ||y_t,i - y_prev,i|| over chaotic rows (all if none)."""
+    diff_norm = np.sqrt(_sumsq(y_t - y_prev))
     sel = np.flatnonzero(labels == LABEL_CHAOTIC)
     if sel.size == 0:
         sel = np.arange(y_t.shape[0])
@@ -86,131 +107,3 @@ def _drift_mean_np(y_t, y_prev, kappa, labels):
     for i in sel:
         total += kappa[i] * diff_norm[i]
     return total / sel.size
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _row_norms_nb(a):
-        n, d = a.shape
-        out = np.empty(n)
-        for i in range(n):
-            s = 0.0
-            for j in range(d):
-                s += a[i, j] * a[i, j]
-            out[i] = np.sqrt(s)
-        return out
-
-    @njit(cache=True)
-    def _curvature_rows_nb(v_latest, v_prev, dt, eps):
-        n, d = v_latest.shape
-        kappa = np.empty(n)
-        for i in range(n):
-            a2 = 0.0
-            v2 = 0.0
-            for j in range(d):
-                acc = (v_latest[i, j] - v_prev[i, j]) / dt
-                a2 += acc * acc
-                v2 += v_latest[i, j] * v_latest[i, j]
-            a_norm = np.sqrt(a2)
-            denom = v2 + eps
-            if denom == 0.0:
-                kappa[i] = 0.0 if a_norm == 0.0 else np.inf
-            else:
-                kappa[i] = a_norm / denom
-        return kappa
-
-    @njit(cache=True)
-    def _blend_rows_nb(y_star, v_latest, v_prev, labels, horizon, alpha, mode):
-        n, d = y_star.shape
-        out = np.empty((n, d))
-        for i in range(n):
-            if mode == 0:
-                lab = labels[i]
-            elif mode == 2:
-                lab = 1
-            else:
-                lab = 2
-            if lab == 0:
-                for j in range(d):
-                    out[i, j] = y_star[i, j]
-            elif lab == 1:
-                for j in range(d):
-                    out[i, j] = y_star[i, j] + horizon * v_latest[i, j]
-            else:
-                for j in range(d):
-                    vel = (1.0 - alpha) * v_latest[i, j] + alpha * v_prev[i, j]
-                    out[i, j] = y_star[i, j] + horizon * vel
-        return out
-
-    @njit(cache=True)
-    def _drift_mean_nb(y_t, y_prev, kappa, labels):
-        n, d = y_t.shape
-        total = 0.0
-        count = 0
-        for i in range(n):
-            if labels[i] == 2:
-                s = 0.0
-                for j in range(d):
-                    diff = y_t[i, j] - y_prev[i, j]
-                    s += diff * diff
-                total += kappa[i] * np.sqrt(s)
-                count += 1
-        if count == 0:
-            for i in range(n):
-                s = 0.0
-                for j in range(d):
-                    diff = y_t[i, j] - y_prev[i, j]
-                    s += diff * diff
-                total += kappa[i] * np.sqrt(s)
-            count = n
-        return total / count
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("WORLDCACHE_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise RuntimeError(
-            f"WORLDCACHE_BACKEND must be auto, numba or numpy, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba" and not HAS_NUMBA:
-        raise RuntimeError("WORLDCACHE_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    row_norms = _row_norms_nb
-    curvature_rows = _curvature_rows_nb
-    blend_rows = _blend_rows_nb
-    drift_mean = _drift_mean_nb
-else:
-    row_norms = _row_norms_np
-    curvature_rows = _curvature_rows_np
-    blend_rows = _blend_rows_np
-    drift_mean = _drift_mean_np
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel (no-op on the numpy backend)."""
-    a = np.ones((2, 3))
-    labels = np.array([0, 2], dtype=np.int8)
-    row_norms(a)
-    curvature_rows(a, 0.5 * a, -1.0, 1e-8)
-    blend_rows(a, a, a, labels, -1.0, 0.5, 0)
-    blend_rows(a, a, a, labels, -1.0, 0.5, 2)
-    drift_mean(a, 0.5 * a, np.ones(2), labels)

@@ -145,9 +145,15 @@ def _fro(a: np.ndarray) -> float:
 _TINY = 1e-30
 
 
-def _step_errors(
+def step_errors(
     y: TokenMatrix, oracle_y: TokenMatrix, g: GroupAssignment | None
 ) -> tuple[float, float, float, float]:
+    """Relative error of y against oracle_y, then the mean row error per group.
+
+    Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
+    a group's error is the mean L2 norm of its rows' differences, NaN when g
+    is None or the group is empty.
+    """
     diff = y.data - oracle_y.data
     rel = _fro(diff) / (_fro(oracle_y.data) + _TINY)
     per_group = [math.nan, math.nan, math.nan]
@@ -251,7 +257,7 @@ def run(
 
         rel = st = li = ch = math.nan
         if oracle_outputs is not None:
-            rel, st, li, ch = _step_errors(y_t, oracle_outputs[i], state.group)
+            rel, st, li, ch = step_errors(y_t, oracle_outputs[i], state.group)
         records.append(
             StepRecord(
                 step=i,

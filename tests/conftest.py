@@ -1,18 +1,10 @@
-"""Shared fixtures: kernel warm-up and the acceptance summary table."""
+"""Shared fixtures: the acceptance summary table."""
 
 import pytest
-
-from worldcache import kernels
 
 # Lines registered by the acceptance tests, echoed at the end of the session
 # so the criterion verdicts survive pytest's output capture.
 _ACCEPTANCE_LINES: list[str] = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile/dispatch cost must not leak into the timed criteria
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

@@ -161,6 +161,13 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(_square, {"x": [1]}, seeds=[1], jobs=0)
 
+    def test_failed_cell_error_text_same_serial_and_parallel(self):
+        grid = {"x": [1, 2]}
+        serial = sweep(_fails_on_two, grid, seeds=[0], jobs=1)
+        parallel = sweep(_fails_on_two, grid, seeds=[0], jobs=2)
+        assert serial[1].error == "ValueError: boom"
+        assert [r.error for r in serial] == [r.error for r in parallel]
+
     def test_parallel_matches_serial(self):
         grid = {"x": [1, 2], "y": [5]}
 

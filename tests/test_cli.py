@@ -188,12 +188,24 @@ class TestSweepCommand:
         code = main(["sweep", "--seed", "1", "--set", "sweep.eta=0.2,-1",
                      "--seeds", "1", "--out", str(tmp_path),
                      "--run-id", "sw", *FAST])
-        assert code == 0
+        assert code == 2
         captured = capsys.readouterr()
         assert "1/2 cells ok" in captured.out
         assert "sweep cell failed" in captured.err
         _, rows = _read_rows(tmp_path / "sw.sweep.csv")
         assert len(rows) == 1
+
+    def test_all_cells_failing_exits_2_with_header_only_csv(self, tmp_path, capsys):
+        code = main(["sweep", "--seed", "1", "--set", "sweep.p_stable=0.9",
+                     "--seeds", "1", "--steps", "10", "--out", str(tmp_path),
+                     "--run-id", "sw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "0/1 cells ok" in captured.out
+        assert "ParameterError: " in captured.err
+        header, rows = _read_rows(tmp_path / "sw.sweep.csv")
+        assert header.startswith("p_stable,seed,")
+        assert rows == []
 
     def test_sweep_without_axes_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--seed", "1", "--seeds", "1", "--out", str(tmp_path), *FAST])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,56 @@ class TestComputeCurvature:
         k0 = compute_curvature(base, eps=0.0)
         k1 = compute_curvature(scaled, eps=0.0)
         np.testing.assert_allclose(k1, k0 / s, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])
+    def test_scale_covariance_at_extreme_scales(self, scale, s):
+        """Rows whose sums of squares leave the normal float range (subnormal
+        near 1e-160, inf near 1e160) are as accurate as rows at unit scale."""
+        outputs = np.random.default_rng(3).normal(size=(3, 5, 4))
+
+        def kappa(c):
+            y = c * outputs
+            h = _history([(3, y[0]), (2, y[1]), (1, y[2])])
+            return compute_curvature(h, eps=0.0)
+
+        unit = kappa(1.0)
+        at_scale = kappa(scale)
+        np.testing.assert_allclose(at_scale, unit / scale, rtol=1e-12)
+        np.testing.assert_allclose(kappa(s * scale), at_scale / s, rtol=1e-12)
+
+    def test_tiny_rows_under_eps_divide_by_eps(self):
+        outputs = np.random.default_rng(4).normal(size=(3, 5, 4))
+        unit = _history([(3, outputs[0]), (2, outputs[1]), (1, outputs[2])])
+        tiny = _history([(3, 1e-160 * outputs[0]), (2, 1e-160 * outputs[1]),
+                         (1, 1e-160 * outputs[2])])
+        a_norm = np.linalg.norm(unit.v_latest.data - unit.v_prev.data, axis=1)
+        np.testing.assert_allclose(
+            compute_curvature(tiny, eps=1e-8), 1e-160 * a_norm / 1e-8, rtol=1e-12
+        )
+
+    def test_in_range_rows_unchanged_by_an_extreme_neighbour(self):
+        outputs = np.random.default_rng(5).normal(size=(3, 5, 4))
+        mixed = outputs.copy()
+        mixed[:, 2] *= 1e200
+        mixed[:, 4] *= 1e-170
+        k_plain = compute_curvature(
+            _history([(3, outputs[0]), (2, outputs[1]), (1, outputs[2])])
+        )
+        k_mixed = compute_curvature(
+            _history([(3, mixed[0]), (2, mixed[1]), (1, mixed[2])])
+        )
+        assert np.array_equal(k_mixed[[0, 1, 3]], k_plain[[0, 1, 3]])
+        assert np.isfinite(k_mixed).all()
+
+    def test_acceleration_at_the_subnormal_floor_counts_as_zero(self):
+        # A one-ulp second difference is rounding noise of the outputs: it
+        # gives 0 against a zero velocity, as does the all-zero row it rounds
+        # to when the outputs are halved. Above 2**-1042 it counts again.
+        ulp = np.nextafter(0.0, 1.0)
+        for a, want in [(ulp, 0.0), (2.0**-1043, 0.0), (2.0**-1040, math.inf)]:
+            h = _history([(3, [[a, 0.0]]), (2, [[0.0, 0.0]]), (1, [[0.0, 0.0]])])
+            assert compute_curvature(h, eps=0.0).tolist() == [want]
 
     # slopes are dyadic (m/16) and the grid is small integers, so every
     # product, sum, and difference below is exact and the curvature must come

@@ -1,14 +1,11 @@
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from worldcache import kernels
 from worldcache.kernels import (
-    BACKEND,
-    HAS_NUMBA,
     LABEL_CHAOTIC,
     LABEL_LINEAR,
     LABEL_STABLE,
@@ -35,52 +32,60 @@ def _random_inputs(seed, n=64, d=16):
     return y_star, v_latest, v_prev, labels
 
 
-class TestBackendSelection:
-    def test_backend_is_one_of_the_two_names(self):
-        assert BACKEND in ("numba", "numpy")
+# ---------------------------------------------------------------------------
+# Scalar pure-Python reference of the four formulas, one row at a time.
+#
+# On dyadic inputs (k / 1024 with |k| <= 2**20) every square and every row sum
+# is exact, so the reference and the kernels round the same operations in the
+# same order and must agree bit for bit.
+# ---------------------------------------------------------------------------
 
-    def test_numba_backend_implies_numba_importable(self):
-        if BACKEND == "numba":
-            assert HAS_NUMBA
+def ref_row_norm(row):
+    return math.sqrt(sum(x * x for x in row))
 
-    def test_public_names_point_at_selected_backend(self):
-        suffix = "_nb" if BACKEND == "numba" else "_np"
-        for public, base in [
-            (row_norms, "_row_norms"),
-            (curvature_rows, "_curvature_rows"),
-            (blend_rows, "_blend_rows"),
-            (drift_mean, "_drift_mean"),
-        ]:
-            name = getattr(public, "__name__", None) or public.py_func.__name__
-            assert name == base + suffix
 
-    def test_warm_up_is_idempotent(self):
-        kernels.warm_up()
-        kernels.warm_up()
+def ref_curvature(v_latest, v_prev, dt, eps):
+    a_norm = ref_row_norm([(a - b) / dt for a, b in zip(v_latest, v_prev)])
+    denom = sum(x * x for x in v_latest) + eps
+    if denom == 0.0:
+        return 0.0 if a_norm == 0.0 else math.inf
+    return a_norm / denom
 
-    @pytest.mark.parametrize("forced", ["numpy", "numba", "auto"])
-    def test_env_var_forces_backend_in_fresh_interpreter(self, forced):
-        if forced == "numba" and not HAS_NUMBA:
-            pytest.skip("numba not importable")
-        env = dict(os.environ, WORLDCACHE_BACKEND=forced)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from worldcache import kernels; print(kernels.BACKEND)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        expected = forced
-        if forced == "auto":
-            expected = "numba" if HAS_NUMBA else "numpy"
-        assert out.stdout.strip() == expected
 
-    def test_bogus_env_var_fails_import(self):
-        env = dict(os.environ, WORLDCACHE_BACKEND="gpu")
-        out = subprocess.run(
-            [sys.executable, "-c", "from worldcache import kernels"],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode != 0
-        assert "WORLDCACHE_BACKEND" in out.stderr
+def ref_blend(y_star, v_latest, v_prev, label, horizon, alpha):
+    if label == LABEL_STABLE:
+        return list(y_star)
+    if label == LABEL_LINEAR:
+        return [y + horizon * v for y, v in zip(y_star, v_latest)]
+    return [
+        y + horizon * ((1.0 - alpha) * vl + alpha * vp)
+        for y, vl, vp in zip(y_star, v_latest, v_prev)
+    ]
+
+
+def ref_drift_mean(y_t, y_prev, kappa, labels):
+    rows = [i for i, lab in enumerate(labels) if lab == LABEL_CHAOTIC]
+    rows = rows or list(range(len(labels)))
+    total = 0.0
+    for i in rows:
+        total += kappa[i] * ref_row_norm([a - b for a, b in zip(y_t[i], y_prev[i])])
+    return total / len(rows)
+
+
+_dyadic = st.integers(-(2**20), 2**20).map(lambda k: k / 1024.0)
+_shapes = st.tuples(st.integers(1, 12), st.integers(1, 8))
+
+
+@st.composite
+def _matrices(draw, count, elements=_dyadic):
+    shape = draw(_shapes)
+    return [
+        draw(hnp.arrays(np.float64, shape, elements=elements)) for _ in range(count)
+    ]
+
+
+def _labels_for(n):
+    return hnp.arrays(np.int8, n, elements=st.sampled_from([0, 1, 2]))
 
 
 class TestRowNorms:
@@ -93,23 +98,27 @@ class TestRowNorms:
         a = np.zeros((4, 3))
         assert np.array_equal(row_norms(a), np.zeros(4))
 
-    def test_backends_agree_to_last_ulps(self):
-        # numpy's einsum may pair-sum while the jit loop runs left to right,
-        # so agreement is near-exact rather than bitwise.
-        for seed in range(5):
-            a = _rng(seed).normal(size=(128, 33))
-            np.testing.assert_allclose(
-                row_norms(a), kernels._row_norms_np(a), rtol=1e-13, atol=0,
-            )
+    @given(_matrices(1))
+    @settings(max_examples=60)
+    def test_matches_scalar_reference(self, arrays):
+        (a,) = arrays
+        assert row_norms(a).tolist() == [ref_row_norm(row) for row in a.tolist()]
 
 
 class TestCurvatureRows:
-    def test_backends_agree(self):
-        for seed in range(5):
-            _, v_latest, v_prev, _ = _random_inputs(seed)
-            got = curvature_rows(v_latest, v_prev, -1.0, 1e-8)
-            want = kernels._curvature_rows_np(v_latest, v_prev, -1.0, 1e-8)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    @given(
+        _matrices(2),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.25]),
+        st.sampled_from([0.0, 2.0**-20, 1.0]),
+    )
+    @settings(max_examples=60)
+    def test_matches_scalar_reference(self, arrays, dt, eps):
+        v_latest, v_prev = arrays
+        want = [
+            ref_curvature(vl, vp, dt, eps)
+            for vl, vp in zip(v_latest.tolist(), v_prev.tolist())
+        ]
+        assert curvature_rows(v_latest, v_prev, dt, eps).tolist() == want
 
     def test_zero_over_zero_is_zero(self):
         z = np.zeros((3, 4))
@@ -133,23 +142,26 @@ class TestCurvatureRows:
 
 
 class TestBlendRows:
-    def test_backends_agree_bitwise_by_label(self):
-        # identical per-element expressions in both backends
-        for seed in range(5):
-            y_star, v_latest, v_prev, labels = _random_inputs(seed)
-            got = blend_rows(y_star, v_latest, v_prev, labels, -3.0, 0.3,
-                             MODE_BY_LABEL)
-            want = kernels._blend_rows_np(y_star, v_latest, v_prev, labels,
-                                          -3.0, 0.3, MODE_BY_LABEL)
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("mode", [MODE_LINEAR, MODE_DAMPED])
-    def test_backends_agree_bitwise_uniform_modes(self, mode):
-        y_star, v_latest, v_prev, labels = _random_inputs(11)
-        got = blend_rows(y_star, v_latest, v_prev, labels, 2.5, 0.6, mode)
-        want = kernels._blend_rows_np(y_star, v_latest, v_prev, labels,
-                                      2.5, 0.6, mode)
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("mode", [MODE_BY_LABEL, MODE_LINEAR, MODE_DAMPED])
+    @given(
+        st.data(),
+        _matrices(3, elements=st.floats(-1e6, 1e6)),
+        st.floats(-50.0, 50.0),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40)
+    def test_matches_scalar_reference(self, mode, data, arrays, horizon, alpha):
+        y_star, v_latest, v_prev = arrays
+        labels = data.draw(_labels_for(y_star.shape[0]))
+        out = blend_rows(y_star, v_latest, v_prev, labels, horizon, alpha, mode)
+        forced = {MODE_LINEAR: LABEL_LINEAR, MODE_DAMPED: LABEL_CHAOTIC}.get(mode)
+        want = [
+            ref_blend(y, vl, vp, lab if forced is None else forced, horizon, alpha)
+            for y, vl, vp, lab in zip(
+                y_star.tolist(), v_latest.tolist(), v_prev.tolist(), labels.tolist()
+            )
+        ]
+        assert out.tolist() == want
 
     def test_by_label_routes_each_row(self):
         y_star = np.array([[1.0], [1.0], [1.0]])
@@ -189,13 +201,16 @@ class TestBlendRows:
 
 
 class TestDriftMean:
-    def test_backends_agree(self):
-        for seed in range(5):
-            y_t, y_prev, _, labels = _random_inputs(seed)
-            kappa = np.abs(_rng(seed + 100).normal(size=64))
-            got = drift_mean(y_t, y_prev, kappa, labels)
-            want = kernels._drift_mean_np(y_t, y_prev, kappa, labels)
-            assert got == pytest.approx(want, rel=1e-12)
+    @given(st.data(), _matrices(2))
+    @settings(max_examples=60)
+    def test_matches_scalar_reference(self, data, arrays):
+        y_t, y_prev = arrays
+        n = y_t.shape[0]
+        kappa = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+        labels = data.draw(_labels_for(n))
+        want = ref_drift_mean(y_t.tolist(), y_prev.tolist(), kappa.tolist(),
+                              labels.tolist())
+        assert drift_mean(y_t, y_prev, kappa, labels) == want
 
     def test_only_chaotic_rows_contribute(self):
         y_t = np.array([[1.0], [10.0], [3.0]])
