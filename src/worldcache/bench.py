@@ -1,10 +1,11 @@
 """Run comparison metrics and parameter sweeps.
 
-compare_runs() lines a cached run up against its no-cache reference and
-reduces them to the numbers reported everywhere else: per-step relative
-error, final-latent relative error, per-group error, FULL ratio, and an
-estimated speedup under a simple cost model (FULL costs 1, a cached step
-costs c_cache of that).
+compare_runs() reduces a cached run and its no-cache reference to the
+numbers reported everywhere else: per-step relative error, final-latent
+relative error, per-group error, FULL ratio, and an estimated speedup under
+a simple cost model (FULL costs 1, a cached step costs c_cache of that). The
+per-step numbers are the cached run's records, which run(oracle_outputs=...)
+fills in as it goes, so neither run has to keep its outputs for it.
 """
 
 from __future__ import annotations
@@ -50,16 +51,14 @@ def compare_runs(
 ) -> RunMetrics:
     """Reduce a (cached, reference) run pair to scalar quality metrics.
 
-    Both runs must have retained their per-step outputs. Per-group errors use
-    the cached run's active assignment at each step; steps before the first
-    mask refresh contribute nothing to them.
+    The cached run must have been executed with the reference's outputs as
+    oracle_outputs; its records then hold the per-step and per-group errors.
+    A group's error is the mean over the steps where it is defined, so steps
+    before the first grouping refresh contribute nothing to it. Only the
+    final latents are compared here.
     """
-    if cached.surrogates is None or oracle.surrogates is None:
-        raise ParameterError("both runs must be executed with record_outputs=True")
-    if len(cached.surrogates) != len(oracle.surrogates):
-        raise DimensionError(
-            f"step count mismatch: {len(cached.surrogates)} vs {len(oracle.surrogates)}"
-        )
+    if cached.steps != oracle.steps:
+        raise DimensionError(f"step count mismatch: {cached.steps} vs {oracle.steps}")
     if cached.final_latent.shape != oracle.final_latent.shape:
         raise DimensionError(
             f"latent shape mismatch: {cached.final_latent.shape} vs "
@@ -68,13 +67,16 @@ def compare_runs(
     if c_cache < 0 or not math.isfinite(c_cache):
         raise ParameterError(f"c_cache must be finite and >= 0, got {c_cache}")
 
-    per_step = []
+    per_step = tuple(r.rel_err for r in cached.records)
+    if any(math.isnan(e) for e in per_step):
+        raise ParameterError(
+            "the cached run's records carry no errors: run it with oracle_outputs"
+        )
+
     sums = {g: 0.0 for g in TokenGroup}
     counts = {g: 0 for g in TokenGroup}
-    for rec, c, o in zip(cached.records, cached.surrogates, oracle.surrogates):
-        rel, *group_errs = step_errors(c, o, rec.assignment)
-        per_step.append(rel)
-        for g, err in zip(TokenGroup, group_errs):
+    for r in cached.records:
+        for g, err in zip(TokenGroup, (r.stable_err, r.linear_err, r.chaotic_err)):
             if not math.isnan(err):
                 sums[g] += err
                 counts[g] += 1
@@ -91,7 +93,7 @@ def compare_runs(
         full_ratio = 1.0
         est_speedup = 1.0
     return RunMetrics(
-        per_step_rel_error=tuple(per_step),
+        per_step_rel_error=per_step,
         final_latent_rel_error=final_rel,
         per_group_error=per_group,
         full_ratio=full_ratio,

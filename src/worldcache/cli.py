@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -165,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("WORLDCACHE_JOBS", "1")),
-        help="parallel worker processes (default: WORLDCACHE_JOBS or 1)",
+        default=1,
+        help="parallel worker processes (default: 1)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="run the cache policy against a trace")
     p_rep.add_argument("trace", help="input trace path")
     _add_common_flags(p_rep)
-    p_rep.set_defaults(func=cmd_replay)
+    p_rep.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a trace file, print its summary")
     p_val.add_argument("trace", help="trace path to inspect")
@@ -247,7 +246,7 @@ def _build_workload(cfg: ResolvedConfig):
     return backbone, EulerScheduler(grid), backbone.initial_latent()
 
 
-def _execute(cfg: ResolvedConfig) -> tuple[RunResult, RunResult, RunMetrics]:
+def _execute(cfg: ResolvedConfig) -> tuple[RunResult, RunMetrics]:
     backbone, scheduler, z_init = _build_workload(cfg)
     reference = oracle_run(backbone, scheduler, z_init)
     cached = run(
@@ -256,36 +255,18 @@ def _execute(cfg: ResolvedConfig) -> tuple[RunResult, RunResult, RunMetrics]:
         z_init,
         cfg.predictor_config(),
         cfg.skip_config(),
-        record_outputs=True,
         oracle_outputs=reference.surrogates,
     )
     metrics = compare_runs(cached, reference, cfg.values["output"]["c_cache"])
-    return cached, reference, metrics
-
-
-def _fmt(val) -> str:
-    return format_value(val)
+    return cached, metrics
 
 
 def _write_steps_csv(path: Path, result: RunResult) -> None:
     lines = [",".join(STEP_COLUMNS)]
     for r in result.records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    _fmt(r.timestep),
-                    r.decision.value,
-                    str(r.k),
-                    _fmt(r.e_t),
-                    _fmt(r.e_acc),
-                    _fmt(r.rel_err),
-                    _fmt(r.stable_err),
-                    _fmt(r.linear_err),
-                    _fmt(r.chaotic_err),
-                )
-            )
-        )
+        fields = [str(r.step), format_value(r.timestep), r.decision.value, str(r.k)]
+        floats = (r.e_t, r.e_acc, r.rel_err, r.stable_err, r.linear_err, r.chaotic_err)
+        lines.append(",".join(fields + [format_value(v) for v in floats]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -295,10 +276,10 @@ def _metric_fields(run_id_or_seed: str, m: RunMetrics) -> list[str]:
         str(m.steps),
         str(m.full_count),
         str(m.cache_count),
-        _fmt(m.full_ratio),
-        _fmt(m.est_speedup),
-        _fmt(m.final_latent_rel_error),
-        _fmt(m.mean_rel_error),
+        format_value(m.full_ratio),
+        format_value(m.est_speedup),
+        format_value(m.final_latent_rel_error),
+        format_value(m.mean_rel_error),
     ]
 
 
@@ -313,7 +294,7 @@ def cmd_run(args) -> int:
     out_dir = Path(cfg.values["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cached, _, metrics = _execute(cfg)
+    cached, metrics = _execute(cfg)
 
     steps_path = out_dir / f"{run_id}.steps.csv"
     metrics_path = out_dir / f"{run_id}.metrics.csv"
@@ -341,8 +322,7 @@ def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
         apply_axis_override(overrides, axis, value)
     overrides.setdefault("workload", {})["seed"] = str(seed)
     cfg = resolve(file_raw, overrides)
-    _, _, metrics = _execute(cfg)
-    return metrics
+    return _execute(cfg)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -378,7 +358,7 @@ def cmd_sweep(args) -> int:
             )
             continue
         fields = [str(row.point[name]) for name in axis_names]
-        fields += _metric_fields(str(row.seed), row.metrics)[0:]
+        fields += _metric_fields(str(row.seed), row.metrics)
         lines.append(",".join(fields))
 
     sweep_path = out_dir / f"{run_id}.sweep.csv"
@@ -422,10 +402,6 @@ def cmd_record(args) -> int:
     )
     print(f"wrote {manifest_path}")
     return 0
-
-
-def cmd_replay(args) -> int:
-    return cmd_run(args)
 
 
 def cmd_validate(args) -> int:

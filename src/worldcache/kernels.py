@@ -2,16 +2,18 @@
 
 Row norms, curvature, the prediction blend and the drift score run on every
 step. Row sums of squares come from einsum and the drift score adds its rows
-strictly left to right, so a run is bit-reproducible. curvature_rows is
-scale-safe: a row whose sum of squares leaves the normal float range is
-rescaled by an exact power of two first; all other rows are computed as is.
+strictly left to right, so a run is bit-reproducible. row_norms, fro_norm and
+curvature_rows are scale-safe: a row whose sum of squares is inf or subnormal
+is rescaled by an exact power of two first; all other rows are computed as is.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["BACKEND", "row_norms", "curvature_rows", "blend_rows", "drift_mean"]
+__all__ = [
+    "BACKEND", "row_norms", "fro_norm", "curvature_rows", "blend_rows", "drift_mean",
+]
 
 BACKEND = "numpy"  # recorded in manifests and benchmark environments
 
@@ -35,8 +37,32 @@ def _sumsq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+def _off_normal(sums):
+    """Sums of squares that are inf or subnormal: their square root is wrong or
+    has lost precision, so the row must be rescaled first."""
+    return (sums == math.inf) | ((sums < _TINY) & (sums != 0.0))
+
+
 def row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_sumsq(a))
+    """Row L2 norms. Rows whose squares all underflow to 0 (every entry below
+    2**-537) read 0."""
+    sums = _sumsq(a)
+    norms = np.sqrt(sums)
+    bad = np.flatnonzero(_off_normal(sums))
+    if bad.size:  # ||a|| = 2**k ||2**-k a||, k putting max |entry| in [0.5, 1)
+        k = np.frexp(np.abs(a[bad]).max(1))[1]
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            norms[bad] = np.ldexp(np.sqrt(_sumsq(np.ldexp(a[bad], -k[:, None]))), k)
+    return norms
+
+
+def fro_norm(a: np.ndarray) -> float:
+    """Frobenius norm, as np.linalg.norm sums it (one dot of the flattened
+    array) while that sum is in the normal range; row_norms' rule otherwise."""
+    flat = a.ravel(order="K")
+    with np.errstate(over="ignore"):
+        sq = flat.dot(flat)
+    return float(row_norms(flat[None, :])[0] if _off_normal(sq) else np.sqrt(sq))
 
 
 def _out_of_range(sums: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
@@ -44,7 +70,7 @@ def _out_of_range(sums: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
 
     The last kind needs every entry below 2**-537, which under eps > 0 moves
     kappa by less than 2**-537 * sqrt(d) / eps, so only eps = 0 looks for it."""
-    bad = (sums == math.inf) | ((sums < _TINY) & (sums != 0.0))
+    bad = _off_normal(sums)
     if eps == 0.0:
         zero = np.flatnonzero(sums == 0.0)
         bad[zero] = rows[zero].any(axis=1)

@@ -18,6 +18,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from . import kernels
 from .core import Timestep, TokenMatrix
 from .curvature import FullHistory, GroupAssignment, TokenGroup, compute_curvature, group_tokens, push_full
 from .errors import OrderingError, ParameterError
@@ -121,7 +122,6 @@ class StepRecord:
     stable_err: float = math.nan
     linear_err: float = math.nan
     chaotic_err: float = math.nan
-    assignment: GroupAssignment | None = None
 
 
 @dataclass
@@ -138,11 +138,8 @@ class RunResult:
         return self.full_count + self.cache_count
 
 
-def _fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 _TINY = 1e-30
+_GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
 def step_errors(
@@ -152,13 +149,14 @@ def step_errors(
 
     Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
     a group's error is the mean L2 norm of its rows' differences, NaN when g
-    is None or the group is empty.
+    is None or the group is empty. The norms are the scale-safe kernels, so
+    outputs far outside the unit scale still give finite errors.
     """
     diff = y.data - oracle_y.data
-    rel = _fro(diff) / (_fro(oracle_y.data) + _TINY)
+    rel = kernels.fro_norm(diff) / (kernels.fro_norm(oracle_y.data) + _TINY)
     per_group = [math.nan, math.nan, math.nan]
     if g is not None:
-        row_err = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        row_err = kernels.row_norms(diff)
         for grp in TokenGroup:
             idx = g.indices(grp)
             if idx.size:
@@ -209,7 +207,8 @@ def run(
     z = z_init
     history = FullHistory.empty()
     state = CacheState()
-    probe = DriftProbe()
+    probe = None  # read only by the guided baselines, so built only for them
+    guided = skip_cfg.kind in _GUIDED
     records: list[StepRecord] = []
     surrogates: list[TokenMatrix] | None = [] if record_outputs else None
     full_count = 0
@@ -255,37 +254,19 @@ def run(
             state = accumulate(state, e_t)
             decision = Decision.CACHE
 
-        rel = st = li = ch = math.nan
+        errors = (math.nan,) * 4  # rel, stable, linear, chaotic
         if oracle_outputs is not None:
-            rel, st, li, ch = step_errors(y_t, oracle_outputs[i], state.group)
-        records.append(
-            StepRecord(
-                step=i,
-                timestep=t.value,
-                decision=decision,
-                k=state.k,
-                e_t=e_t,
-                e_acc=state.e_acc,
-                rel_err=rel,
-                stable_err=st,
-                linear_err=li,
-                chaotic_err=ch,
-                assignment=state.group,
-            )
-        )
+            errors = step_errors(y_t, oracle_outputs[i], state.group)
+        records.append(StepRecord(i, t.value, decision, state.k, e_t, state.e_acc, *errors))
         if surrogates is not None:
             surrogates.append(y_t)
 
-        # Probe statistics for the guided baselines: last emitted difference.
-        if state.y_prev is not None:
+        if guided:  # probe statistics: the last emitted difference
+            prev = state.y_prev
             probe = DriftProbe(
-                diff_norm=_fro(y_t.data - state.y_prev.data),
-                base_norm=_fro(state.y_prev.data),
+                diff_norm=None if prev is None else kernels.fro_norm(y_t.data - prev.data),
+                base_norm=None if prev is None else kernels.fro_norm(prev.data),
                 mean_kappa=state.group.mean_kappa() if state.group else None,
-            )
-        else:
-            probe = DriftProbe(
-                mean_kappa=state.group.mean_kappa() if state.group else None
             )
         state = replace(state, y_prev=y_t)
         z = scheduler.step(z, y_t, t, grid[i + 1])
@@ -306,7 +287,6 @@ def oracle_run(
     z_init: TokenMatrix,
     *,
     record_outputs: bool = True,
-    oracle_outputs: Sequence[TokenMatrix] | None = None,
 ) -> RunResult:
     """No-cache reference: every step FULL.
 
@@ -320,5 +300,4 @@ def oracle_run(
         PredictorConfig(kind=PredictorKind.UNIFORM_REUSE),
         SkipConfig(kind=SkipKind.CAS, eta=0.0),
         record_outputs=record_outputs,
-        oracle_outputs=oracle_outputs,
     )

@@ -10,6 +10,7 @@ from worldcache import (
     PredictorConfig,
     Preset,
     SkipConfig,
+    SkipKind,
     SyntheticBackbone,
     SyntheticSpec,
     TokenGroup,
@@ -20,31 +21,34 @@ from worldcache import (
     sweep,
     uniform_grid,
 )
-from worldcache.pipeline import RunResult, StepRecord, Decision
+from worldcache import bench
+from worldcache.pipeline import step_errors
 
 
-def _pair(seed=7, steps=30, eta=0.2):
+def _pair(seed=7, steps=30, eta=0.2, skip_cfg=None):
     spec = SyntheticSpec(preset=Preset.MIXED, seed=seed)
     backbone = SyntheticBackbone(spec)
     sched = EulerScheduler(uniform_grid(steps))
     z0 = backbone.initial_latent()
-    ref = oracle_run(backbone, sched, z0, record_outputs=True)
+    ref = oracle_run(backbone, sched, z0)
     cached = run(
         backbone, sched, z0,
-        PredictorConfig(), SkipConfig(eta=eta),
-        record_outputs=True, oracle_outputs=ref.surrogates,
+        PredictorConfig(), skip_cfg or SkipConfig(eta=eta),
+        oracle_outputs=ref.surrogates,
     )
     return cached, ref
 
 
 class TestCompareRuns:
     def test_self_comparison_is_zero_error(self):
-        _, ref = _pair()
-        m = compare_runs(ref, ref)
+        # eta = 0 is the oracle by construction, so nothing may differ
+        cached, ref = _pair(eta=0.0)
+        m = compare_runs(cached, ref)
         assert all(e == 0.0 for e in m.per_step_rel_error)
+        assert all(e == 0.0 for e in m.per_group_error.values())
         assert m.final_latent_rel_error == 0.0
         assert m.full_ratio == 1.0
-        assert m.est_speedup == pytest.approx(1.0, rel=1e-12)
+        assert m.est_speedup == 1.0
 
     def test_cached_run_metrics_reflect_counts(self):
         cached, ref = _pair()
@@ -59,25 +63,39 @@ class TestCompareRuns:
         )
 
     def test_known_offset_gives_exact_relative_error(self):
-        # single cached step whose surrogate is off by delta on a unit-norm
-        # oracle row: per-step relative error must equal delta
+        # a surrogate off by delta on a unit-norm oracle row: the relative
+        # error must equal delta, and no grouping means no group errors
         delta = 0.25
-        oracle_row = TokenMatrix([[1.0]])
-        cached_row = TokenMatrix([[1.0 + delta]])
-        rec = StepRecord(
-            step=0, timestep=1.0, decision=Decision.CACHE, k=1,
-            e_t=0.0, e_acc=0.0,
+        rel, *group_errs = step_errors(
+            TokenMatrix([[1.0 + delta]]), TokenMatrix([[1.0]]), None
         )
-        cached = RunResult(
-            records=[rec], final_latent=cached_row,
-            full_count=0, cache_count=1, surrogates=[cached_row],
-        )
-        oracle = RunResult(
-            records=[rec], final_latent=oracle_row,
-            full_count=1, cache_count=0, surrogates=[oracle_row],
-        )
-        m = compare_runs(cached, oracle)
-        assert m.per_step_rel_error[0] == pytest.approx(delta, rel=1e-12)
+        assert rel == pytest.approx(delta, rel=1e-12)
+        assert all(math.isnan(e) for e in group_errs)
+
+    @pytest.mark.parametrize("kind", list(SkipKind))
+    def test_metrics_reduce_the_records(self, kind, monkeypatch):
+        cached, ref = _pair(skip_cfg=SkipConfig(kind=kind, tau=0.05))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step_errors(*args)
+
+        monkeypatch.setattr(bench, "step_errors", counted)
+        m = compare_runs(cached, ref)
+        assert len(calls) == 1  # the final latent only
+        assert m.per_step_rel_error == tuple(r.rel_err for r in cached.records)
+        columns = {
+            TokenGroup.STABLE: [r.stable_err for r in cached.records],
+            TokenGroup.LINEAR: [r.linear_err for r in cached.records],
+            TokenGroup.CHAOTIC: [r.chaotic_err for r in cached.records],
+        }
+        for g, col in columns.items():
+            defined = [e for e in col if not math.isnan(e)]
+            assert defined
+            assert m.per_group_error[g] == pytest.approx(
+                float(np.mean(defined)), rel=1e-12
+            )
 
     def test_per_group_errors_present_after_refresh(self):
         cached, ref = _pair()
@@ -104,13 +122,15 @@ class TestCompareRuns:
         assert speedups == sorted(speedups, reverse=True)
 
     def test_requires_recorded_outputs(self):
+        # a cached run made without oracle_outputs has no errors to reduce
         spec = SyntheticSpec(preset=Preset.MIXED, seed=3)
         backbone = SyntheticBackbone(spec)
         sched = EulerScheduler(uniform_grid(8))
         z0 = backbone.initial_latent()
-        bare = oracle_run(backbone, sched, z0, record_outputs=False)
-        with pytest.raises(ParameterError):
-            compare_runs(bare, bare)
+        ref = oracle_run(backbone, sched, z0)
+        bare = run(backbone, sched, z0, PredictorConfig(), SkipConfig())
+        with pytest.raises(ParameterError, match="oracle_outputs"):
+            compare_runs(bare, ref)
 
     def test_step_count_mismatch(self):
         _, a = _pair(steps=10)

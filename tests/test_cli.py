@@ -1,8 +1,9 @@
+import math
 import re
 
 import pytest
 
-from worldcache.cli import METRIC_COLUMNS, STEP_COLUMNS, main
+from worldcache.cli import METRIC_COLUMNS, STEP_COLUMNS, build_parser, main
 
 FAST = ["--n-tokens", "16", "--dims", "4", "--steps", "12"]
 
@@ -61,6 +62,16 @@ class TestRunCommand:
         _, metrics = _read_rows(tmp_path / "rid.metrics.csv")
         assert metrics[0][4] == "1"  # full_ratio
         assert metrics[0][6] == "0"  # final_rel_err
+
+    def test_extreme_amplitude_gives_finite_errors(self, tmp_path):
+        # squares of 1e200 entries overflow; the error norms must not
+        assert main(_run_args(tmp_path, "--seed", "1", "--amplitude", "1e200")) == 0
+        _, steps = _read_rows(tmp_path / "rid.steps.csv")
+        _, metrics = _read_rows(tmp_path / "rid.metrics.csv")
+        values = [r[STEP_COLUMNS.index("rel_err")] for r in steps]
+        values += [metrics[0][METRIC_COLUMNS.index(c)]
+                   for c in ("final_rel_err", "mean_rel_err")]
+        assert all(math.isfinite(float(v)) for v in values)
 
     def test_manifest_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         d1 = tmp_path / "a"
@@ -216,6 +227,10 @@ class TestSweepCommand:
         code = main(["sweep", "--seed", "1", "--set", "sweep.eta=0.2", "--seeds", "1",
                      "--jobs", "0", "--out", str(tmp_path), *FAST])
         assert code == 1
+
+    def test_jobs_default_to_one_whatever_the_environment(self, monkeypatch):
+        monkeypatch.setenv("WORLDCACHE_JOBS", "3")
+        assert build_parser().parse_args(["sweep"]).jobs == 1
 
     def test_manifest_rerun_reproduces_sweep(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -15,6 +15,7 @@ from worldcache.kernels import (
     blend_rows,
     curvature_rows,
     drift_mean,
+    fro_norm,
     row_norms,
 )
 
@@ -103,6 +104,31 @@ class TestRowNorms:
     def test_matches_scalar_reference(self, arrays):
         (a,) = arrays
         assert row_norms(a).tolist() == [ref_row_norm(row) for row in a.tolist()]
+
+    @pytest.mark.parametrize("exp", [600, -520])
+    def test_rows_past_the_normal_range_scale_exactly(self, exp):
+        # squares of 2**600 overflow and of 2**-520 are subnormal; rescaling
+        # by a power of two keeps every bit of the in-range norm
+        a = _rng(2).normal(size=(20, 5))
+        a[3] = 0.0
+        assert np.array_equal(row_norms(np.ldexp(a, exp)), np.ldexp(row_norms(a), exp))
+
+
+class TestFroNorm:
+    def test_matches_linalg_norm_bitwise(self):
+        for seed in range(5):
+            a = _rng(seed).normal(size=(40, 6)) * 10.0 ** (seed - 2)
+            assert fro_norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("exp", [600, -520])
+    def test_past_the_normal_range(self, exp):
+        a = _rng(3).normal(size=(30, 4))
+        want = math.ldexp(float(np.linalg.norm(a)), exp)
+        assert fro_norm(np.ldexp(a, exp)) == pytest.approx(want, rel=1e-14)
+
+    def test_past_the_float_range_is_inf(self):
+        assert fro_norm(np.full((2, 2), 1e308)) == math.inf
+        assert fro_norm(np.zeros((2, 3))) == 0.0
 
 
 class TestCurvatureRows:

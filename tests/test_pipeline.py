@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldcache import (
     Decision,
@@ -21,6 +22,7 @@ from worldcache import (
     run,
     uniform_grid,
 )
+from worldcache import pipeline
 from worldcache.errors import OrderingError
 
 
@@ -176,11 +178,10 @@ class TestRunStructure:
 
     def test_oracle_errors_recorded_when_reference_given(self):
         backbone, sched, z0 = _setup()
-        ref = oracle_run(backbone, sched, z0, record_outputs=True)
+        ref = oracle_run(backbone, sched, z0)
         cached = run(
             backbone, sched, z0,
             PredictorConfig(), SkipConfig(),
-            record_outputs=True,
             oracle_outputs=ref.surrogates,
         )
         fulls = [r for r in cached.records if r.decision is Decision.FULL]
@@ -213,6 +214,57 @@ class TestRunStructure:
             for eta in etas
         ]
         assert counts == sorted(counts)
+
+
+class TestLoopInvariants:
+    @given(
+        n=st.integers(1, 16),
+        d=st.integers(3, 8),
+        steps=st.integers(0, 25),
+        kind=st.sampled_from(list(SkipKind)),
+        eta=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 1.0),
+        cap=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_records_hold_the_invariants(self, n, d, steps, kind, eta, tau, cap, seed):
+        backbone, sched, z0 = _setup(seed=seed, steps=steps, n_tokens=n, dims=d)
+        ref = oracle_run(backbone, sched, z0)
+        pcfg = PredictorConfig()
+        scfg = SkipConfig(kind=kind, eta=eta, tau=tau, enforce_streak_cap=cap)
+        result = run(backbone, sched, z0, pcfg, scfg, oracle_outputs=ref.surrogates)
+
+        assert result.full_count + result.cache_count == steps == len(result.records)
+        prev_e_acc = 0.0
+        for r in result.records:
+            assert math.isfinite(r.rel_err)
+            if r.decision is Decision.FULL:
+                assert r.k == 0 and r.e_acc == 0.0
+            else:
+                assert r.e_acc >= prev_e_acc  # never falls within a streak
+            prev_e_acc = r.e_acc
+            if kind is SkipKind.CAS and cap:  # only the adaptive policy caps
+                assert r.k <= pcfg.n_max
+
+
+class TestDriftProbeGuard:
+    @pytest.mark.parametrize("kind", list(SkipKind))
+    def test_probe_built_only_for_guided_kinds(self, kind, monkeypatch):
+        class ProbeBuilt(Exception):
+            pass
+
+        def refuse(**_):
+            raise ProbeBuilt
+
+        monkeypatch.setattr(pipeline, "DriftProbe", refuse)
+        backbone, sched, z0 = _setup(steps=10)
+        args = (backbone, sched, z0, PredictorConfig(), SkipConfig(kind=kind, tau=0.05))
+        if kind in (SkipKind.CAS, SkipKind.FIXED_INTERVAL):
+            assert run(*args).steps == 10
+        else:
+            with pytest.raises(ProbeBuilt):
+                run(*args)
 
 
 class TestRunValidation:
