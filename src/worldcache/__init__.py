@@ -19,7 +19,7 @@ from .backbone_sim import (
     write_trace,
 )
 from .bench import RunMetrics, SweepRow, compare_runs, sweep
-from .core import Modality, Timestep, TokenMatrix, axpy_rows, row_l2_norms
+from .core import Modality, Timestep, TokenMatrix, axpy_rows
 from .curvature import (
     FullHistory,
     GroupAssignment,
@@ -51,7 +51,6 @@ from .predictor import (
     HorizonMode,
     PredictorConfig,
     PredictorKind,
-    damped_velocity,
     hermite_alpha,
     horizon_for,
     predict,
@@ -73,7 +72,6 @@ __all__ = [
     "compare_runs",
     "compute_curvature",
     "ConfigError",
-    "damped_velocity",
     "Decision",
     "DimensionError",
     "DomainError",
@@ -121,5 +119,4 @@ __all__ = [
     "write_trace",
     "accumulate",
     "axpy_rows",
-    "row_l2_norms",
 ]

@@ -153,8 +153,6 @@ class SyntheticBackbone:
     """Deterministic synthetic backbone; evaluate() is a pure function of
     (z, t) for a fixed SyntheticSpec."""
 
-    cost_full = 1.0
-
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec
         n, d = spec.n_tokens, spec.dims
@@ -471,8 +469,6 @@ class TraceBackbone:
     Replay is open-loop by construction; the latent argument is ignored
     beyond a shape check.
     """
-
-    cost_full = 1.0
 
     def __init__(self, trace: TraceData):
         self.trace = trace

@@ -32,7 +32,6 @@ class RunMetrics:
     per_group_error: dict[TokenGroup, float]
     full_ratio: float
     est_speedup: float
-    e_acc_trace: tuple[tuple[int, float], ...]
     steps: int
     full_count: int
     cache_count: int
@@ -98,7 +97,6 @@ def compare_runs(
         per_group_error=per_group,
         full_ratio=full_ratio,
         est_speedup=est_speedup,
-        e_acc_trace=tuple((r.step, r.e_acc) for r in cached.records),
         steps=steps,
         full_count=cached.full_count,
         cache_count=cached.cache_count,
@@ -107,7 +105,6 @@ def compare_runs(
 
 @dataclass(frozen=True)
 class SweepRow:
-    index: int
     point: dict
     seed: int
     metrics: RunMetrics | None
@@ -137,11 +134,7 @@ def sweep(
         if not v:
             raise ParameterError(f"sweep axis {k!r} is empty")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
-    tasks = [
-        (idx, point, seed)
-        for idx, point in enumerate(points)
-        for seed in seeds
-    ]
+    tasks = [(point, seed) for point in points for seed in seeds]
 
     if jobs == 1:
         return [_run_row(run_fn, *task) for task in tasks]
@@ -154,12 +147,12 @@ def sweep(
     return rows
 
 
-def _run_row(run_fn, idx, point, seed) -> SweepRow:
+def _run_row(run_fn, point, seed) -> SweepRow:
     try:
-        return SweepRow(idx, point, seed, run_fn(point, seed))
+        return SweepRow(point, seed, run_fn(point, seed))
     except Exception as exc:  # noqa: BLE001 - per-row isolation is the point
-        return _failed_row(idx, point, seed, exc)
+        return _failed_row(point, seed, exc)
 
 
-def _failed_row(idx, point, seed, exc: BaseException) -> SweepRow:
-    return SweepRow(idx, point, seed, None, error=f"{type(exc).__name__}: {exc}")
+def _failed_row(point, seed, exc: BaseException) -> SweepRow:
+    return SweepRow(point, seed, None, error=f"{type(exc).__name__}: {exc}")

@@ -35,7 +35,7 @@ from .backbone_sim import (
     validate_trace,
     write_trace,
 )
-from .bench import RunMetrics, SweepRow, compare_runs, sweep
+from .bench import RunMetrics, compare_runs, sweep
 from .config import (
     ResolvedConfig,
     apply_axis_override,
@@ -46,7 +46,6 @@ from .config import (
     sweep_axes,
     sweep_seeds,
 )
-from .core import TokenMatrix
 from .errors import ConfigError, WorldCacheError
 from .pipeline import EulerScheduler, RunResult, oracle_run, run, uniform_grid
 
@@ -81,33 +80,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# flag name -> (section, key); shared by all run-like subcommands
-_FLAG_MAP = {
-    "seed": ("workload", "seed"),
-    "preset": ("workload", "preset"),
-    "n_tokens": ("workload", "n_tokens"),
-    "dims": ("workload", "dims"),
-    "noise_sigma": ("workload", "noise_sigma"),
-    "coupling": ("workload", "coupling"),
-    "amplitude": ("workload", "amplitude"),
-    "frequency": ("workload", "frequency"),
-    "turn_step": ("workload", "turn_step"),
-    "predictor": ("predictor", "kind"),
-    "n_max": ("predictor", "n_max"),
-    "horizon_mode": ("predictor", "horizon_mode"),
-    "rng_seed": ("predictor", "rng_seed"),
-    "p_stable": ("predictor", "p_stable"),
-    "p_chaotic": ("predictor", "p_chaotic"),
-    "skipper": ("skipper", "kind"),
-    "eta": ("skipper", "eta"),
-    "interval": ("skipper", "interval"),
-    "tau": ("skipper", "tau"),
-    "warmup_fulls": ("skipper", "warmup_fulls"),
-    "steps": ("scheduler", "steps"),
-    "t_max": ("scheduler", "t_max"),
-    "out": ("output", "dir"),
-    "run_id": ("output", "run_id"),
-    "c_cache": ("output", "c_cache"),
+# dest -> (section, key, help) of the flags shared by all run-like
+# subcommands; each flag is "--" plus its dest with "-" for "_".
+_FLAGS = {
+    "seed": ("workload", "seed", "workload seed"),
+    "preset": ("workload", "preset", "synthetic preset (mixed, smooth, turnpoint)"),
+    "n_tokens": ("workload", "n_tokens", None),
+    "dims": ("workload", "dims", None),
+    "noise_sigma": ("workload", "noise_sigma", None),
+    "coupling": ("workload", "coupling", None),
+    "amplitude": ("workload", "amplitude", None),
+    "frequency": ("workload", "frequency", None),
+    "turn_step": ("workload", "turn_step", None),
+    "predictor": ("predictor", "kind", "predictor kind"),
+    "n_max": ("predictor", "n_max", None),
+    "horizon_mode": ("predictor", "horizon_mode", None),
+    "rng_seed": ("predictor", "rng_seed", None),
+    "p_stable": ("predictor", "p_stable", None),
+    "p_chaotic": ("predictor", "p_chaotic", None),
+    "skipper": ("skipper", "kind", "skip policy kind"),
+    "eta": ("skipper", "eta", "drift budget threshold"),
+    "interval": ("skipper", "interval", None),
+    "tau": ("skipper", "tau", None),
+    "warmup_fulls": ("skipper", "warmup_fulls", None),
+    "steps": ("scheduler", "steps", None),
+    "t_max": ("scheduler", "t_max", None),
+    "out": ("output", "dir", "output directory"),
+    "run_id": ("output", "run_id", None),
+    "c_cache": ("output", "c_cache", None),
 }
 
 
@@ -121,31 +121,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         dest="assignments",
         help="override any config key; repeatable",
     )
-    p.add_argument("--seed", help="workload seed")
-    p.add_argument("--preset", help="synthetic preset (mixed, smooth, turnpoint)")
-    p.add_argument("--n-tokens", dest="n_tokens")
-    p.add_argument("--dims")
-    p.add_argument("--noise-sigma", dest="noise_sigma")
-    p.add_argument("--coupling")
-    p.add_argument("--amplitude")
-    p.add_argument("--frequency")
-    p.add_argument("--turn-step", dest="turn_step")
-    p.add_argument("--predictor", help="predictor kind")
-    p.add_argument("--n-max", dest="n_max")
-    p.add_argument("--horizon-mode", dest="horizon_mode")
-    p.add_argument("--rng-seed", dest="rng_seed")
-    p.add_argument("--p-stable", dest="p_stable")
-    p.add_argument("--p-chaotic", dest="p_chaotic")
-    p.add_argument("--skipper", help="skip policy kind")
-    p.add_argument("--eta", help="drift budget threshold")
-    p.add_argument("--interval")
-    p.add_argument("--tau")
-    p.add_argument("--warmup-fulls", dest="warmup_fulls")
-    p.add_argument("--steps")
-    p.add_argument("--t-max", dest="t_max")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--run-id", dest="run_id")
-    p.add_argument("--c-cache", dest="c_cache")
+    for dest, (_, _, help_text) in _FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one cached run vs its no-cache reference")
     _add_common_flags(p_run)
-    p_run.add_argument("--trace", help="replay this trace instead of a synthetic workload")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over policy knobs x seeds")
@@ -187,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _collect_overrides(args) -> dict[str, dict[str, str]]:
     overrides: dict[str, dict[str, str]] = {}
-    for dest, (section, key) in _FLAG_MAP.items():
+    for dest, (section, key, _) in _FLAGS.items():
         val = getattr(args, dest, None)
         if val is not None:
             overrides.setdefault(section, {})[key] = str(val)
@@ -197,10 +173,9 @@ def _collect_overrides(args) -> dict[str, dict[str, str]]:
             raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         section, key = target.split(".", 1)
         overrides.setdefault(section.strip(), {})[key.strip()] = value
-    trace = getattr(args, "trace", None)
-    if trace and getattr(args, "command", "") in ("run", "replay"):
+    if getattr(args, "command", "") == "replay":
         overrides.setdefault("workload", {})["kind"] = "trace"
-        overrides["workload"]["trace_path"] = str(trace)
+        overrides["workload"]["trace_path"] = args.trace
     return overrides
 
 

@@ -46,40 +46,55 @@ _PARSERS = {
     "bool": _parse_bool,
 }
 
+# Sweep axis -> the (section, key) each of its values sets. This order is
+# the column order of sweep grids; an axis takes its value type from SCHEMA.
+_AXIS_TARGET = {
+    "eta": ("skipper", "eta"),
+    "p_stable": ("predictor", "p_stable"),
+    "p_chaotic": ("predictor", "p_chaotic"),
+    "n_max": ("predictor", "n_max"),
+    "predictor": ("predictor", "kind"),
+    "skipper": ("skipper", "kind"),
+    "tau": ("skipper", "tau"),
+    "interval": ("skipper", "interval"),
+}
+SWEEP_AXES = tuple(_AXIS_TARGET)
+
 # section -> key -> (type name, default). A None default means "unset".
+# Policy and workload defaults are the dataclasses' own.
 SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "workload": {
         "kind": ("str", "synthetic"),
-        "preset": ("str", Preset.MIXED.value),
-        "n_tokens": ("int", 96),
-        "dims": ("int", 8),
-        "stable_fraction": ("float", 0.3),
-        "linear_fraction": ("float", 0.4),
-        "chaotic_fraction": ("float", 0.3),
-        "turn_step": ("int", 8),
-        "amplitude": ("float", 1.0),
-        "frequency": ("float", 0.15),
-        "noise_sigma": ("float", 0.0),
-        "coupling": ("float", 0.0),
+        "preset": ("str", SyntheticSpec.preset.value),
+        "n_tokens": ("int", SyntheticSpec.n_tokens),
+        "dims": ("int", SyntheticSpec.dims),
+        "stable_fraction": ("float", SyntheticSpec.fractions[0]),
+        "linear_fraction": ("float", SyntheticSpec.fractions[1]),
+        "chaotic_fraction": ("float", SyntheticSpec.fractions[2]),
+        "turn_step": ("int", SyntheticSpec.turn_step),
+        "amplitude": ("float", SyntheticSpec.amplitude),
+        "frequency": ("float", SyntheticSpec.frequency),
+        "noise_sigma": ("float", SyntheticSpec.noise_sigma),
+        "coupling": ("float", SyntheticSpec.coupling),
         "seed": ("int", None),
         "trace_path": ("str", ""),
     },
     "predictor": {
-        "kind": ("str", PredictorKind.CHTP.value),
-        "n_max": ("int", 6),
-        "horizon_mode": ("str", HorizonMode.TIMESTEP_DELTA.value),
-        "rng_seed": ("int", None),
-        "p_stable": ("float", 0.3),
-        "p_chaotic": ("float", 0.7),
-        "eps": ("float", 1e-8),
+        "kind": ("str", PredictorConfig.kind.value),
+        "n_max": ("int", PredictorConfig.n_max),
+        "horizon_mode": ("str", PredictorConfig.horizon_mode.value),
+        "rng_seed": ("int", PredictorConfig.rng_seed),
+        "p_stable": ("float", PredictorConfig.p_stable),
+        "p_chaotic": ("float", PredictorConfig.p_chaotic),
+        "eps": ("float", PredictorConfig.eps),
     },
     "skipper": {
-        "kind": ("str", SkipKind.CAS.value),
-        "eta": ("float", 0.2),
-        "interval": ("int", 5),
-        "tau": ("float", 0.1),
-        "enforce_streak_cap": ("bool", True),
-        "warmup_fulls": ("int", 3),
+        "kind": ("str", SkipConfig.kind.value),
+        "eta": ("float", SkipConfig.eta),
+        "interval": ("int", SkipConfig.interval),
+        "tau": ("float", SkipConfig.tau),
+        "enforce_streak_cap": ("bool", SkipConfig.enforce_streak_cap),
+        "warmup_fulls": ("int", SkipConfig.warmup_fulls),
     },
     "scheduler": {
         "steps": ("int", 50),
@@ -90,31 +105,7 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "run_id": ("str", ""),
         "c_cache": ("float", DEFAULT_CACHE_COST),
     },
-    "sweep": {
-        "eta": ("str", ""),
-        "p_stable": ("str", ""),
-        "p_chaotic": ("str", ""),
-        "n_max": ("str", ""),
-        "predictor": ("str", ""),
-        "skipper": ("str", ""),
-        "tau": ("str", ""),
-        "interval": ("str", ""),
-        "seeds": ("str", ""),
-    },
-}
-
-# Canonical column order for sweep grids (subset actually swept is used).
-SWEEP_AXES = ("eta", "p_stable", "p_chaotic", "n_max", "predictor", "skipper", "tau", "interval")
-
-_AXIS_TARGET = {
-    "eta": ("skipper", "eta", "float"),
-    "p_stable": ("predictor", "p_stable", "float"),
-    "p_chaotic": ("predictor", "p_chaotic", "float"),
-    "n_max": ("predictor", "n_max", "int"),
-    "predictor": ("predictor", "kind", "str"),
-    "skipper": ("skipper", "kind", "str"),
-    "tau": ("skipper", "tau", "float"),
-    "interval": ("skipper", "interval", "int"),
+    "sweep": {**{axis: ("str", "") for axis in _AXIS_TARGET}, "seeds": ("str", "")},
 }
 
 _ENUMS = {
@@ -195,16 +186,12 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    raw: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section == "meta":
-            continue  # manifests carry provenance here; not configuration
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            raw.setdefault(section, {})[key] = value
+    raw = {
+        section: dict(parser.items(section))
+        for section in parser.sections()
+        if section != "meta"  # manifests carry provenance here; not configuration
+    }
+    _check_known(raw, str(path))
     return raw
 
 
@@ -215,6 +202,21 @@ def _check_known(raw: dict[str, dict[str, str]], origin: str) -> None:
         for key in keys:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key} in {origin}")
+
+
+def _parse(section: str, key: str, type_name: str, raw: str, where: str) -> Any:
+    """Parse one raw value of SCHEMA type `type_name` bound for section.key;
+    `where` names the value in the error message."""
+    try:
+        val = _PARSERS[type_name](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {raw!r} ({exc})") from exc
+    allowed = _ENUMS.get((section, key))
+    if allowed and val not in allowed:
+        raise ConfigError(
+            f"bad value for {where}: {raw!r} (expected one of {', '.join(allowed)})"
+        )
+    return val
 
 
 def resolve(
@@ -246,18 +248,8 @@ def resolve(
             if raw == "" and default is None:
                 values[section][key] = None
                 continue
-            try:
-                values[section][key] = _PARSERS[type_name](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r} ({exc})"
-                ) from exc
-            allowed = _ENUMS.get((section, key))
-            if allowed and values[section][key] not in allowed:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r} "
-                    f"(expected one of {', '.join(allowed)})"
-                )
+            where = f"{section}.{key}"
+            values[section][key] = _parse(section, key, type_name, raw, where)
     cfg = ResolvedConfig(values)
     _validate(cfg)
     return cfg
@@ -330,18 +322,9 @@ def sweep_axes(cfg: ResolvedConfig) -> dict[str, list[str]]:
         items = [part.strip() for part in raw.split(",") if part.strip()]
         if not items:
             raise ConfigError(f"sweep.{name} lists no values")
-        section, key, type_name = _AXIS_TARGET[name]
+        section, key = _AXIS_TARGET[name]
         for item in items:
-            try:
-                val = _PARSERS[type_name](item)
-            except ValueError as exc:
-                raise ConfigError(f"bad value in sweep.{name}: {item!r}") from exc
-            allowed = _ENUMS.get((section, key))
-            if allowed and val not in allowed:
-                raise ConfigError(
-                    f"bad value in sweep.{name}: {item!r} "
-                    f"(expected one of {', '.join(allowed)})"
-                )
+            _parse(section, key, SCHEMA[section][key][0], item, f"sweep.{name}")
         axes[name] = items
     return axes
 
@@ -360,5 +343,5 @@ def apply_axis_override(
     overrides: dict[str, dict[str, str]], axis: str, value: str
 ) -> None:
     """Route one sweep-axis value onto its (section, key) override slot."""
-    section, key, _ = _AXIS_TARGET[axis]
+    section, key = _AXIS_TARGET[axis]
     overrides.setdefault(section, {})[key] = value

@@ -12,7 +12,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, ParameterError
 
 
@@ -87,11 +86,6 @@ class Timestep:
             raise ParameterError(f"timestep value must be finite, got {self.value!r}")
         if self.index < 0:
             raise ParameterError(f"timestep index must be >= 0, got {self.index}")
-
-
-def row_l2_norms(m: TokenMatrix) -> np.ndarray:
-    """Per-token Euclidean norms, shape (n_tokens,)."""
-    return kernels.row_norms(m.data)
 
 
 def axpy_rows(a: TokenMatrix, b: TokenMatrix, s: float) -> TokenMatrix:

@@ -66,10 +66,6 @@ class FullHistory:
             raise InsufficientHistoryError("history is empty")
         return self.entries[0]
 
-    @staticmethod
-    def empty() -> "FullHistory":
-        return FullHistory()
-
 
 def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
     """Insert a freshly recomputed output, evicting the oldest beyond depth 3.
@@ -131,7 +127,6 @@ class GroupAssignment:
 
     kappa: np.ndarray
     labels: np.ndarray  # int8: TokenGroup values, one per token
-    source_timestep: Timestep | None = None
 
     @property
     def n_tokens(self) -> int:
@@ -156,7 +151,6 @@ def group_tokens(
     kappa: np.ndarray,
     p_stable: float = DEFAULT_P_STABLE,
     p_chaotic: float = DEFAULT_P_CHAOTIC,
-    source_timestep: Timestep | None = None,
 ) -> GroupAssignment:
     """Split tokens into stable / linear / chaotic by curvature rank.
 
@@ -197,4 +191,4 @@ def group_tokens(
     labels.setflags(write=False)
     kappa = kappa.copy()
     kappa.setflags(write=False)
-    return GroupAssignment(kappa=kappa, labels=labels, source_timestep=source_timestep)
+    return GroupAssignment(kappa=kappa, labels=labels)

@@ -12,14 +12,14 @@ budget, which makes every step FULL by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from . import kernels
-from .core import Timestep, TokenMatrix
+from .core import Timestep, TokenMatrix, axpy_rows
 from .curvature import FullHistory, GroupAssignment, TokenGroup, compute_curvature, group_tokens, push_full
 from .errors import OrderingError, ParameterError
 from .predictor import (
@@ -40,14 +40,10 @@ from .skipper import (
     should_full,
 )
 
-FULL_STEP_COST = 1.0
-
 
 @runtime_checkable
 class Backbone(Protocol):
     """One denoising-network evaluation: latent + timestep -> token outputs."""
-
-    cost_full: float
 
     def evaluate(self, z: TokenMatrix, t: Timestep) -> TokenMatrix: ...
 
@@ -86,7 +82,7 @@ def _check_grid(timesteps: Sequence[Timestep]) -> None:
 
 @dataclass(frozen=True)
 class EulerScheduler:
-    """Explicit Euler update z' = z + (t_to - t_from) * y."""
+    """Explicit Euler update z' = z + (t_to - t_from) * y; y must have z's shape."""
 
     grid: tuple[Timestep, ...]
 
@@ -100,7 +96,7 @@ class EulerScheduler:
     def step(
         self, z: TokenMatrix, y: TokenMatrix, t_from: Timestep, t_to: Timestep
     ) -> TokenMatrix:
-        return TokenMatrix(z.data + (t_to.value - t_from.value) * y.data)
+        return axpy_rows(z, y, t_to.value - t_from.value)
 
 
 class Decision(str, Enum):
@@ -131,7 +127,6 @@ class RunResult:
     full_count: int
     cache_count: int
     surrogates: list[TokenMatrix] | None = None
-    timesteps: tuple[Timestep, ...] = field(default_factory=tuple)
 
     @property
     def steps(self) -> int:
@@ -205,7 +200,7 @@ def run(
         raise ParameterError("random-grouping requires rng_seed")
 
     z = z_init
-    history = FullHistory.empty()
+    history = FullHistory()
     state = CacheState()
     probe = None  # read only by the guided baselines, so built only for them
     guided = skip_cfg.kind in _GUIDED
@@ -226,12 +221,7 @@ def run(
             group = state.group
             if len(history) == 3:
                 kappa = compute_curvature(history, predictor_cfg.eps)
-                group = group_tokens(
-                    kappa,
-                    predictor_cfg.p_stable,
-                    predictor_cfg.p_chaotic,
-                    source_timestep=t,
-                )
+                group = group_tokens(kappa, predictor_cfg.p_stable, predictor_cfg.p_chaotic)
                 if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING:
                     group = randomize_groups(
                         group, predictor_cfg.rng_seed, refresh_count
@@ -277,7 +267,6 @@ def run(
         full_count=full_count,
         cache_count=cache_count,
         surrogates=surrogates,
-        timesteps=grid,
     )
 
 

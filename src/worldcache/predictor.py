@@ -106,16 +106,6 @@ def hermite_alpha(k: int, n_max: int) -> float:
     return 3.0 * x * x - 2.0 * x * x * x
 
 
-def damped_velocity(h: FullHistory, k: int, cfg: PredictorConfig) -> TokenMatrix:
-    """Convex blend (1 - alpha_k) * v_latest + alpha_k * v_prev."""
-    if len(h) < 3:
-        raise InsufficientHistoryError(
-            f"damped velocity needs 3 FULL outputs, have {len(h)}"
-        )
-    alpha = hermite_alpha(k, cfg.n_max)
-    return TokenMatrix((1.0 - alpha) * h.v_latest.data + alpha * h.v_prev.data)
-
-
 def predict(
     h: FullHistory,
     g: GroupAssignment | None,
@@ -188,9 +178,7 @@ def randomize_groups(
     rng = np.random.default_rng((int(seed), int(refresh_index)))
     labels = g.labels[rng.permutation(g.n_tokens)]
     labels.setflags(write=False)
-    return GroupAssignment(
-        kappa=g.kappa, labels=labels, source_timestep=g.source_timestep
-    )
+    return GroupAssignment(kappa=g.kappa, labels=labels)
 
 
 def horizon_for(

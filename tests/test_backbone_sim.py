@@ -81,7 +81,7 @@ class TestSyntheticBackbone:
             fractions=(0.0, 1.0, 0.0), noise_sigma=0.0, coupling=0.0, seed=5,
         )
         backbone = SyntheticBackbone(spec)
-        h = FullHistory.empty()
+        h = FullHistory()
         z = backbone.initial_latent()
         for i, t in enumerate([50.0, 49.0, 48.0]):
             h = push_full(h, _ts(t, i), backbone.evaluate(z, _ts(t, i)))
@@ -96,7 +96,7 @@ class TestSyntheticBackbone:
             seed=9,
         )
         backbone = SyntheticBackbone(spec)
-        h = FullHistory.empty()
+        h = FullHistory()
         z = backbone.initial_latent()
         # straddle a reversal: zigzag turns land at index 2 mod turn_step
         for i, idx in enumerate([4, 5, 6]):
@@ -144,7 +144,7 @@ class TestSyntheticBackbone:
     def test_mixed_stable_tokens_classify_stable(self):
         spec = SyntheticSpec(preset=Preset.MIXED, noise_sigma=0.0, seed=13)
         backbone = SyntheticBackbone(spec)
-        h = FullHistory.empty()
+        h = FullHistory()
         z = backbone.initial_latent()
         for i, t in enumerate([50.0, 49.0, 48.0]):
             h = push_full(h, _ts(t, i), backbone.evaluate(z, _ts(t, i)))

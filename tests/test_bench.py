@@ -107,11 +107,6 @@ class TestCompareRuns:
             TokenGroup.STABLE
         ]
 
-    def test_e_acc_trace_matches_records(self):
-        cached, ref = _pair()
-        m = compare_runs(cached, ref)
-        assert m.e_acc_trace == tuple((r.step, r.e_acc) for r in cached.records)
-
     def test_speedup_decreases_with_full_count(self):
         ms = []
         for eta in (0.4, 0.2, 0.0):

@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from worldcache.cli import METRIC_COLUMNS, STEP_COLUMNS, build_parser, main
+from worldcache.cli import (
+    METRIC_COLUMNS,
+    STEP_COLUMNS,
+    _FLAGS,
+    _collect_overrides,
+    build_parser,
+    main,
+)
+from worldcache.config import SCHEMA, format_value, resolve
 
 FAST = ["--n-tokens", "16", "--dims", "4", "--steps", "12"]
 
@@ -131,8 +139,7 @@ class TestExitCodes:
         capsys.readouterr()
         raw = (tmp_path / "t.wct").read_bytes()
         (tmp_path / "short.wct").write_bytes(raw[:-10])
-        code = main(["run", "--trace", str(tmp_path / "short.wct"),
-                     "--out", str(tmp_path)])
+        code = main(["replay", str(tmp_path / "short.wct"), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -242,6 +249,68 @@ class TestSweepCommand:
                      "--out", str(d2)]) == 0
         assert (d1 / "sw.sweep.csv").read_bytes() == \
             (d2 / "sw.sweep.csv").read_bytes()
+
+
+# (option strings, dest) of the flags every run-like subcommand shares
+_COMMON_OPTIONS = [
+    (("--config",), "config"),
+    (("--set",), "assignments"),
+    (("--seed",), "seed"),
+    (("--preset",), "preset"),
+    (("--n-tokens",), "n_tokens"),
+    (("--dims",), "dims"),
+    (("--noise-sigma",), "noise_sigma"),
+    (("--coupling",), "coupling"),
+    (("--amplitude",), "amplitude"),
+    (("--frequency",), "frequency"),
+    (("--turn-step",), "turn_step"),
+    (("--predictor",), "predictor"),
+    (("--n-max",), "n_max"),
+    (("--horizon-mode",), "horizon_mode"),
+    (("--rng-seed",), "rng_seed"),
+    (("--p-stable",), "p_stable"),
+    (("--p-chaotic",), "p_chaotic"),
+    (("--skipper",), "skipper"),
+    (("--eta",), "eta"),
+    (("--interval",), "interval"),
+    (("--tau",), "tau"),
+    (("--warmup-fulls",), "warmup_fulls"),
+    (("--steps",), "steps"),
+    (("--t-max",), "t_max"),
+    (("--out",), "out"),
+    (("--run-id",), "run_id"),
+    (("--c-cache",), "c_cache"),
+]
+_HELP = [(("-h", "--help"), "help")]
+_TRACE = [((), "trace")]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("run", _HELP + _COMMON_OPTIONS),
+            ("sweep", _HELP + _COMMON_OPTIONS + [(("--seeds",), "seeds"), (("--jobs",), "jobs")]),
+            ("record", _HELP + _TRACE + _COMMON_OPTIONS),
+            ("replay", _HELP + _TRACE + _COMMON_OPTIONS),
+        ],
+    )
+    def test_options_and_dests(self, command, expected):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        actions = sub.choices[command]._actions
+        assert [(tuple(a.option_strings), a.dest) for a in actions] == expected
+
+    def test_each_flag_sets_its_schema_key_with_its_type(self):
+        for dest, (section, key, _) in _FLAGS.items():
+            type_name, default = SCHEMA[section][key]
+            value = default if default is not None else {"int": 5, "float": 0.5}[type_name]
+            text = format_value(value)
+            args = build_parser().parse_args(["run", "--" + dest.replace("_", "-"), text])
+            overrides = _collect_overrides(args)
+            assert overrides == {section: {key: text}}, dest
+            overrides.setdefault("workload", {}).setdefault("seed", "1")
+            got = resolve(None, overrides).get(section, key)
+            assert got == value and type(got) is type(value), dest
 
 
 def test_version_flag(capsys):

@@ -1,7 +1,18 @@
 import pytest
 
-from worldcache import ConfigError, HorizonMode, PredictorKind, SkipKind
+from worldcache import (
+    ConfigError,
+    HorizonMode,
+    PredictorConfig,
+    PredictorKind,
+    SkipConfig,
+    SkipKind,
+    SyntheticSpec,
+)
 from worldcache.config import (
+    SCHEMA,
+    SWEEP_AXES,
+    _AXIS_TARGET,
     apply_axis_override,
     echo_config,
     format_value,
@@ -40,6 +51,12 @@ class TestDefaults:
         assert pc.horizon_mode is HorizonMode.TIMESTEP_DELTA
         sc = cfg.skip_config()
         assert sc.kind is SkipKind.CAS
+
+    def test_defaults_are_the_dataclasses_own(self):
+        cfg = _resolve(workload={"seed": 7})
+        assert cfg.predictor_config() == PredictorConfig()
+        assert cfg.skip_config() == SkipConfig()
+        assert cfg.synthetic_spec() == SyntheticSpec(seed=7)
 
     def test_random_grouping_inherits_workload_seed(self):
         cfg = _resolve(
@@ -166,6 +183,24 @@ class TestSweepConfig:
         assert list(axes.keys()) == ["eta", "interval"]
         assert axes["eta"] == ["0.1", "0.2"]
         assert sweep_seeds(cfg) == [1, 2, 3]
+
+    def test_axis_table_is_the_sweep_schema(self):
+        assert SWEEP_AXES == tuple(_AXIS_TARGET)
+        assert list(SCHEMA["sweep"]) == [*SWEEP_AXES, "seeds"]
+        assert all(SCHEMA["sweep"][name] == ("str", "") for name in SCHEMA["sweep"])
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_axis_value_reaches_its_schema_key_with_its_type(self, axis):
+        section, key = _AXIS_TARGET[axis]
+        default = SCHEMA[section][key][1]
+        text = format_value(default)
+        assert sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: text})) == {axis: [text]}
+        overrides = {"workload": {"seed": "1"}}
+        apply_axis_override(overrides, axis, text)
+        got = resolve(None, overrides).get(section, key)
+        assert got == default and type(got) is type(default)
+        with pytest.raises(ConfigError, match=f"sweep.{axis}"):
+            sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: "banana"}))
 
     def test_axis_override_targets_right_section(self):
         overrides: dict = {}

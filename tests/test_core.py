@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from worldcache import DimensionError, ParameterError, Timestep, TokenMatrix
-from worldcache.core import axpy_rows, row_l2_norms
+from worldcache.core import axpy_rows
 
 
 class TestTokenMatrix:
@@ -60,40 +60,6 @@ class TestTimestep:
     def test_rejects_non_finite_value(self):
         with pytest.raises(ParameterError):
             Timestep(index=0, value=float("nan"))
-
-
-class TestRowL2Norms:
-    def test_three_four_five(self):
-        out = row_l2_norms(TokenMatrix([[3.0, 4.0]]))
-        assert out.tolist() == [5.0]
-
-    def test_zero_matrix(self):
-        out = row_l2_norms(TokenMatrix(np.zeros((2, 3))))
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_one_two_two(self):
-        out = row_l2_norms(TokenMatrix([[1.0, 2.0, 2.0]]))
-        assert out.tolist() == [3.0]
-
-    # entries are either exactly zero or large enough that squaring cannot
-    # underflow, so "zero norm iff zero row" holds without caveats
-    @given(
-        hnp.arrays(
-            np.float64,
-            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
-            elements=st.one_of(
-                st.just(0.0),
-                st.floats(1e-3, 1e6),
-                st.floats(-1e6, -1e-3),
-            ),
-        )
-    )
-    def test_nonnegative_and_zero_iff_zero_row(self, arr):
-        norms = row_l2_norms(TokenMatrix(arr))
-        assert norms.shape == (arr.shape[0],)
-        assert (norms >= 0).all()
-        for i in range(arr.shape[0]):
-            assert (norms[i] == 0) == (arr[i] == 0).all()
 
 
 class TestAxpyRows:

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from worldcache import (
@@ -26,7 +27,7 @@ def _ts(value, index=0):
 
 def _history(ts_and_rows):
     """Build a history from [(t, scalar-or-row), ...], newest last."""
-    h = FullHistory.empty()
+    h = FullHistory()
     for i, (t, y) in enumerate(ts_and_rows):
         row = np.atleast_2d(np.asarray(y, dtype=np.float64))
         h = push_full(h, _ts(t, i), TokenMatrix(row))
@@ -35,7 +36,7 @@ def _history(ts_and_rows):
 
 class TestPushFull:
     def test_first_push_has_no_velocities(self):
-        h = push_full(FullHistory.empty(), _ts(50), TokenMatrix([[1.0]]))
+        h = push_full(FullHistory(), _ts(50), TokenMatrix([[1.0]]))
         assert len(h) == 1
         assert h.v_latest is None
         assert h.v_prev is None
@@ -114,14 +115,20 @@ class TestComputeCurvature:
         hnp.arrays(np.float64, (3, 5, 4), elements=st.floats(-100, 100)),
         st.floats(0.5, 10),
     )
+    # one token with outputs 34, 0, 4.32e-154: kappa(y) overflows to inf while
+    # kappa(2y) is the finite 9.109e307
+    @example(np.pad([[[34.0]], [[0.0]], [[4.32e-154]]], ((0, 0), (0, 4), (0, 3))), 2.0)
     @settings(max_examples=50)
     def test_scale_covariance_at_zero_eps(self, outputs, s):
-        """kappa(s*y) = kappa(y) / s exactly when eps = 0."""
+        """kappa(s*y) = kappa(y) / s exactly when eps = 0. Where kappa(y) is
+        past the float range, kappa(s*y) must be at least the largest float / s."""
         base = _history([(3, outputs[0]), (2, outputs[1]), (1, outputs[2])])
         scaled = _history([(3, s * outputs[0]), (2, s * outputs[1]), (1, s * outputs[2])])
         k0 = compute_curvature(base, eps=0.0)
         k1 = compute_curvature(scaled, eps=0.0)
-        np.testing.assert_allclose(k1, k0 / s, rtol=1e-9, atol=1e-12)
+        finite = np.isfinite(k0)
+        np.testing.assert_allclose(k1[finite], k0[finite] / s, rtol=1e-9, atol=1e-12)
+        assert (k1[~finite] >= sys.float_info.max / s * (1 - 1e-9)).all()
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     @pytest.mark.parametrize("s", [0.5, 2.0, 10.0])

@@ -312,6 +312,16 @@ class TestRunValidation:
                 DriftingBackbone(), sched, TokenMatrix(np.zeros((4, 3)))
             )
 
+    def test_output_shape_unlike_the_latent_aborts(self):
+        # a (1, 3) output would broadcast over the (4, 3) latent in the update
+        class RowBackbone:
+            def evaluate(self, z, t):
+                return TokenMatrix(np.ones((1, 3)))
+
+        sched = EulerScheduler(uniform_grid(6))
+        with pytest.raises(DimensionError):
+            run(RowBackbone(), sched, TokenMatrix(np.zeros((4, 3))))
+
     def test_oracle_outputs_length_must_match(self):
         backbone, sched, z0 = _setup(steps=10)
         ref = oracle_run(backbone, sched, z0, record_outputs=True)
