@@ -120,9 +120,11 @@ def sweep(
     """Evaluate run_fn over the cartesian grid x seeds.
 
     Rows come back in deterministic order (grid point major, seed minor,
-    axes expanded in the mapping's key order). A row that raises is reported
-    in-place via its error field; the sweep never aborts. With jobs > 1 the
-    rows run in a process pool, so run_fn must be picklable (module-level).
+    axes expanded in the mapping's key order). They run seed major, so the
+    cells of one seed, which share a workload, run back to back. A row that
+    raises is reported in-place via its error field; the sweep never aborts.
+    With jobs > 1 the rows run in a process pool, in the same order, so run_fn
+    must be picklable (module-level).
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -134,17 +136,19 @@ def sweep(
         if not v:
             raise ParameterError(f"sweep axis {k!r} is empty")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
-    tasks = [(point, seed) for point in points for seed in seeds]
+    tasks = [(point, seed) for seed in seeds for point in points]
 
     if jobs == 1:
-        return [_run_row(run_fn, *task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_row, run_fn, *task) for task in tasks]
-    rows = []
-    for task, fut in zip(tasks, futures):
-        err = fut.exception()  # only when the pool itself failed the task
-        rows.append(fut.result() if err is None else _failed_row(*task, err))
-    return rows
+        done = [_run_row(run_fn, *task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_run_row, run_fn, *task) for task in tasks]
+        done = []
+        for task, fut in zip(tasks, futures):
+            err = fut.exception()  # only when the pool itself failed the task
+            done.append(fut.result() if err is None else _failed_row(*task, err))
+    n = len(points)
+    return [done[s * n + p] for p in range(n) for s in range(len(seeds))]
 
 
 def _run_row(run_fn, point, seed) -> SweepRow:

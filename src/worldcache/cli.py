@@ -23,6 +23,7 @@ import functools
 import hashlib
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,9 @@ from .config import (
     sweep_axes,
     sweep_seeds,
 )
+from .core import TokenMatrix
 from .errors import ConfigError, WorldCacheError
-from .pipeline import EulerScheduler, RunResult, oracle_run, run, uniform_grid
+from .pipeline import Backbone, EulerScheduler, RunResult, oracle_run, run, uniform_grid
 
 STEP_COLUMNS = (
     "step",
@@ -207,8 +209,19 @@ def _write_manifest(path: Path, cfg: ResolvedConfig, command: str, run_id: str) 
     path.write_text(text, encoding="utf-8")
 
 
-def _build_workload(cfg: ResolvedConfig):
-    """Returns (backbone, scheduler, z_init) for either workload kind."""
+class _Reference(NamedTuple):
+    """A workload and its no-cache run, which every cached run on it is scored
+    against."""
+
+    backbone: Backbone
+    scheduler: EulerScheduler
+    z_init: TokenMatrix
+    oracle: RunResult
+
+
+def _reference(cfg: ResolvedConfig) -> _Reference:
+    """Builds the workload of cfg's [workload] and [scheduler] sections (they
+    are all it reads) and runs its oracle."""
     w = cfg.values["workload"]
     if w["kind"] == "trace":
         backbone = TraceBackbone(read_trace(w["trace_path"]))
@@ -218,21 +231,21 @@ def _build_workload(cfg: ResolvedConfig):
         grid = uniform_grid(
             cfg.values["scheduler"]["steps"], cfg.values["scheduler"]["t_max"]
         )
-    return backbone, EulerScheduler(grid), backbone.initial_latent()
+    scheduler = EulerScheduler(grid)
+    z_init = backbone.initial_latent()
+    return _Reference(backbone, scheduler, z_init, oracle_run(backbone, scheduler, z_init))
 
 
-def _execute(cfg: ResolvedConfig) -> tuple[RunResult, RunMetrics]:
-    backbone, scheduler, z_init = _build_workload(cfg)
-    reference = oracle_run(backbone, scheduler, z_init)
+def _execute(cfg: ResolvedConfig, ref: _Reference) -> tuple[RunResult, RunMetrics]:
     cached = run(
-        backbone,
-        scheduler,
-        z_init,
+        ref.backbone,
+        ref.scheduler,
+        ref.z_init,
         cfg.predictor_config(),
         cfg.skip_config(),
-        oracle_outputs=reference.surrogates,
+        oracle_outputs=ref.oracle.surrogates,
     )
-    metrics = compare_runs(cached, reference, cfg.values["output"]["c_cache"])
+    metrics = compare_runs(cached, ref.oracle, cfg.values["output"]["c_cache"])
     return cached, metrics
 
 
@@ -269,7 +282,7 @@ def cmd_run(args) -> int:
     out_dir = Path(cfg.values["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cached, metrics = _execute(cfg)
+    cached, metrics = _execute(cfg, _reference(cfg))
 
     steps_path = out_dir / f"{run_id}.steps.csv"
     metrics_path = out_dir / f"{run_id}.metrics.csv"
@@ -290,6 +303,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+# The reference of the last sweep cell run in this process, under its oracle
+# key (the resolved [workload] and [scheduler] sections). Sweep axes set only
+# [predictor] and [skipper] keys, so the cells of one seed share it. cmd_sweep
+# empties it when it returns; each pool worker keeps its own.
+_shared: dict[tuple, _Reference] = {}
+
+
+def _shared_reference(cfg: ResolvedConfig) -> _Reference:
+    key = tuple(tuple(cfg.values[s].items()) for s in ("workload", "scheduler"))
+    if key not in _shared:
+        _shared.clear()  # drop the old reference before building the next
+        _shared[key] = _reference(cfg)
+    return _shared[key]
+
+
 def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
     """One sweep cell; module level so process pools can pickle it."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
@@ -297,7 +325,7 @@ def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
         apply_axis_override(overrides, axis, value)
     overrides.setdefault("workload", {})["seed"] = str(seed)
     cfg = resolve(file_raw, overrides)
-    return _execute(cfg)[1]
+    return _execute(cfg, _shared_reference(cfg))[1]
 
 
 def cmd_sweep(args) -> int:
@@ -317,7 +345,10 @@ def cmd_sweep(args) -> int:
 
     file_raw = read_config_file(args.config) if args.config else None
     worker = functools.partial(_sweep_worker, file_raw, _collect_overrides(args))
-    rows = sweep(worker, axes, seeds, jobs=args.jobs)
+    try:
+        rows = sweep(worker, axes, seeds, jobs=args.jobs)
+    finally:
+        _shared.clear()  # a later call may face a rewritten trace
 
     axis_names = list(axes.keys())
     header = axis_names + ["seed"] + list(METRIC_COLUMNS[1:])
@@ -359,11 +390,9 @@ def cmd_record(args) -> int:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)
     trace_path.parent.mkdir(parents=True, exist_ok=True)
 
-    backbone, scheduler, z_init = _build_workload(cfg)
-    reference = oracle_run(backbone, scheduler, z_init)
-    grid = scheduler.timesteps
-    outputs = np.stack([m.data for m in reference.surrogates]).astype(np.float32)
-    write_trace(trace_path, grid[: len(reference.surrogates)], outputs)
+    ref = _reference(cfg)
+    outputs = np.stack([m.data for m in ref.oracle.surrogates]).astype(np.float32)
+    write_trace(trace_path, ref.scheduler.timesteps[: len(outputs)], outputs)
 
     run_id = _run_identifier(cfg)
     manifest_path = trace_path.with_name(trace_path.stem + ".manifest.ini")

@@ -142,7 +142,7 @@ class ResolvedConfig:
             frequency=w["frequency"],
             noise_sigma=w["noise_sigma"],
             coupling=w["coupling"],
-            seed=w["seed"] if w["seed"] is not None else 0,
+            seed=w["seed"],
         )
 
     def predictor_config(self) -> PredictorConfig:

@@ -129,7 +129,5 @@ def drift_mean(y_t, y_prev, kappa, labels):
     sel = np.flatnonzero(labels == LABEL_CHAOTIC)
     if sel.size == 0:
         sel = np.arange(y_t.shape[0])
-    total = 0.0
-    for i in sel:
-        total += kappa[i] * diff_norm[i]
-    return total / sel.size
+    # cumsum adds strictly left to right, unlike sum's pairwise tree
+    return np.cumsum(kappa[sel] * diff_norm[sel])[-1] / sel.size

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldcache import (
     DimensionError,
@@ -289,6 +290,67 @@ class TestTraceFormatErrors:
         assert summary["n_steps"] == 4
         assert summary["t_first"] == 8.0
         assert summary["t_last"] == 2.0
+
+
+@st.composite
+def _damage(draw, raw):
+    """A random truncation of raw, or raw with 1-3 of its bits flipped."""
+    if draw(st.booleans()):
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    data = bytearray(raw)
+    bits = st.integers(0, 8 * len(raw) - 1)
+    for bit in draw(st.lists(bits, min_size=1, max_size=3, unique=True)):
+        data[bit // 8] ^= 1 << (bit % 8)
+    return bytes(data)
+
+
+class TestTraceFuzz:
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("fuzz")
+        blocks = np.random.default_rng(3).normal(size=(3, 4, 2)).astype(np.float32)
+        raws = []
+        for modality in (None, [0, 1, 2, 1]):
+            write_trace(tmp_dir / "valid.wct", [3.0, 2.0, 1.0], blocks, modality=modality)
+            raws.append((tmp_dir / "valid.wct").read_bytes())
+        return tmp_dir / "damaged.wct", raws
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damage_raises_trace_format_error_or_parses(self, traces, data):
+        path, raws = traces
+        path.write_bytes(data.draw(st.sampled_from(raws).flatmap(_damage)))
+        try:
+            trace = read_trace(path)
+        except TraceFormatError:
+            return
+        ts = np.array(trace.timesteps)
+        assert trace.n_steps == ts.size >= 1
+        assert np.isfinite(ts).all() and (np.diff(ts) < 0).all()
+        for m in trace.outputs:
+            assert m.shape == (trace.n_tokens, trace.dims)
+            assert np.isfinite(m.data).all()
+
+
+class TestNonDyadicGrid:
+    def test_round_trip_and_replay_are_bit_exact(self, tmp_path):
+        grid = uniform_grid(37, 1000.0)[:37]  # steps of 1000/37: no exact binary form
+        blocks = np.random.default_rng(4).normal(size=(37, 3, 2)).astype(np.float32)
+        path = tmp_path / "grid.wct"
+        write_trace(path, grid, blocks)
+        trace = read_trace(path)
+        assert trace.timesteps == tuple(t.value for t in grid)
+        for stored, original in zip(trace.outputs, blocks):
+            assert np.array_equal(stored.data, original.astype(np.float64))
+        replay = TraceBackbone(trace)
+        assert replay.replay_grid()[:37] == grid
+        z = replay.initial_latent()
+        for i, t in enumerate(grid):
+            by_index = replay.evaluate(z, t)
+            # a wrong index misses the index lookup and falls back to the value
+            by_value = replay.evaluate(z, Timestep(t.value, (i + 1) % 37))
+            assert by_index is trace.outputs[i]
+            assert by_value is trace.outputs[i]
 
 
 class TestTraceBackbone:

@@ -157,6 +157,16 @@ class TestSweep:
         ]
         assert [r.metrics for r in rows] == [11, 21, 14, 24, 19, 29]
 
+    def test_cells_of_one_seed_run_back_to_back(self):
+        calls = []
+
+        def record(point, seed):
+            calls.append((point["x"], seed))
+            return seed
+
+        sweep(record, {"x": [1, 2, 3]}, seeds=[10, 20])
+        assert calls == [(1, 10), (2, 10), (3, 10), (1, 20), (2, 20), (3, 20)]
+
     def test_row_failures_reported_not_raised(self):
         rows = sweep(_fails_on_two, {"x": [1, 2, 3]}, seeds=[0])
         assert rows[0].error is None

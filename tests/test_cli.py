@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from worldcache import bench, cli
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -249,6 +250,71 @@ class TestSweepCommand:
                      "--out", str(d2)]) == 0
         assert (d1 / "sw.sweep.csv").read_bytes() == \
             (d2 / "sw.sweep.csv").read_bytes()
+
+
+def _count_oracles(monkeypatch):
+    """Records, per oracle run, how many references the sweep memo holds."""
+    calls = []
+    real = cli.oracle_run
+
+    def counted(*args, **kwargs):
+        calls.append(len(cli._shared))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "oracle_run", counted)
+    return calls
+
+
+_GRID = ["--seed", "1", "--set", "sweep.eta=0.15,0.3", "--seeds", "2,3",
+         "--run-id", "sw", *FAST]
+
+
+class TestSharedOracle:
+    def test_one_oracle_per_seed(self, tmp_path, monkeypatch):
+        calls = _count_oracles(monkeypatch)
+        assert main(["sweep", *_GRID, "--out", str(tmp_path)]) == 0
+        assert calls == [0, 0]  # the first seed's reference is gone by the second
+
+    def test_each_sweep_computes_its_own_oracles(self, tmp_path, monkeypatch):
+        calls = _count_oracles(monkeypatch)
+        assert main(["sweep", *_GRID, "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep", *_GRID, "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 4
+        assert (tmp_path / "a" / "sw.sweep.csv").read_bytes() == \
+            (tmp_path / "b" / "sw.sweep.csv").read_bytes()
+
+    def test_memo_emptied_when_the_sweep_raises(self, tmp_path, monkeypatch):
+        def sweep_then_fail(*args, **kwargs):
+            bench.sweep(*args, **kwargs)
+            assert cli._shared  # the cells did fill it
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli, "sweep", sweep_then_fail)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["sweep", *_GRID, "--out", str(tmp_path)])
+        assert cli._shared == {}
+
+    def test_parallel_csv_byte_identical_to_serial(self, tmp_path):
+        for jobs in ("1", "2"):
+            out = str(tmp_path / jobs)
+            assert main(["sweep", *_GRID, "--jobs", jobs, "--out", out]) == 0
+        assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
+            (tmp_path / "2" / "sw.sweep.csv").read_bytes()
+
+    def test_missing_trace_fails_every_cell_alike(self, tmp_path, capsys):
+        code = main(["sweep", "--set", "workload.kind=trace",
+                     "--set", f"workload.trace_path={tmp_path / 'absent.wct'}",
+                     "--set", "sweep.eta=0.15,0.3", "--seeds", "2,3",
+                     "--out", str(tmp_path), "--run-id", "sw"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "0/4 cells ok" in captured.out
+        failed = [line for line in captured.err.splitlines()
+                  if line.startswith("sweep cell failed")]
+        assert len(failed) == 4
+        messages = {line.split("): ", 1)[1] for line in failed}
+        assert len(messages) == 1
+        assert messages.pop().startswith("FileNotFoundError: ")
 
 
 # (option strings, dest) of the flags every run-like subcommand shares
