@@ -123,8 +123,9 @@ def sweep(
     axes expanded in the mapping's key order). They run seed major, so the
     cells of one seed, which share a workload, run back to back. A row that
     raises is reported in-place via its error field; the sweep never aborts.
-    With jobs > 1 the rows run in a process pool, in the same order, so run_fn
-    must be picklable (module-level).
+    With jobs > 1 each seed's cells run as one task in a process pool, so a
+    seed's workload is built by one process; run_fn must then be picklable
+    (module-level).
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -136,19 +137,24 @@ def sweep(
         if not v:
             raise ParameterError(f"sweep axis {k!r} is empty")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
-    tasks = [(point, seed) for seed in seeds for point in points]
 
     if jobs == 1:
-        done = [_run_row(run_fn, *task) for task in tasks]
+        done = [_run_seed(run_fn, points, seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_row, run_fn, *task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+            futures = [pool.submit(_run_seed, run_fn, points, seed) for seed in seeds]
         done = []
-        for task, fut in zip(tasks, futures):
+        for seed, fut in zip(seeds, futures):
             err = fut.exception()  # only when the pool itself failed the task
-            done.append(fut.result() if err is None else _failed_row(*task, err))
-    n = len(points)
-    return [done[s * n + p] for p in range(n) for s in range(len(seeds))]
+            if err is None:
+                done.append(fut.result())
+            else:
+                done.append([_failed_row(point, seed, err) for point in points])
+    return [rows[p] for p in range(len(points)) for rows in done]
+
+
+def _run_seed(run_fn, points, seed) -> list[SweepRow]:
+    return [_run_row(run_fn, point, seed) for point in points]
 
 
 def _run_row(run_fn, point, seed) -> SweepRow:

@@ -1,8 +1,8 @@
 """Core value types: token matrices, timesteps, modality labels.
 
 A TokenMatrix is the unit of data everywhere in the package: one float64 row
-per token. Construction validates finiteness once so downstream math (which
-divides by norms) never has to re-check.
+per token. Every TokenMatrix is checked for finiteness once, when it is made,
+so downstream math (which divides by norms) never has to re-check.
 """
 
 from __future__ import annotations
@@ -23,25 +23,40 @@ class Modality(IntEnum):
     OTHER = 2
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim != 2:
+        raise DimensionError(
+            f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
+        )
+    if arr.size and not np.isfinite(arr).all():
+        raise ParameterError("token matrix contains non-finite values")
+    arr.setflags(write=False)
+    return arr
+
+
 class TokenMatrix:
     """Immutable N x d float64 matrix of per-token feature rows.
 
-    Input data is copied to a C-contiguous float64 array and frozen. All
-    values must be finite; NaN/Inf are rejected at construction.
+    Data is copied where it enters the package: `TokenMatrix(data)` copies it
+    to a C-contiguous float64 array. Arrays the loop allocates itself (Euler
+    updates, forecasts, history velocities) are wrapped without a copy. Either
+    way the array is checked and frozen: it must be 2-D and all values must be
+    finite; NaN/Inf are rejected at construction.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise DimensionError(
-                f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
-            )
-        if arr.size and not np.isfinite(arr).all():
-            raise ParameterError("token matrix contains non-finite values")
-        arr.setflags(write=False)
-        self._data = arr
+        self._data = _frozen(np.array(data, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> TokenMatrix:
+        """A TokenMatrix around a float64 C-contiguous array that the package
+        has just allocated and nothing else references: checked and frozen
+        like the constructor's, but not copied."""
+        m = cls.__new__(cls)
+        m._data = _frozen(arr)
+        return m
 
     @property
     def data(self) -> np.ndarray:
@@ -89,7 +104,11 @@ class Timestep:
 
 
 def axpy_rows(a: TokenMatrix, b: TokenMatrix, s: float) -> TokenMatrix:
-    """Rowwise a + s * b. Shapes must match exactly."""
+    """Rowwise a + s * b. Shapes must match exactly; an update past the float
+    range raises ParameterError."""
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return TokenMatrix(a.data + s * b.data)
+    with np.errstate(over="ignore"):  # an inf result is rejected by _wrap
+        out = s * b.data
+        out += a.data
+    return TokenMatrix._wrap(out)

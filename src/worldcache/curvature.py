@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,7 @@ def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
         v_prev = v_latest if len(h.entries) >= 2 else None
         e0, e1 = entries[0], entries[1]
         dt = e0.timestep.value - e1.timestep.value
-        v_latest = TokenMatrix((e0.output.data - e1.output.data) / dt)
+        v_latest = TokenMatrix._wrap((e0.output.data - e1.output.data) / dt)
     return FullHistory(entries=entries, v_latest=v_latest, v_prev=v_prev)
 
 
@@ -132,11 +133,21 @@ class GroupAssignment:
     def n_tokens(self) -> int:
         return self.labels.shape[0]
 
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, ...]:
+        # Built on first read, so once per refresh and never in the oracle,
+        # which reads no grouping; the cached steps of a streak share it.
+        members = tuple(np.flatnonzero(self.labels == int(g)) for g in TokenGroup)
+        for rows in members:
+            rows.setflags(write=False)
+        return members
+
     def indices(self, group: TokenGroup) -> np.ndarray:
-        return np.flatnonzero(self.labels == int(group))
+        """Read-only ascending row indices of one group."""
+        return self._members[group]
 
     def counts(self) -> dict[TokenGroup, int]:
-        return {g: int((self.labels == int(g)).sum()) for g in TokenGroup}
+        return {g: self._members[g].size for g in TokenGroup}
 
     def mean_kappa(self) -> float:
         return float(np.mean(self.kappa)) if self.kappa.size else 0.0

@@ -18,10 +18,11 @@ __all__ = [
 BACKEND = "numpy"  # recorded in manifests and benchmark environments
 
 # Prediction blend modes.
-MODE_BY_LABEL = 0   # heterogeneous: per-row label picks the rule
+MODE_BY_LABEL = 0   # heterogeneous: each row's group picks the rule
 MODE_LINEAR = 2     # one rule for all rows: y* + horizon * v_latest
 MODE_DAMPED = 3     # one rule for all rows: y* + horizon * blended velocity
 
+# Label values of curvature.TokenGroup.
 LABEL_STABLE = 0
 LABEL_LINEAR = 1
 LABEL_CHAOTIC = 2
@@ -108,26 +109,34 @@ def curvature_rows(v_latest, v_prev, dt, eps):
     return kappa
 
 
-def blend_rows(y_star, v_latest, v_prev, labels, horizon, alpha, mode):
+def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha, mode):
+    """Forecast rows from the last FULL output. Under MODE_BY_LABEL the rows
+    listed in `stable` (ascending indices) are reused, those in `chaotic`
+    take the damped rule and the rest the linear one; the uniform modes
+    ignore both lists."""
     if mode == MODE_LINEAR:
         return y_star + horizon * v_latest
     if mode == MODE_DAMPED:
         vel = (1.0 - alpha) * v_latest + alpha * v_prev
         return y_star + horizon * vel
-    out = y_star.copy()
-    lin = labels == LABEL_LINEAR
-    cha = labels == LABEL_CHAOTIC
-    out[lin] += horizon * v_latest[lin]
-    vel = (1.0 - alpha) * v_latest[cha] + alpha * v_prev[cha]
-    out[cha] += horizon * vel
+    out = horizon * v_latest
+    out += y_star
+    out[stable] = y_star.take(stable, axis=0)
+    vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
+    vel += alpha * v_prev.take(chaotic, axis=0)
+    vel *= horizon
+    vel += y_star.take(chaotic, axis=0)
+    out[chaotic] = vel
     return out
 
 
-def drift_mean(y_t, y_prev, kappa, labels):
-    """Mean of kappa_i ||y_t,i - y_prev,i|| over chaotic rows (all if none)."""
+def drift_mean(y_t, y_prev, kappa, chaotic):
+    """Mean of kappa_i ||y_t,i - y_prev,i|| over the rows listed in `chaotic`
+    (ascending indices), or over all rows if it is empty. Only those rows'
+    norms are computed."""
+    if chaotic.size:
+        y_t, y_prev = y_t.take(chaotic, axis=0), y_prev.take(chaotic, axis=0)
+        kappa = kappa.take(chaotic)
     diff_norm = np.sqrt(_sumsq(y_t - y_prev))
-    sel = np.flatnonzero(labels == LABEL_CHAOTIC)
-    if sel.size == 0:
-        sel = np.arange(y_t.shape[0])
     # cumsum adds strictly left to right, unlike sum's pairwise tree
-    return np.cumsum(kappa[sel] * diff_norm[sel])[-1] / sel.size
+    return np.cumsum(kappa * diff_norm)[-1] / kappa.size

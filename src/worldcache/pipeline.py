@@ -137,6 +137,17 @@ _TINY = 1e-30
 _GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
+def _group_mean(row_err: np.ndarray) -> float:
+    """Mean of non-negative row errors, as .mean() rounds it; a sum past the
+    float range is taken at an exact power-of-two scale instead. Call under
+    np.errstate(over="ignore")."""
+    mean = np.add.reduce(row_err) / row_err.size
+    if mean == math.inf and np.isfinite(row_err).all():
+        k = np.frexp(row_err.max())[1]
+        mean = np.ldexp(np.add.reduce(np.ldexp(row_err, -k)) / row_err.size, k)
+    return float(mean)
+
+
 def step_errors(
     y: TokenMatrix, oracle_y: TokenMatrix, g: GroupAssignment | None
 ) -> tuple[float, float, float, float]:
@@ -144,19 +155,28 @@ def step_errors(
 
     Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
     a group's error is the mean L2 norm of its rows' differences, NaN when g
-    is None or the group is empty. The norms are the scale-safe kernels, so
-    outputs far outside the unit scale still give finite errors.
+    is None or the group is empty. The norms are the scale-safe kernels, and
+    where a norm or a group's sum passes the float range it is taken at an
+    exact power-of-two scale, so outputs anywhere in the float range give
+    finite errors.
     """
-    diff = y.data - oracle_y.data
-    rel = kernels.fro_norm(diff) / (kernels.fro_norm(oracle_y.data) + _TINY)
     per_group = [math.nan, math.nan, math.nan]
-    if g is not None:
-        row_err = kernels.row_norms(diff)
-        for grp in TokenGroup:
-            idx = g.indices(grp)
-            if idx.size:
-                per_group[int(grp)] = float(row_err[idx].mean())
-    return rel, per_group[0], per_group[1], per_group[2]
+    with np.errstate(over="ignore"):
+        diff = y.data - oracle_y.data
+        num, den = kernels.fro_norm(diff), kernels.fro_norm(oracle_y.data)
+        if num == math.inf or den == math.inf:
+            # ||y - y_o|| / ||y_o|| is unchanged when both are scaled by
+            # 2**-k, k putting the largest entry of y and y_o in [0.5, 1).
+            k = np.frexp(max(np.abs(y.data).max(), np.abs(oracle_y.data).max()))[1]
+            y_s, o_s = np.ldexp(y.data, -k), np.ldexp(oracle_y.data, -k)
+            num, den = kernels.fro_norm(y_s - o_s), kernels.fro_norm(o_s)
+        if g is not None:
+            row_err = kernels.row_norms(diff)
+            for grp in TokenGroup:
+                rows = g.indices(grp)
+                if rows.size:
+                    per_group[grp] = _group_mean(row_err.take(rows))
+    return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
 
 
 def run(

@@ -28,6 +28,7 @@ from .curvature import (
     DEFAULT_P_STABLE,
     FullHistory,
     GroupAssignment,
+    TokenGroup,
 )
 from .errors import DimensionError, InsufficientHistoryError, ParameterError
 
@@ -144,13 +145,13 @@ def predict(
                 f"assignment covers {g.n_tokens} tokens, history has {y_star.n_tokens}"
             )
         mode = kernels.MODE_BY_LABEL
-        labels = g.labels
+        stable, chaotic = g.indices(TokenGroup.STABLE), g.indices(TokenGroup.CHAOTIC)
     elif cfg.kind is PredictorKind.UNIFORM_LINEAR:
         mode = kernels.MODE_LINEAR
-        labels = _NO_LABELS
+        stable = chaotic = _NO_ROWS
     else:  # UNIFORM_DAMPED
         mode = kernels.MODE_DAMPED
-        labels = _NO_LABELS
+        stable = chaotic = _NO_ROWS
 
     alpha = hermite_alpha(k, cfg.n_max)
     v_latest = h.v_latest.data
@@ -158,12 +159,12 @@ def predict(
     # kernel signature stays uniform when only two outputs exist.
     v_prev = h.v_prev.data if h.v_prev is not None else v_latest
     out = kernels.blend_rows(
-        y_star.data, v_latest, v_prev, labels, float(horizon), alpha, mode
+        y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha, mode
     )
-    return TokenMatrix(out)
+    return TokenMatrix._wrap(out)
 
 
-_NO_LABELS = np.empty(0, dtype=np.int8)
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def randomize_groups(

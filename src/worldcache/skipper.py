@@ -15,7 +15,7 @@ from enum import Enum
 
 from . import kernels
 from .core import TokenMatrix
-from .curvature import GroupAssignment
+from .curvature import GroupAssignment, TokenGroup
 from .errors import DimensionError, DomainError, ParameterError
 from .predictor import DEFAULT_N_MAX
 
@@ -107,7 +107,8 @@ def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> fl
         raise DimensionError(
             f"assignment covers {g.n_tokens} tokens, outputs have {y_t.n_tokens}"
         )
-    return float(kernels.drift_mean(y_t.data, y_prev.data, g.kappa, g.labels))
+    chaotic = g.indices(TokenGroup.CHAOTIC)
+    return float(kernels.drift_mean(y_t.data, y_prev.data, g.kappa, chaotic))
 
 
 def accumulate(state: CacheState, e_t: float) -> CacheState:

@@ -21,7 +21,8 @@ from worldcache import (
     sweep,
     uniform_grid,
 )
-from worldcache import bench
+from worldcache import bench, kernels
+from worldcache.curvature import group_tokens
 from worldcache.pipeline import step_errors
 
 
@@ -71,6 +72,21 @@ class TestCompareRuns:
         )
         assert rel == pytest.approx(delta, rel=1e-12)
         assert all(math.isnan(e) for e in group_errs)
+
+    def test_errors_follow_an_exact_rescale_to_the_top_of_the_float_range(self):
+        rng = np.random.default_rng(3)
+        y, o = rng.normal(size=(2, 64, 8))
+        g = group_tokens(rng.random(64))
+        base = step_errors(TokenMatrix(y), TokenMatrix(o), g)
+        row_err = kernels.row_norms(y - o)
+        for grp in TokenGroup:  # in range: the bits of .mean()
+            assert base[1 + grp] == row_err[g.indices(grp)].mean()
+        # at 2**1020 the Frobenius norm of y - o and each group's sum of row
+        # errors pass the float range; the errors must not
+        big = step_errors(TokenMatrix(np.ldexp(y, 1020)), TokenMatrix(np.ldexp(o, 1020)), g)
+        assert big[0] == pytest.approx(base[0], rel=1e-14)
+        for b, e in zip(big[1:], base[1:]):
+            assert b == pytest.approx(math.ldexp(e, 1020), rel=1e-14)
 
     @pytest.mark.parametrize("kind", list(SkipKind))
     def test_metrics_reduce_the_records(self, kind, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -81,6 +82,27 @@ class TestRunCommand:
         values += [metrics[0][METRIC_COLUMNS.index(c)]
                    for c in ("final_rel_err", "mean_rel_err")]
         assert all(math.isfinite(float(v)) for v in values)
+
+    def test_errors_at_the_top_of_the_float_range(self, tmp_path, capsys):
+        # at 1e307 the Frobenius norm of the difference and the linear group's
+        # sum of row errors pass the float range; the errors must not
+        args = ["run", "--seed", "1", "--n-tokens", "64", "--dims", "8",
+                "--out", str(tmp_path), "--run-id", "rid"]
+        assert main([*args, "--amplitude", "1e306"]) == 0
+        assert "final_rel_err=2.133e+01" in capsys.readouterr().out
+        assert main([*args, "--amplitude", "1e307"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "final_rel_err=2.133e+01" in captured.out
+        _, steps = _read_rows(tmp_path / "rid.steps.csv")
+        assert not any(math.isinf(float(v)) for row in steps for v in row[4:])
+
+    def test_overflowing_update_fails_with_a_typed_error(self, tmp_path, capsys):
+        args = ["run", "--seed", "1", "--n-tokens", "64", "--dims", "8",
+                "--amplitude", "1e308", "--out", str(tmp_path), "--run-id", "rid"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == \
+            "error: token matrix contains non-finite values\n"
 
     def test_manifest_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         d1 = tmp_path / "a"
@@ -298,6 +320,29 @@ class TestSharedOracle:
         for jobs in ("1", "2"):
             out = str(tmp_path / jobs)
             assert main(["sweep", *_GRID, "--jobs", jobs, "--out", out]) == 0
+        assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
+            (tmp_path / "2" / "sw.sweep.csv").read_bytes()
+
+    def test_parallel_sweep_runs_each_seed_in_one_process(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls.log"
+
+        def logged(what, fn):
+            def wrapper(cfg, *args):
+                with open(log, "a", encoding="utf-8") as f:
+                    f.write(f"{what} {cfg.values['workload']['seed']} {os.getpid()}\n")
+                return fn(cfg, *args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_reference", logged("reference", cli._reference))
+        monkeypatch.setattr(cli, "_execute", logged("cell", cli._execute))
+        assert main(["sweep", *_GRID, "--jobs", "2", "--out", str(tmp_path / "2")]) == 0
+        calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        for seed in ("2", "3"):
+            pids = {pid for what, s, pid in calls if s == seed}
+            assert len(pids) == 1 and pids != {str(os.getpid())}
+            assert [what for what, s, _ in calls if s == seed] == \
+                ["reference", "cell", "cell"]
+        assert main(["sweep", *_GRID, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
         assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
             (tmp_path / "2" / "sw.sweep.csv").read_bytes()
 

@@ -33,6 +33,11 @@ def _random_inputs(seed, n=64, d=16):
     return y_star, v_latest, v_prev, labels
 
 
+def _rows(labels, label):
+    """Ascending indices of the rows carrying `label`, as the kernels take them."""
+    return np.flatnonzero(labels == label)
+
+
 # ---------------------------------------------------------------------------
 # Scalar pure-Python reference of the four formulas, one row at a time.
 #
@@ -179,7 +184,8 @@ class TestBlendRows:
     def test_matches_scalar_reference(self, mode, data, arrays, horizon, alpha):
         y_star, v_latest, v_prev = arrays
         labels = data.draw(_labels_for(y_star.shape[0]))
-        out = blend_rows(y_star, v_latest, v_prev, labels, horizon, alpha, mode)
+        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
+                         _rows(labels, LABEL_CHAOTIC), horizon, alpha, mode)
         forced = {MODE_LINEAR: LABEL_LINEAR, MODE_DAMPED: LABEL_CHAOTIC}.get(mode)
         want = [
             ref_blend(y, vl, vp, lab if forced is None else forced, horizon, alpha)
@@ -195,33 +201,34 @@ class TestBlendRows:
         v_prev = np.array([[0.0], [0.0], [0.0]])
         labels = np.array([LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC],
                           dtype=np.int8)
-        out = blend_rows(y_star, v_latest, v_prev, labels, 3.0, 0.5,
-                         MODE_BY_LABEL)
+        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
+                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_LABEL)
         # stable: reuse; linear: 1 + 3*2; damped: 1 + 3*(0.5*2 + 0.5*0)
         assert np.array_equal(out, np.array([[1.0], [7.0], [4.0]]))
 
     def test_linear_mode_ignores_labels(self):
         y_star, v_latest, v_prev, labels = _random_inputs(3, n=12, d=5)
         other = np.full(12, LABEL_STABLE, dtype=np.int8)
-        a = blend_rows(y_star, v_latest, v_prev, labels, -2.0, 0.4,
-                       MODE_LINEAR)
-        b = blend_rows(y_star, v_latest, v_prev, other, -2.0, 0.4,
-                       MODE_LINEAR)
+        a = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
+                       _rows(labels, LABEL_CHAOTIC), -2.0, 0.4, MODE_LINEAR)
+        b = blend_rows(y_star, v_latest, v_prev, _rows(other, LABEL_STABLE),
+                       _rows(other, LABEL_CHAOTIC), -2.0, 0.4, MODE_LINEAR)
         assert np.array_equal(a, b)
         assert np.array_equal(a, y_star + -2.0 * v_latest)
 
     def test_damped_mode_blends_velocities(self):
         y_star, v_latest, v_prev, labels = _random_inputs(4, n=8, d=3)
-        out = blend_rows(y_star, v_latest, v_prev, labels, 1.5, 0.25,
-                         MODE_DAMPED)
+        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
+                         _rows(labels, LABEL_CHAOTIC), 1.5, 0.25, MODE_DAMPED)
         vel = (1.0 - 0.25) * v_latest + 0.25 * v_prev
         np.testing.assert_allclose(out, y_star + 1.5 * vel, rtol=1e-15)
 
     def test_alpha_zero_damped_equals_linear(self):
         y_star, v_latest, v_prev, labels = _random_inputs(5, n=6, d=2)
-        damped = blend_rows(y_star, v_latest, v_prev, labels, 2.0, 0.0,
+        sta, cha = _rows(labels, LABEL_STABLE), _rows(labels, LABEL_CHAOTIC)
+        damped = blend_rows(y_star, v_latest, v_prev, sta, cha, 2.0, 0.0,
                             MODE_DAMPED)
-        linear = blend_rows(y_star, v_latest, v_prev, labels, 2.0, 0.99,
+        linear = blend_rows(y_star, v_latest, v_prev, sta, cha, 2.0, 0.99,
                             MODE_LINEAR)
         assert np.array_equal(damped, linear)
 
@@ -236,7 +243,7 @@ class TestDriftMean:
         labels = data.draw(_labels_for(n))
         want = ref_drift_mean(y_t.tolist(), y_prev.tolist(), kappa.tolist(),
                               labels.tolist())
-        assert drift_mean(y_t, y_prev, kappa, labels) == want
+        assert drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC)) == want
 
     def test_only_chaotic_rows_contribute(self):
         y_t = np.array([[1.0], [10.0], [3.0]])
@@ -245,23 +252,25 @@ class TestDriftMean:
         labels = np.array([LABEL_CHAOTIC, LABEL_STABLE, LABEL_CHAOTIC],
                           dtype=np.int8)
         # mean over rows 0 and 2: (0.5*1 + 0.5*3) / 2
-        assert drift_mean(y_t, y_prev, kappa, labels) == pytest.approx(1.0)
+        assert drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC)) == \
+            pytest.approx(1.0)
 
     def test_no_chaotic_rows_falls_back_to_all(self):
         y_t = np.array([[2.0], [4.0]])
         y_prev = np.zeros((2, 1))
         kappa = np.array([1.0, 1.0])
         labels = np.array([LABEL_STABLE, LABEL_LINEAR], dtype=np.int8)
-        assert drift_mean(y_t, y_prev, kappa, labels) == pytest.approx(3.0)
+        assert drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC)) == \
+            pytest.approx(3.0)
 
     def test_identical_latents_give_zero(self):
         y, _, _, labels = _random_inputs(8, n=9, d=4)
         kappa = np.ones(9)
-        assert drift_mean(y, y.copy(), kappa, labels) == 0.0
+        assert drift_mean(y, y.copy(), kappa, _rows(labels, LABEL_CHAOTIC)) == 0.0
 
     def test_deterministic_across_calls(self):
         y_t, y_prev, _, labels = _random_inputs(13)
         kappa = np.abs(_rng(14).normal(size=64))
-        a = drift_mean(y_t, y_prev, kappa, labels)
-        b = drift_mean(y_t, y_prev, kappa, labels)
+        a = drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC))
+        b = drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC))
         assert a == b

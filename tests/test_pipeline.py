@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from worldcache import (
     uniform_grid,
 )
 from worldcache import pipeline
+from worldcache.curvature import TokenGroup
 from worldcache.errors import OrderingError
 
 
@@ -248,6 +251,70 @@ class TestLoopInvariants:
                 assert r.k <= pcfg.n_max
 
 
+def _capturing(groups, fn):
+    def wrapper(*args, **kwargs):
+        groups.append(fn(*args, **kwargs))
+        return groups[-1]
+
+    return wrapper
+
+
+class TestConstantTrajectories:
+    """All-stable workloads: every output is constant, so every velocity and
+    acceleration is zero and, at eps = 0, every curvature is 0/0."""
+
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 6),
+        preset=st.sampled_from([Preset.SMOOTH, Preset.TURNPOINT]),
+        kind=st.sampled_from([PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING]),
+        eps=st.sampled_from([0.0, 1e-8]),
+        tenths=st.tuples(st.integers(0, 10), st.integers(0, 10)).map(sorted),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_groups_have_exact_sizes_and_partition_the_tokens(
+        self, n, d, preset, kind, eps, tenths, seed
+    ):
+        p_stable, p_chaotic = (t / 10 for t in tenths)
+        backbone, sched, z0 = _setup(
+            preset, seed=seed, steps=14, n_tokens=n, dims=d, fractions=(1.0, 0.0, 0.0)
+        )
+        pcfg = PredictorConfig(
+            kind=kind, rng_seed=seed, eps=eps, p_stable=p_stable, p_chaotic=p_chaotic
+        )
+        ref = oracle_run(backbone, sched, z0)
+        groups = []
+        with mock.patch.object(
+            pipeline, "group_tokens", _capturing(groups, pipeline.group_tokens)
+        ), mock.patch.object(
+            pipeline, "randomize_groups", _capturing(groups, pipeline.randomize_groups)
+        ):
+            result = run(backbone, sched, z0, pcfg, oracle_outputs=ref.surrogates)
+
+        assert result.cache_count > 0
+        assert all(r.rel_err == 0.0 for r in result.records)
+        sizes = {
+            TokenGroup.STABLE: math.floor(Fraction(tenths[0], 10) * n),
+            TokenGroup.CHAOTIC: math.ceil((1 - Fraction(tenths[1], 10)) * n),
+        }
+        sizes[TokenGroup.LINEAR] = n - sizes[TokenGroup.STABLE] - sizes[TokenGroup.CHAOTIC]
+        per_refresh = 2 if kind is PredictorKind.RANDOM_GROUPING else 1
+        assert len(groups) == per_refresh * (result.full_count - 2)
+        for g in groups:
+            assert g.counts() == sizes
+            rows = [g.indices(grp) for grp in TokenGroup]
+            assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n))
+            for grp, idx in zip(TokenGroup, rows):
+                assert np.all(np.diff(idx) > 0)
+                assert np.all(g.labels[idx] == grp)
+                assert g.indices(grp) is idx  # built once per refresh
+                assert not idx.flags.writeable
+        if kind is PredictorKind.CHTP:  # all-zero kappa: ties go by token index
+            stable = groups[0].indices(TokenGroup.STABLE)
+            assert stable.tolist() == list(range(sizes[TokenGroup.STABLE]))
+
+
 class TestDriftProbeGuard:
     @pytest.mark.parametrize("kind", list(SkipKind))
     def test_probe_built_only_for_guided_kinds(self, kind, monkeypatch):
@@ -321,6 +388,16 @@ class TestRunValidation:
         sched = EulerScheduler(uniform_grid(6))
         with pytest.raises(DimensionError):
             run(RowBackbone(), sched, TokenMatrix(np.zeros((4, 3))))
+
+    def test_update_past_the_float_range_raises(self):
+        class HugeBackbone:
+            def evaluate(self, z, t):
+                return TokenMatrix(np.full(z.shape, -1.5e308))
+
+        # the first Euler step is 1e308 + 1.5e308, past the float range
+        sched = EulerScheduler(uniform_grid(4))
+        with pytest.raises(ParameterError, match="non-finite"):
+            run(HugeBackbone(), sched, TokenMatrix(np.full((2, 3), 1e308)))
 
     def test_oracle_outputs_length_must_match(self):
         backbone, sched, z0 = _setup(steps=10)
