@@ -123,9 +123,8 @@ def sweep(
     axes expanded in the mapping's key order). They run seed major, so the
     cells of one seed, which share a workload, run back to back. A row that
     raises is reported in-place via its error field; the sweep never aborts.
-    With jobs > 1 each seed's cells run as one task in a process pool, so a
-    seed's workload is built by one process; run_fn must then be picklable
-    (module-level).
+    With jobs > 1 each task of _split_tasks (a run of one seed's cells) goes
+    to a process pool; run_fn must then be picklable (module-level).
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -137,23 +136,35 @@ def sweep(
         if not v:
             raise ParameterError(f"sweep axis {k!r} is empty")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
+    tasks = _split_tasks(points, seeds, jobs)
 
     if jobs == 1:
-        done = [_run_seed(run_fn, points, seed) for seed in seeds]
+        done = [row for task in tasks for row in _run_task(run_fn, *task)]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            futures = [pool.submit(_run_seed, run_fn, points, seed) for seed in seeds]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            futures = [pool.submit(_run_task, run_fn, *task) for task in tasks]
         done = []
-        for seed, fut in zip(seeds, futures):
+        for (chunk, seed), fut in zip(tasks, futures):
             err = fut.exception()  # only when the pool itself failed the task
-            if err is None:
-                done.append(fut.result())
-            else:
-                done.append([_failed_row(point, seed, err) for point in points])
-    return [rows[p] for p in range(len(points)) for rows in done]
+            done += fut.result() if err is None else [
+                _failed_row(point, seed, err) for point in chunk
+            ]
+    n = len(points)
+    return [done[s * n + p] for p in range(n) for s in range(len(seeds))]
 
 
-def _run_seed(run_fn, points, seed) -> list[SweepRow]:
+def _split_tasks(points, seeds, jobs) -> list[tuple[list, int]]:
+    """(points, seed) tasks, seed major: each seed's points cut into
+    max(1, jobs // len(seeds)) contiguous chunks of near-equal size (at most
+    one per point). With fewer seeds than jobs every worker still gets work,
+    and at most max(jobs, len(seeds)) tasks each build a seed's workload."""
+    n = len(points)
+    per_seed = min(n, max(1, jobs // len(seeds)))
+    cuts = [n * i // per_seed for i in range(per_seed + 1)]
+    return [(points[a:b], seed) for seed in seeds for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_task(run_fn, points, seed) -> list[SweepRow]:
     return [_run_row(run_fn, point, seed) for point in points]
 
 

@@ -18,14 +18,9 @@ __all__ = [
 BACKEND = "numpy"  # recorded in manifests and benchmark environments
 
 # Prediction blend modes.
-MODE_BY_LABEL = 0   # heterogeneous: each row's group picks the rule
+MODE_BY_GROUP = 0   # heterogeneous: each row's group picks the rule
 MODE_LINEAR = 2     # one rule for all rows: y* + horizon * v_latest
 MODE_DAMPED = 3     # one rule for all rows: y* + horizon * blended velocity
-
-# Label values of curvature.TokenGroup.
-LABEL_STABLE = 0
-LABEL_LINEAR = 1
-LABEL_CHAOTIC = 2
 
 _TINY = np.finfo(np.float64).tiny
 # Subnormals are spaced 2**-1074 apart, so an acceleration row whose entries
@@ -110,23 +105,29 @@ def curvature_rows(v_latest, v_prev, dt, eps):
 
 
 def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha, mode):
-    """Forecast rows from the last FULL output. Under MODE_BY_LABEL the rows
+    """Forecast rows from the last FULL output. Under MODE_BY_GROUP the rows
     listed in `stable` (ascending indices) are reused, those in `chaotic`
     take the damped rule and the rest the linear one; the uniform modes
-    ignore both lists."""
-    if mode == MODE_LINEAR:
-        return y_star + horizon * v_latest
-    if mode == MODE_DAMPED:
-        vel = (1.0 - alpha) * v_latest + alpha * v_prev
-        return y_star + horizon * vel
-    out = horizon * v_latest
-    out += y_star
-    out[stable] = y_star.take(stable, axis=0)
-    vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
-    vel += alpha * v_prev.take(chaotic, axis=0)
-    vel *= horizon
-    vel += y_star.take(chaotic, axis=0)
-    out[chaotic] = vel
+    ignore both lists.
+
+    Nothing is warned about past the float range: a forecast row that
+    overflows fails TokenMatrix's finiteness check, and under MODE_BY_GROUP
+    the stable rows take the linear rule first and are then overwritten, so
+    an overflow there is discarded."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == MODE_LINEAR:
+            return y_star + horizon * v_latest
+        if mode == MODE_DAMPED:
+            vel = (1.0 - alpha) * v_latest + alpha * v_prev
+            return y_star + horizon * vel
+        out = horizon * v_latest
+        out += y_star
+        out[stable] = y_star.take(stable, axis=0)
+        vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
+        vel += alpha * v_prev.take(chaotic, axis=0)
+        vel *= horizon
+        vel += y_star.take(chaotic, axis=0)
+        out[chaotic] = vel
     return out
 
 

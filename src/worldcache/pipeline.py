@@ -137,15 +137,16 @@ _TINY = 1e-30
 _GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
-def _group_mean(row_err: np.ndarray) -> float:
-    """Mean of non-negative row errors, as .mean() rounds it; a sum past the
-    float range is taken at an exact power-of-two scale instead. Call under
-    np.errstate(over="ignore")."""
-    mean = np.add.reduce(row_err) / row_err.size
-    if mean == math.inf and np.isfinite(row_err).all():
-        k = np.frexp(row_err.max())[1]
-        mean = np.ldexp(np.add.reduce(np.ldexp(row_err, -k)) / row_err.size, k)
-    return float(mean)
+def _group_means(diff: np.ndarray, groups: list[np.ndarray]) -> list[float]:
+    """Mean row norm of diff over each array of row indices, as .mean() rounds
+    it; NaN for an empty array or when there are no groups."""
+    if not groups:
+        return [math.nan] * len(TokenGroup)
+    row_err = kernels.row_norms(diff)
+    return [
+        float(np.add.reduce(row_err.take(rows)) / rows.size) if rows.size else math.nan
+        for rows in groups
+    ]
 
 
 def step_errors(
@@ -155,27 +156,30 @@ def step_errors(
 
     Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
     a group's error is the mean L2 norm of its rows' differences, NaN when g
-    is None or the group is empty. The norms are the scale-safe kernels, and
-    where a norm or a group's sum passes the float range it is taken at an
-    exact power-of-two scale, so outputs anywhere in the float range give
-    finite errors.
+    is None or the group is empty. The norms are the scale-safe kernels. Where
+    the difference, a norm or a group's sum passes the float range, the values
+    that overflowed are taken again at an exact power-of-two scale, so an
+    error is inf only if it lies past the float range itself; the others keep
+    their bits.
     """
-    per_group = [math.nan, math.nan, math.nan]
-    with np.errstate(over="ignore"):
+    groups = [] if g is None else [g.indices(grp) for grp in TokenGroup]
+    with np.errstate(over="ignore"):  # what overflows is taken again below
         diff = y.data - oracle_y.data
         num, den = kernels.fro_norm(diff), kernels.fro_norm(oracle_y.data)
-        if num == math.inf or den == math.inf:
-            # ||y - y_o|| / ||y_o|| is unchanged when both are scaled by
-            # 2**-k, k putting the largest entry of y and y_o in [0.5, 1).
-            k = np.frexp(max(np.abs(y.data).max(), np.abs(oracle_y.data).max()))[1]
+        per_group = _group_means(diff, groups)
+        if math.inf in (num, den, *per_group):
+            # Norms and means scale exactly with y and y_o, so take them at
+            # 2**-k, k putting the largest entry of y and y_o in [0.5, 1),
+            # where y - y_o cannot overflow, and scale the means back.
+            k = int(np.frexp(max(np.abs(y.data).max(), np.abs(oracle_y.data).max()))[1])
             y_s, o_s = np.ldexp(y.data, -k), np.ldexp(oracle_y.data, -k)
-            num, den = kernels.fro_norm(y_s - o_s), kernels.fro_norm(o_s)
-        if g is not None:
-            row_err = kernels.row_norms(diff)
-            for grp in TokenGroup:
-                rows = g.indices(grp)
-                if rows.size:
-                    per_group[grp] = _group_mean(row_err.take(rows))
+            diff_s = y_s - o_s
+            if math.inf in (num, den):
+                num, den = kernels.fro_norm(diff_s), kernels.fro_norm(o_s)
+            per_group = [
+                float(np.ldexp(s, k)) if m == math.inf else m
+                for m, s in zip(per_group, _group_means(diff_s, groups))
+            ]
     return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
 
 

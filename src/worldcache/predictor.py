@@ -144,7 +144,7 @@ def predict(
             raise DimensionError(
                 f"assignment covers {g.n_tokens} tokens, history has {y_star.n_tokens}"
             )
-        mode = kernels.MODE_BY_LABEL
+        mode = kernels.MODE_BY_GROUP
         stable, chaotic = g.indices(TokenGroup.STABLE), g.indices(TokenGroup.CHAOTIC)
     elif cfg.kind is PredictorKind.UNIFORM_LINEAR:
         mode = kernels.MODE_LINEAR

@@ -41,7 +41,9 @@ from worldcache import (
     write_trace,
 )
 from worldcache.cli import main as cli_main
-from worldcache.kernels import LABEL_CHAOTIC, LABEL_LINEAR, LABEL_STABLE
+from worldcache.curvature import TokenGroup
+
+LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC = (int(g) for g in TokenGroup)
 
 SEEDS = list(range(1, 21))
 STEPS = 50

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,23 @@ class TestCompareRuns:
         assert big[0] == pytest.approx(base[0], rel=1e-14)
         for b, e in zip(big[1:], base[1:]):
             assert b == pytest.approx(math.ldexp(e, 1020), rel=1e-14)
+
+    def test_errors_where_the_difference_itself_overflows(self):
+        # y - y_o is +-3e308 in row 0, past the float range, though every
+        # error is in range: the errors must equal those of the same inputs
+        # at 2**-64, scaled back, with no warning
+        rng = np.random.default_rng(5)
+        y, o = np.ldexp(rng.normal(size=(2, 64, 8)), 1000)
+        y[0, 0], o[0, 0] = 1.5e308, -1.5e308
+        g = group_tokens(rng.random(64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = step_errors(TokenMatrix(y), TokenMatrix(o), g)
+        small = step_errors(TokenMatrix(np.ldexp(y, -64)), TokenMatrix(np.ldexp(o, -64)), g)
+        assert all(math.isfinite(e) for e in big)
+        assert big[0] == pytest.approx(small[0], rel=1e-14)
+        for b, s in zip(big[1:], small[1:]):
+            assert b == pytest.approx(math.ldexp(s, 64), rel=1e-14)
 
     @pytest.mark.parametrize("kind", list(SkipKind))
     def test_metrics_reduce_the_records(self, kind, monkeypatch):
@@ -217,6 +235,31 @@ class TestSweep:
         assert [(r.point, r.seed, r.metrics) for r in serial] == [
             (r.point, r.seed, r.metrics) for r in parallel
         ]
+
+
+    def test_fewer_seeds_than_jobs_split_into_contiguous_runs(self):
+        grid = {"x": [1, 2, 3, 4, 5], "y": [5]}
+        serial = sweep(_xy, grid, seeds=[7], jobs=1)
+        parallel = sweep(_xy, grid, seeds=[7], jobs=4)
+        assert [(r.point, r.seed, r.metrics) for r in serial] == [
+            (r.point, r.seed, r.metrics) for r in parallel
+        ]
+
+    @pytest.mark.parametrize("jobs, seeds, n_points, sizes", [
+        (1, [1, 2], 3, [3, 3]),
+        (2, [1, 2], 3, [3, 3]),
+        (3, [1, 2], 3, [3, 3]),
+        (4, [1, 2], 5, [2, 3, 2, 3]),
+        (4, [7], 10, [2, 3, 2, 3]),
+        (8, [7], 3, [1, 1, 1]),
+    ])
+    def test_split_tasks(self, jobs, seeds, n_points, sizes):
+        points = [{"x": i} for i in range(n_points)]
+        tasks = bench._split_tasks(points, seeds, jobs)
+        assert [len(chunk) for chunk, _ in tasks] == sizes
+        for seed in seeds:  # each seed's chunks cover its points in order
+            assert [p for chunk, s in tasks if s == seed for p in chunk] == points
+        assert [s for _, s in tasks] == sorted(s for _, s in tasks)
 
 
 def _xy(point, seed):

@@ -291,6 +291,20 @@ _GRID = ["--seed", "1", "--set", "sweep.eta=0.15,0.3", "--seeds", "2,3",
          "--run-id", "sw", *FAST]
 
 
+def _log_calls(monkeypatch, log):
+    """Append "what seed pid" to log at each workload build and each cell."""
+    def logged(what, fn):
+        def wrapper(cfg, *args):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{what} {cfg.values['workload']['seed']} {os.getpid()}\n")
+            return fn(cfg, *args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_reference", logged("reference", cli._reference))
+    monkeypatch.setattr(cli, "_execute", logged("cell", cli._execute))
+    return log
+
+
 class TestSharedOracle:
     def test_one_oracle_per_seed(self, tmp_path, monkeypatch):
         calls = _count_oracles(monkeypatch)
@@ -324,17 +338,7 @@ class TestSharedOracle:
             (tmp_path / "2" / "sw.sweep.csv").read_bytes()
 
     def test_parallel_sweep_runs_each_seed_in_one_process(self, tmp_path, monkeypatch):
-        log = tmp_path / "calls.log"
-
-        def logged(what, fn):
-            def wrapper(cfg, *args):
-                with open(log, "a", encoding="utf-8") as f:
-                    f.write(f"{what} {cfg.values['workload']['seed']} {os.getpid()}\n")
-                return fn(cfg, *args)
-            return wrapper
-
-        monkeypatch.setattr(cli, "_reference", logged("reference", cli._reference))
-        monkeypatch.setattr(cli, "_execute", logged("cell", cli._execute))
+        log = _log_calls(monkeypatch, tmp_path / "calls.log")
         assert main(["sweep", *_GRID, "--jobs", "2", "--out", str(tmp_path / "2")]) == 0
         calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
         for seed in ("2", "3"):
@@ -343,6 +347,22 @@ class TestSharedOracle:
             assert [what for what, s, _ in calls if s == seed] == \
                 ["reference", "cell", "cell"]
         assert main(["sweep", *_GRID, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
+        assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
+            (tmp_path / "2" / "sw.sweep.csv").read_bytes()
+
+    def test_parallel_sweep_of_one_seed_splits_its_cells(self, tmp_path, monkeypatch):
+        # with fewer seeds than jobs the seed's cells are cut into jobs
+        # contiguous runs, each building the workload once in its worker
+        grid = ["--seed", "1", "--set", "sweep.eta=0.1,0.15,0.2,0.3", "--seeds", "2",
+                "--run-id", "sw", *FAST]
+        log = _log_calls(monkeypatch, tmp_path / "calls.log")
+        assert main(["sweep", *grid, "--jobs", "2", "--out", str(tmp_path / "2")]) == 0
+        calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert sorted(what for what, _, _ in calls) == ["cell"] * 4 + ["reference"] * 2
+        for pid in {pid for _, _, pid in calls}:
+            assert pid != str(os.getpid())
+            assert [what for what, _, p in calls if p == pid][0] == "reference"
+        assert main(["sweep", *grid, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
         assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
             (tmp_path / "2" / "sw.sweep.csv").read_bytes()
 

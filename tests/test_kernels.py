@@ -1,15 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from worldcache.curvature import TokenGroup
 from worldcache.kernels import (
-    LABEL_CHAOTIC,
-    LABEL_LINEAR,
-    LABEL_STABLE,
-    MODE_BY_LABEL,
+    MODE_BY_GROUP,
     MODE_DAMPED,
     MODE_LINEAR,
     blend_rows,
@@ -18,6 +17,8 @@ from worldcache.kernels import (
     fro_norm,
     row_norms,
 )
+
+LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC = (int(g) for g in TokenGroup)
 
 
 def _rng(seed=0):
@@ -173,7 +174,7 @@ class TestCurvatureRows:
 
 
 class TestBlendRows:
-    @pytest.mark.parametrize("mode", [MODE_BY_LABEL, MODE_LINEAR, MODE_DAMPED])
+    @pytest.mark.parametrize("mode", [MODE_BY_GROUP, MODE_LINEAR, MODE_DAMPED])
     @given(
         st.data(),
         _matrices(3, elements=st.floats(-1e6, 1e6)),
@@ -202,9 +203,19 @@ class TestBlendRows:
         labels = np.array([LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC],
                           dtype=np.int8)
         out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_LABEL)
+                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_GROUP)
         # stable: reuse; linear: 1 + 3*2; damped: 1 + 3*(0.5*2 + 0.5*0)
         assert np.array_equal(out, np.array([[1.0], [7.0], [4.0]]))
+
+    def test_overflow_in_a_stable_row_is_discarded_silently(self):
+        y_star = np.array([[1.0], [1.0]])
+        v_latest = np.array([[1e308], [2.0]])
+        labels = np.array([LABEL_STABLE, LABEL_LINEAR], dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = blend_rows(y_star, v_latest, v_latest, _rows(labels, LABEL_STABLE),
+                             _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_GROUP)
+        assert np.array_equal(out, np.array([[1.0], [7.0]]))
 
     def test_linear_mode_ignores_labels(self):
         y_star, v_latest, v_prev, labels = _random_inputs(3, n=12, d=5)
