@@ -12,6 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from . import kernels
 from .errors import DimensionError, ParameterError
 
 
@@ -41,13 +42,17 @@ class TokenMatrix:
     to a C-contiguous float64 array. Arrays the loop allocates itself (Euler
     updates, forecasts, history velocities) are wrapped without a copy. Either
     way the array is checked and frozen: it must be 2-D and all values must be
-    finite; NaN/Inf are rejected at construction.
+    finite; NaN/Inf are rejected at construction. Its Frobenius norm is taken
+    on first read and kept for the matrix's lifetime, so the outputs of a
+    reference run, which every cell of a sweep is scored against, are normed
+    once.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_fro")
 
     def __init__(self, data):
         self._data = _frozen(np.array(data, dtype=np.float64, order="C", copy=True))
+        self._fro = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> TokenMatrix:
@@ -56,12 +61,19 @@ class TokenMatrix:
         like the constructor's, but not copied."""
         m = cls.__new__(cls)
         m._data = _frozen(arr)
+        m._fro = None
         return m
 
     @property
     def data(self) -> np.ndarray:
         """Read-only float64 view of the underlying array."""
         return self._data
+
+    def fro_norm(self) -> float:
+        """kernels.fro_norm of the data (inf past the float range)."""
+        if self._fro is None:
+            self._fro = kernels.fro_norm(self._data)
+        return self._fro
 
     @property
     def n_tokens(self) -> int:

@@ -134,7 +134,8 @@ class GroupAssignment:
         return self.labels.shape[0]
 
     @cached_property
-    def _members(self) -> tuple[np.ndarray, ...]:
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Read-only ascending row indices of each group, in TokenGroup order."""
         # Built on first read, so once per refresh and never in the oracle,
         # which reads no grouping; the cached steps of a streak share it.
         members = tuple(np.flatnonzero(self.labels == int(g)) for g in TokenGroup)
@@ -144,13 +145,19 @@ class GroupAssignment:
 
     def indices(self, group: TokenGroup) -> np.ndarray:
         """Read-only ascending row indices of one group."""
-        return self._members[group]
+        return self.members[group]
 
     def counts(self) -> dict[TokenGroup, int]:
-        return {g: self._members[g].size for g in TokenGroup}
+        return {g: self.members[g].size for g in TokenGroup}
+
+    @cached_property
+    def _mean_kappa(self) -> float:
+        # The guided baselines' probe reads it at every step; kappa changes
+        # only at a refresh, which builds a new assignment.
+        return float(np.mean(self.kappa)) if self.kappa.size else 0.0
 
     def mean_kappa(self) -> float:
-        return float(np.mean(self.kappa)) if self.kappa.size else 0.0
+        return self._mean_kappa
 
 
 def _snap_integer(v: float, rel: float = 1e-9) -> float:

@@ -12,7 +12,7 @@ budget, which makes every step FULL by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -137,7 +137,7 @@ _TINY = 1e-30
 _GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
-def _group_means(diff: np.ndarray, groups: list[np.ndarray]) -> list[float]:
+def _group_means(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> list[float]:
     """Mean row norm of diff over each array of row indices, as .mean() rounds
     it; NaN for an empty array or when there are no groups."""
     if not groups:
@@ -156,16 +156,25 @@ def step_errors(
 
     Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
     a group's error is the mean L2 norm of its rows' differences, NaN when g
-    is None or the group is empty. The norms are the scale-safe kernels. Where
-    the difference, a norm or a group's sum passes the float range, the values
-    that overflowed are taken again at an exact power-of-two scale, so an
-    error is inf only if it lies past the float range itself; the others keep
-    their bits.
+    is None or the group is empty. The norms are the scale-safe kernels, and
+    ||y_o||_F is oracle_y's kept norm, so a reference output scored by many
+    runs is normed once. Where the difference, a norm or a group's sum passes
+    the float range, the values that overflowed are taken again at an exact
+    power-of-two scale, so an error is inf only if it lies past the float
+    range itself; the others keep their bits.
+
+    When y is oracle_y itself (a replayed FULL step emits the reference's own
+    output), nothing is computed: every difference is 0, so rel and each
+    non-empty group's error are 0.0, which is what the full computation gives.
     """
-    groups = [] if g is None else [g.indices(grp) for grp in TokenGroup]
+    if y is oracle_y:
+        if g is None:
+            return 0.0, math.nan, math.nan, math.nan
+        return (0.0, *(0.0 if rows.size else math.nan for rows in g.members))
+    groups = () if g is None else g.members
     with np.errstate(over="ignore"):  # what overflows is taken again below
         diff = y.data - oracle_y.data
-        num, den = kernels.fro_norm(diff), kernels.fro_norm(oracle_y.data)
+        num, den = kernels.fro_norm(diff), oracle_y.fro_norm()
         per_group = _group_means(diff, groups)
         if math.inf in (num, den, *per_group):
             # Norms and means scale exactly with y and y_o, so take them at
@@ -225,7 +234,8 @@ def run(
 
     z = z_init
     history = FullHistory()
-    state = CacheState()
+    # CacheState's fields, in locals; each step packs them once for should_full
+    k, e_acc, y_prev, group = 0, 0.0, None, None
     probe = None  # read only by the guided baselines, so built only for them
     guided = skip_cfg.kind in _GUIDED
     records: list[StepRecord] = []
@@ -236,13 +246,13 @@ def run(
 
     for i in range(n_steps):
         t = grid[i]
+        state = CacheState(k, e_acc, y_prev, group)
         if should_full(
             state, skip_cfg, full_count, i, probe, n_max=predictor_cfg.n_max
         ):
             y_t = backbone.evaluate(z, t)
             full_count += 1
             history = push_full(history, t, y_t)
-            group = state.group
             if len(history) == 3:
                 kappa = compute_curvature(history, predictor_cfg.eps)
                 group = group_tokens(kappa, predictor_cfg.p_stable, predictor_cfg.p_chaotic)
@@ -251,38 +261,34 @@ def run(
                         group, predictor_cfg.rng_seed, refresh_count
                     )
                 refresh_count += 1
-            state = replace(state, k=0, e_acc=0.0, group=group)
+            k, e_acc = 0, 0.0
             decision = Decision.FULL
             e_t = 0.0
         else:
             cache_count += 1
-            state = replace(state, k=state.k + 1)
+            k += 1
             horizon = horizon_for(
-                predictor_cfg.horizon_mode, t, history.latest.timestep, state.k
+                predictor_cfg.horizon_mode, t, history.latest.timestep, k
             )
-            y_t = predict(history, state.group, state.k, horizon, predictor_cfg)
-            if state.group is not None:
-                e_t = drift_score(state.group, y_t, state.y_prev)
-            else:
-                e_t = 0.0
-            state = accumulate(state, e_t)
+            y_t = predict(history, group, k, horizon, predictor_cfg)
+            e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
+            e_acc = accumulate(state, e_t).e_acc  # state holds the streak's e_acc
             decision = Decision.CACHE
 
         errors = (math.nan,) * 4  # rel, stable, linear, chaotic
         if oracle_outputs is not None:
-            errors = step_errors(y_t, oracle_outputs[i], state.group)
-        records.append(StepRecord(i, t.value, decision, state.k, e_t, state.e_acc, *errors))
+            errors = step_errors(y_t, oracle_outputs[i], group)
+        records.append(StepRecord(i, t.value, decision, k, e_t, e_acc, *errors))
         if surrogates is not None:
             surrogates.append(y_t)
 
         if guided:  # probe statistics: the last emitted difference
-            prev = state.y_prev
             probe = DriftProbe(
-                diff_norm=None if prev is None else kernels.fro_norm(y_t.data - prev.data),
-                base_norm=None if prev is None else kernels.fro_norm(prev.data),
-                mean_kappa=state.group.mean_kappa() if state.group else None,
+                diff_norm=None if y_prev is None else kernels.fro_norm(y_t.data - y_prev.data),
+                base_norm=None if y_prev is None else kernels.fro_norm(y_prev.data),
+                mean_kappa=None if group is None else group.mean_kappa(),
             )
-        state = replace(state, y_prev=y_t)
+        y_prev = y_t
         z = scheduler.step(z, y_t, t, grid[i + 1])
 
     return RunResult(

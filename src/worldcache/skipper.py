@@ -10,7 +10,7 @@ surface so runs are comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import kernels
@@ -65,7 +65,10 @@ class SkipConfig:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Per-run mutable policy state, threaded functionally through the loop.
+    """Policy state at the top of a step, as should_full reads it.
+
+    run() keeps the four values in locals and builds one CacheState per step
+    from them.
 
     k: cached steps taken since the last FULL.
     e_acc: drift accumulated over the current streak.
@@ -115,7 +118,7 @@ def accumulate(state: CacheState, e_t: float) -> CacheState:
     """Add one step's drift score to the streak accumulator."""
     if not math.isfinite(e_t) or e_t < 0:
         raise DomainError(f"drift increment must be finite and >= 0, got {e_t}")
-    return replace(state, e_acc=state.e_acc + e_t)
+    return CacheState(state.k, state.e_acc + e_t, state.y_prev, state.group)
 
 
 def should_full(

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from worldcache import bench, cli
+from worldcache import bench, cli, kernels
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -291,6 +291,14 @@ _GRID = ["--seed", "1", "--set", "sweep.eta=0.15,0.3", "--seeds", "2,3",
          "--run-id", "sw", *FAST]
 
 
+def _capturing(results, fn):
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    return wrapper
+
+
 def _log_calls(monkeypatch, log):
     """Append "what seed pid" to log at each workload build and each cell."""
     def logged(what, fn):
@@ -365,6 +373,34 @@ class TestSharedOracle:
         assert main(["sweep", *grid, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
         assert (tmp_path / "1" / "sw.sweep.csv").read_bytes() == \
             (tmp_path / "2" / "sw.sweep.csv").read_bytes()
+
+    def test_each_reference_output_is_normed_once_per_sweep(self, tmp_path, monkeypatch):
+        # 3 cells score against the same 60 replayed outputs: at most one
+        # Frobenius norm each, and a second sweep reads a fresh trace, so it
+        # computes its own norms again
+        trace = tmp_path / "ref.wct"
+        assert main(["record", str(trace), "--seed", "3", "--n-tokens", "16",
+                     "--dims", "4", "--steps", "60"]) == 0
+        refs = []
+        monkeypatch.setattr(cli, "_reference", _capturing(refs, cli._reference))
+        counts = []
+        real = kernels.fro_norm
+
+        def counted(a):
+            outputs = [y.data for ref in refs for y in ref.oracle.surrogates]
+            counts[-1] += any(a is data for data in outputs)
+            return real(a)
+
+        monkeypatch.setattr(kernels, "fro_norm", counted)
+        argv = ["sweep", "--set", "workload.kind=trace",
+                "--set", f"workload.trace_path={trace}",
+                "--set", "sweep.eta=0.05,0.2,0.8", "--seeds", "3", "--run-id", "sw"]
+        for out in ("a", "b"):
+            counts.append(0)
+            assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        assert len(refs) == 2 and refs[0].oracle is not refs[1].oracle
+        assert 0 < counts[0] <= 60
+        assert counts[1] == counts[0]
 
     def test_missing_trace_fails_every_cell_alike(self, tmp_path, capsys):
         code = main(["sweep", "--set", "workload.kind=trace",

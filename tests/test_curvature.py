@@ -118,6 +118,9 @@ class TestComputeCurvature:
     # one token with outputs 34, 0, 4.32e-154: kappa(y) overflows to inf while
     # kappa(2y) is the finite 9.109e307
     @example(np.pad([[[34.0]], [[0.0]], [[4.32e-154]]], ((0, 0), (0, 4), (0, 3))), 2.0)
+    # one token with outputs 0, 2**-1022, 0: kappa(y) is 2**1023, so
+    # kappa(y) / 0.5 is past the float range, and kappa(0.5 y) must be inf
+    @example(np.pad([[[0.0]], [[2.0**-1022]], [[0.0]]], ((0, 0), (0, 4), (0, 3))), 0.5)
     @settings(max_examples=50)
     def test_scale_covariance_at_zero_eps(self, outputs, s):
         """kappa(s*y) = kappa(y) / s exactly when eps = 0. Where kappa(y) is
@@ -127,7 +130,9 @@ class TestComputeCurvature:
         k0 = compute_curvature(base, eps=0.0)
         k1 = compute_curvature(scaled, eps=0.0)
         finite = np.isfinite(k0)
-        np.testing.assert_allclose(k1[finite], k0[finite] / s, rtol=1e-9, atol=1e-12)
+        with np.errstate(over="ignore"):  # a quotient past the float range is inf
+            want = k0[finite] / s
+        np.testing.assert_allclose(k1[finite], want, rtol=1e-9, atol=1e-12)
         assert (k1[~finite] >= sys.float_info.max / s * (1 - 1e-9)).all()
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])

@@ -20,13 +20,18 @@ from worldcache import (
     SyntheticSpec,
     Timestep,
     TokenMatrix,
+    TraceBackbone,
+    TraceData,
     oracle_run,
+    read_trace,
     run,
     uniform_grid,
+    write_trace,
 )
-from worldcache import pipeline
-from worldcache.curvature import TokenGroup
+from worldcache import kernels, pipeline
+from worldcache.curvature import TokenGroup, group_tokens
 from worldcache.errors import OrderingError
+from worldcache.pipeline import step_errors
 
 
 def _setup(preset=Preset.MIXED, seed=7, steps=50, **spec_kw):
@@ -449,3 +454,103 @@ class TestBaselinePolicies:
         )
         assert a.final_latent == b.final_latent
         assert a.final_latent != c.final_latent
+
+
+def _bits(values) -> bytes:
+    """The float64 bits of a tuple of errors, so NaN equals NaN."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _fresh_errors(y, oracle_y, g):
+    """step_errors computed in full at every call: a fresh difference, both
+    Frobenius norms, and each group's .mean() of the row norms."""
+    diff = y.data - oracle_y.data
+    rel = kernels.fro_norm(diff) / (kernels.fro_norm(oracle_y.data) + 1e-30)
+    if g is None:
+        return rel, math.nan, math.nan, math.nan
+    row_err = kernels.row_norms(diff)
+    groups = [g.indices(grp) for grp in TokenGroup]
+    return (rel, *(float(row_err[rows].mean()) if rows.size else math.nan for rows in groups))
+
+
+def _replayed(backbone, sched, z0):
+    """backbone's oracle stored as a float32 trace, as `record` writes it,
+    and the replay backbone, grid and latent built from it."""
+    ref = oracle_run(backbone, sched, z0)
+    trace = TraceData(
+        tuple(t.value for t in sched.timesteps[: len(ref.surrogates)]),
+        tuple(TokenMatrix(y.data.astype(np.float32)) for y in ref.surrogates),
+    )
+    replay = TraceBackbone(trace)
+    return replay, EulerScheduler(replay.replay_grid()), replay.initial_latent()
+
+
+class TestStepErrorsShortcut:
+    @pytest.mark.parametrize(
+        "split", [None, (0.0, 0.7), (0.3, 0.7), (0.0, 1.0)],
+        ids=["no-grouping", "empty-stable", "three-groups", "linear-only"],
+    )
+    def test_self_comparison_has_the_bits_of_the_full_computation(self, split):
+        rng = np.random.default_rng(4)
+        y = TokenMatrix(rng.normal(size=(10, 3)))
+        g = None if split is None else group_tokens(rng.random(10), *split)
+        got = step_errors(y, y, g)
+        assert _bits(got) == _bits(step_errors(y, TokenMatrix(y.data), g))
+        assert _bits(got) == _bits(_fresh_errors(y, y, g))
+
+    def test_replayed_full_steps_read_exactly_zero(self, tmp_path):
+        backbone, sched, z0 = _setup(steps=30)
+        ref = oracle_run(backbone, sched, z0)
+        path = tmp_path / "ref.wct"
+        write_trace(path, sched.timesteps[:30], np.stack([y.data for y in ref.surrogates]))
+        replay = TraceBackbone(read_trace(path))
+        replay_sched = EulerScheduler(replay.replay_grid())
+        oracle = oracle_run(replay, replay_sched, replay.initial_latent())
+        result = run(
+            replay, replay_sched, replay.initial_latent(),
+            oracle_outputs=oracle.surrogates,
+        )
+        full = [r for r in result.records if r.decision is Decision.FULL]
+        assert 3 <= len(full) < 30
+        assert all(r.rel_err == 0.0 for r in full)
+
+
+class TestRecordsMatchFreshErrors:
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(3, 6),
+        steps=st.integers(0, 20),
+        preset=st.sampled_from(list(Preset)),
+        replayed=st.booleans(),
+        kind=st.sampled_from(list(SkipKind)),
+        p_stable=st.sampled_from([0.0, 0.3]),
+        eta=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_record_carries_the_fresh_errors(
+        self, n, d, steps, preset, replayed, kind, p_stable, eta, tau, seed
+    ):
+        workload = _setup(preset, seed=seed, steps=steps, n_tokens=n, dims=d)
+        if replayed and steps:
+            workload = _replayed(*workload)
+        ref = oracle_run(*workload)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return step_errors(*args)
+
+        with mock.patch.object(pipeline, "step_errors", spy):
+            result = run(
+                *workload,
+                PredictorConfig(p_stable=p_stable),
+                SkipConfig(kind=kind, eta=eta, tau=tau),
+                oracle_outputs=ref.surrogates,
+            )
+        assert len(calls) == len(result.records) == steps
+        for r, (y, oracle_y, g), want in zip(result.records, calls, ref.surrogates):
+            assert oracle_y is want
+            got = (r.rel_err, r.stable_err, r.linear_err, r.chaotic_err)
+            assert _bits(got) == _bits(_fresh_errors(y, oracle_y, g))
