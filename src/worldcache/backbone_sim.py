@@ -404,14 +404,11 @@ def read_trace(path) -> TraceData:
         raise TraceFormatError(
             f"non-finite sample at flat index {bad}", byte_offset=off + bad * 4
         )
-    outputs = tuple(
-        TokenMatrix(
-            samples[i * block : (i + 1) * block]
-            .astype(np.float64)
-            .reshape(n_tokens, dims)
-        )
-        for i in range(n_steps)
-    )
+    # Widened to float64 in one pass (exactly, so still finite) and frozen;
+    # each block is a view of it.
+    wide = samples.astype(np.float64)
+    wide.setflags(write=False)
+    outputs = tuple(TokenMatrix._wrap(m) for m in wide.reshape(n_steps, n_tokens, dims))
     off += payload
 
     modality = None

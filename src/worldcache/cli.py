@@ -236,7 +236,9 @@ def _reference(cfg: ResolvedConfig) -> _Reference:
     return _Reference(backbone, scheduler, z_init, oracle_run(backbone, scheduler, z_init))
 
 
-def _execute(cfg: ResolvedConfig, ref: _Reference) -> tuple[RunResult, RunMetrics]:
+def _execute(
+    cfg: ResolvedConfig, ref: _Reference, score_groups: bool = True
+) -> tuple[RunResult, RunMetrics]:
     cached = run(
         ref.backbone,
         ref.scheduler,
@@ -244,6 +246,7 @@ def _execute(cfg: ResolvedConfig, ref: _Reference) -> tuple[RunResult, RunMetric
         cfg.predictor_config(),
         cfg.skip_config(),
         oracle_outputs=ref.oracle.surrogates,
+        score_groups=score_groups,
     )
     metrics = compare_runs(cached, ref.oracle, cfg.values["output"]["c_cache"])
     return cached, metrics
@@ -319,13 +322,15 @@ def _shared_reference(cfg: ResolvedConfig) -> _Reference:
 
 
 def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
-    """One sweep cell; module level so process pools can pickle it."""
+    """One sweep cell; module level so process pools can pickle it. The
+    sweep CSV reads no per-group error, so none is scored: the metrics'
+    per_group_error is NaN for every group."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
     for axis, value in point.items():
         apply_axis_override(overrides, axis, value)
     overrides.setdefault("workload", {})["seed"] = str(seed)
     cfg = resolve(file_raw, overrides)
-    return _execute(cfg, _shared_reference(cfg))[1]
+    return _execute(cfg, _shared_reference(cfg), score_groups=False)[1]
 
 
 def cmd_sweep(args) -> int:

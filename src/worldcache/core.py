@@ -1,12 +1,17 @@
 """Core value types: token matrices, timesteps, modality labels.
 
 A TokenMatrix is the unit of data everywhere in the package: one float64 row
-per token. Every TokenMatrix is checked for finiteness once, when it is made,
-so downstream math (which divides by norms) never has to re-check.
+per token. Data is checked for finiteness where it enters (backbone outputs,
+trace reads, initial latents). The values the loop computes from it (Euler
+updates, velocities, forecasts) are not scanned: they are computed under the
+FPU's overflow and invalid flags (`finite_math`), which finite operands can
+only set when a value passes the float range. So downstream math (which
+divides by norms) never has to re-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -24,43 +29,66 @@ class Modality(IntEnum):
     OTHER = 2
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim != 2:
-        raise DimensionError(
-            f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
-        )
-    if arr.size and not np.isfinite(arr).all():
-        raise ParameterError("token matrix contains non-finite values")
-    arr.setflags(write=False)
-    return arr
+_NON_FINITE = "token matrix contains non-finite values"
+
+
+class finite_math(np.errstate):
+    """Numpy math on finite operands, under the FPU's overflow and invalid
+    flags instead of a finiteness scan of its result: `with finite_math():`.
+
+    A sum, difference or product of finite values, or their quotient by a
+    nonzero finite value, can only come out inf or NaN by setting one of those
+    flags, so a result made in the block is finite unless ParameterError is
+    raised. Non-finite scalars are not caught: inf times a finite array sets
+    no flag, so callers check their scalars themselves.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(over="raise", invalid="raise")
+
+    def __exit__(self, exc_type, exc, tb):
+        super().__exit__(exc_type, exc, tb)
+        if exc_type is FloatingPointError:
+            raise ParameterError(_NON_FINITE) from None
 
 
 class TokenMatrix:
     """Immutable N x d float64 matrix of per-token feature rows.
 
-    Data is copied where it enters the package: `TokenMatrix(data)` copies it
-    to a C-contiguous float64 array. Arrays the loop allocates itself (Euler
-    updates, forecasts, history velocities) are wrapped without a copy. Either
-    way the array is checked and frozen: it must be 2-D and all values must be
-    finite; NaN/Inf are rejected at construction. Its Frobenius norm is taken
-    on first read and kept for the matrix's lifetime, so the outputs of a
-    reference run, which every cell of a sweep is scored against, are normed
-    once.
+    Data is checked and copied where it enters the package: `TokenMatrix(data)`
+    copies it to a C-contiguous float64 array, which must be 2-D and all
+    finite; NaN/Inf are rejected at construction. Arrays the package computes
+    from checked data (Euler updates, forecasts, history velocities, trace
+    blocks) are wrapped with `_wrap`, without a copy or a scan. Either way the
+    array is frozen. Its Frobenius norm is taken on first read and kept for the
+    matrix's lifetime, so the outputs of a reference run, which every cell of a
+    sweep is scored against, are normed once.
     """
 
     __slots__ = ("_data", "_fro")
 
     def __init__(self, data):
-        self._data = _frozen(np.array(data, dtype=np.float64, order="C", copy=True))
+        arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        if arr.ndim != 2:
+            raise DimensionError(
+                f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
+            )
+        if arr.size and not np.isfinite(arr).all():
+            raise ParameterError(_NON_FINITE)
+        arr.setflags(write=False)
+        self._data = arr
         self._fro = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> TokenMatrix:
-        """A TokenMatrix around a float64 C-contiguous array that the package
-        has just allocated and nothing else references: checked and frozen
-        like the constructor's, but not copied."""
+        """A TokenMatrix around a 2-D float64 C-contiguous array that the
+        package has just made, finite by construction (see `finite_math`) and
+        written by nothing else: frozen, but neither copied nor scanned."""
+        arr.setflags(write=False)
         m = cls.__new__(cls)
-        m._data = _frozen(arr)
+        m._data = arr
         m._fro = None
         return m
 
@@ -117,10 +145,12 @@ class Timestep:
 
 def axpy_rows(a: TokenMatrix, b: TokenMatrix, s: float) -> TokenMatrix:
     """Rowwise a + s * b. Shapes must match exactly; an update past the float
-    range raises ParameterError."""
+    range or a non-finite coefficient s raises ParameterError."""
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore"):  # an inf result is rejected by _wrap
+    if a.data.size and not math.isfinite(s):  # inf * b sets no flag
+        raise ParameterError(_NON_FINITE)
+    with finite_math():
         out = s * b.data
         out += a.data
     return TokenMatrix._wrap(out)

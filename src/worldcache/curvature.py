@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .core import Timestep, TokenMatrix
+from .core import Timestep, TokenMatrix, finite_math
 from .errors import (
     DimensionError,
     InsufficientHistoryError,
@@ -72,7 +72,8 @@ def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
     """Insert a freshly recomputed output, evicting the oldest beyond depth 3.
 
     Timesteps must be strictly decreasing across pushes; output shape must
-    match the existing entries.
+    match the existing entries. A velocity past the float range raises
+    ParameterError.
     """
     if h.entries:
         newest = h.entries[0]
@@ -93,7 +94,8 @@ def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
         v_prev = v_latest if len(h.entries) >= 2 else None
         e0, e1 = entries[0], entries[1]
         dt = e0.timestep.value - e1.timestep.value
-        v_latest = TokenMatrix._wrap((e0.output.data - e1.output.data) / dt)
+        with finite_math():  # dt < 0 (maybe -inf), as the timesteps strictly decrease
+            v_latest = TokenMatrix._wrap((e0.output.data - e1.output.data) / dt)
     return FullHistory(entries=entries, v_latest=v_latest, v_prev=v_prev)
 
 

@@ -110,24 +110,30 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha, mode):
     take the damped rule and the rest the linear one; the uniform modes
     ignore both lists.
 
-    Nothing is warned about past the float range: a forecast row that
-    overflows fails TokenMatrix's finiteness check, and under MODE_BY_GROUP
-    the stable rows take the linear rule first and are then overwritten, so
-    an overflow there is discarded."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    The blend runs under the FPU's overflow and invalid flags, which its
+    finite operands set only past the float range; the result is scanned only
+    when one fires. A forecast row past the range raises FloatingPointError,
+    and nothing is warned about. Under MODE_BY_GROUP the stable and chaotic
+    rows take the linear rule first and are then overwritten, so an overflow
+    there is discarded."""
+    fired = []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: fired.append(err)):
         if mode == MODE_LINEAR:
-            return y_star + horizon * v_latest
-        if mode == MODE_DAMPED:
+            out = y_star + horizon * v_latest
+        elif mode == MODE_DAMPED:
             vel = (1.0 - alpha) * v_latest + alpha * v_prev
-            return y_star + horizon * vel
-        out = horizon * v_latest
-        out += y_star
-        out[stable] = y_star.take(stable, axis=0)
-        vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
-        vel += alpha * v_prev.take(chaotic, axis=0)
-        vel *= horizon
-        vel += y_star.take(chaotic, axis=0)
-        out[chaotic] = vel
+            out = y_star + horizon * vel
+        else:
+            out = horizon * v_latest
+            out += y_star
+            out[stable] = y_star.take(stable, axis=0)
+            vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
+            vel += alpha * v_prev.take(chaotic, axis=0)
+            vel *= horizon
+            vel += y_star.take(chaotic, axis=0)
+            out[chaotic] = vel
+    if fired and not np.isfinite(out).all():
+        raise FloatingPointError(f"{fired[0]} in a forecast row")
     return out
 
 

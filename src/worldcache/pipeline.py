@@ -201,13 +201,15 @@ def run(
     *,
     record_outputs: bool = False,
     oracle_outputs: Sequence[TokenMatrix] | None = None,
+    score_groups: bool = True,
 ) -> RunResult:
     """Execute the cached denoising loop over the scheduler's grid.
 
     The grid has steps+1 nodes; decisions happen at the first `steps` nodes
     and the final node only terminates the last scheduler update. When
     oracle_outputs is given (one reference output per decision step), each
-    record carries rel/per-group errors against it.
+    record carries rel/per-group errors against it; with score_groups=False
+    only rel is scored, and the per-group errors read NaN.
     """
     predictor_cfg = predictor_cfg or PredictorConfig()
     skip_cfg = skip_cfg or SkipConfig()
@@ -277,7 +279,7 @@ def run(
 
         errors = (math.nan,) * 4  # rel, stable, linear, chaotic
         if oracle_outputs is not None:
-            errors = step_errors(y_t, oracle_outputs[i], group)
+            errors = step_errors(y_t, oracle_outputs[i], group if score_groups else None)
         records.append(StepRecord(i, t.value, decision, k, e_t, e_acc, *errors))
         if surrogates is not None:
             surrogates.append(y_t)

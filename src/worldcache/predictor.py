@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .core import Timestep, TokenMatrix
+from .core import Timestep, TokenMatrix, finite_math
 from .curvature import (
     DEFAULT_EPS,
     DEFAULT_P_CHAOTIC,
@@ -121,7 +121,7 @@ def predict(
     t - t_full under TIMESTEP_DELTA (negative on descending schedules) or +k
     under STEP_COUNT. The heterogeneous kinds apply the labels in `g` as
     given; the pipeline refreshes (and for random-grouping permutes) them at
-    FULL steps.
+    FULL steps. A forecast past the float range raises ParameterError.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1 on cached steps, got {k}")
@@ -158,9 +158,10 @@ def predict(
     # The linear-only path never reads v_prev; substitute v_latest so the
     # kernel signature stays uniform when only two outputs exist.
     v_prev = h.v_prev.data if h.v_prev is not None else v_latest
-    out = kernels.blend_rows(
-        y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha, mode
-    )
+    with finite_math():  # the blend's FloatingPointError becomes ParameterError
+        out = kernels.blend_rows(
+            y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha, mode
+        )
     return TokenMatrix._wrap(out)
 
 

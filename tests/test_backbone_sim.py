@@ -173,6 +173,16 @@ class TestTraceRoundTrip:
                 stored.data.astype(np.float32), original
             )
 
+    def test_blocks_are_frozen_float64_matrices(self, tmp_path):
+        path, _, blocks = self._random_trace(tmp_path)
+        for stored, original in zip(read_trace(path).outputs, blocks):
+            data = stored.data
+            assert data.dtype == np.float64 and data.flags.c_contiguous
+            assert data.tolist() == original.astype(np.float64).tolist()
+            for arr in (data, data.base):  # nothing writes through the payload
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
     def test_modality_round_trip(self, tmp_path):
         labels = [Modality.RGB, Modality.RGB, Modality.DEPTH, Modality.OTHER]
         path, _, _ = self._random_trace(tmp_path, modality=labels)

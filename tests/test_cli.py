@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from worldcache import bench, cli, kernels
+from worldcache import TokenGroup, bench, cli, kernels
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -302,10 +302,10 @@ def _capturing(results, fn):
 def _log_calls(monkeypatch, log):
     """Append "what seed pid" to log at each workload build and each cell."""
     def logged(what, fn):
-        def wrapper(cfg, *args):
+        def wrapper(cfg, *args, **kwargs):
             with open(log, "a", encoding="utf-8") as f:
                 f.write(f"{what} {cfg.values['workload']['seed']} {os.getpid()}\n")
-            return fn(cfg, *args)
+            return fn(cfg, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(cli, "_reference", logged("reference", cli._reference))
@@ -450,6 +450,62 @@ _COMMON_OPTIONS = [
 ]
 _HELP = [(("-h", "--help"), "help")]
 _TRACE = [((), "trace")]
+
+
+def _count_row_norms(monkeypatch):
+    """Shapes of the arrays kernels.row_norms is called on from here on."""
+    calls = []
+    real = kernels.row_norms
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(kernels, "row_norms", counted)
+    return calls
+
+
+_GROUP_COLUMNS = [STEP_COLUMNS.index(c) for c in ("stable_err", "linear_err", "chaotic_err")]
+
+
+class TestSweepScoresOnlyWhatItWrites:
+    @pytest.mark.parametrize("workload", ["synthetic", "trace"])
+    def test_sweep_cells_take_no_row_norms(self, tmp_path, monkeypatch, workload):
+        argv = ["sweep", *_GRID]
+        if workload == "trace":
+            trace = tmp_path / "ref.wct"
+            assert main(["record", str(trace), "--seed", "3", *FAST]) == 0
+            argv += ["--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}"]
+        rows = []
+        monkeypatch.setattr(cli, "sweep", _capturing(rows, cli.sweep))
+        calls = _count_row_norms(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path / "lean")]) == 0
+        assert calls == []
+        assert all(
+            math.isnan(err) for row in rows[0] for err in row.metrics.per_group_error.values()
+        )
+        # the same cells with every group scored write the same bytes
+        execute = cli._execute
+        monkeypatch.setattr(cli, "_execute", lambda cfg, ref, score_groups: execute(cfg, ref))
+        assert main([*argv, "--out", str(tmp_path / "scored")]) == 0
+        assert calls
+        assert not math.isnan(rows[1][0].metrics.per_group_error[TokenGroup.LINEAR])
+        assert (tmp_path / "lean" / "sw.sweep.csv").read_bytes() == \
+            (tmp_path / "scored" / "sw.sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_run_and_replay_still_score_each_group(self, tmp_path, monkeypatch, command):
+        argv = _run_args(tmp_path)
+        if command == "replay":
+            trace = tmp_path / "ref.wct"
+            assert main(["record", str(trace), "--seed", "7", *FAST]) == 0
+            argv = ["replay", str(trace), "--out", str(tmp_path), "--run-id", "rid"]
+        calls = _count_row_norms(monkeypatch)
+        assert main(argv) == 0
+        _, steps = _read_rows(tmp_path / "rid.steps.csv")
+        cached = [r for r in steps if r[2] == "CACHE"]
+        assert cached and len(calls) >= len(cached)
+        assert all(r[i] != "nan" for r in cached for i in _GROUP_COLUMNS[1:])
 
 
 class TestFlagTable:

@@ -22,6 +22,7 @@ from worldcache import (
     TokenMatrix,
     TraceBackbone,
     TraceData,
+    compare_runs,
     oracle_run,
     read_trace,
     run,
@@ -554,3 +555,23 @@ class TestRecordsMatchFreshErrors:
             assert oracle_y is want
             got = (r.rel_err, r.stable_err, r.linear_err, r.chaotic_err)
             assert _bits(got) == _bits(_fresh_errors(y, oracle_y, g))
+
+
+class TestScoreGroups:
+    def test_rel_only_scoring_leaves_every_other_field_alone(self):
+        backbone, sched, z0 = _setup(steps=30)
+        ref = oracle_run(backbone, sched, z0)
+        scored, lean = (
+            run(backbone, sched, z0, oracle_outputs=ref.surrogates, score_groups=flag)
+            for flag in (True, False)
+        )
+        assert any(not math.isnan(r.linear_err) for r in scored.records)
+        for a, b in zip(scored.records, lean.records, strict=True):
+            assert (a.step, a.timestep, a.decision, a.k) == (b.step, b.timestep, b.decision, b.k)
+            assert _bits((a.e_t, a.e_acc, a.rel_err)) == _bits((b.e_t, b.e_acc, b.rel_err))
+            assert all(math.isnan(e) for e in (b.stable_err, b.linear_err, b.chaotic_err))
+        assert lean.final_latent == scored.final_latent
+        m_scored, m_lean = compare_runs(scored, ref), compare_runs(lean, ref)
+        assert all(math.isnan(e) for e in m_lean.per_group_error.values())
+        assert m_lean.per_step_rel_error == m_scored.per_step_rel_error
+        assert m_lean.final_latent_rel_error == m_scored.final_latent_rel_error
