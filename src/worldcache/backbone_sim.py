@@ -226,9 +226,13 @@ class SyntheticBackbone:
             # chirped phase: instantaneous angular speed grows linearly from
             # omega*(1-chirp) at t=2*ref to omega*(1+chirp) at t=0
             chi = _CHIRP_FACTOR
+            try:
+                t_sq = t.value**2
+            except OverflowError:  # |t| above about 1.3e154
+                t_sq = math.inf
             theta = (
                 self._orbit_omega
-                * ((1.0 + chi) * t.value - chi * t.value**2 / (2.0 * _CHIRP_REF))
+                * ((1.0 + chi) * t.value - chi * t_sq / (2.0 * _CHIRP_REF))
                 + self._orbit_phase
             )
             orbit = self._orbit_radius[:, None] * (
@@ -251,7 +255,10 @@ class SyntheticBackbone:
             raise DimensionError(
                 f"latent shape {z.shape} does not match workload {self._base.shape}"
             )
-        out = self._drift(t)
+        # A timestep past the range the preset can take leaves non-finite
+        # rows, silently; TokenMatrix's scan below rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._drift(t)
         spec = self.spec
         if spec.noise_sigma > 0.0:
             rng = np.random.default_rng((spec.seed, _NOISE_STREAM, t.index))

@@ -54,7 +54,7 @@ def compare_runs(
     oracle_outputs; its records then hold the per-step and per-group errors.
     A group's error is the mean over the steps where it is defined, so steps
     before the first grouping refresh contribute nothing to it, and a run
-    made with score_groups=False (as sweep cells are) reads NaN for every
+    made with full_records=False (as sweep cells are) reads NaN for every
     group. Only the final latents are compared here.
     """
     if cached.steps != oracle.steps:

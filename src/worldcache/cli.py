@@ -237,7 +237,7 @@ def _reference(cfg: ResolvedConfig) -> _Reference:
 
 
 def _execute(
-    cfg: ResolvedConfig, ref: _Reference, score_groups: bool = True
+    cfg: ResolvedConfig, ref: _Reference, full_records: bool = True
 ) -> tuple[RunResult, RunMetrics]:
     cached = run(
         ref.backbone,
@@ -246,7 +246,7 @@ def _execute(
         cfg.predictor_config(),
         cfg.skip_config(),
         oracle_outputs=ref.oracle.surrogates,
-        score_groups=score_groups,
+        full_records=full_records,
     )
     metrics = compare_runs(cached, ref.oracle, cfg.values["output"]["c_cache"])
     return cached, metrics
@@ -323,14 +323,15 @@ def _shared_reference(cfg: ResolvedConfig) -> _Reference:
 
 def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
     """One sweep cell; module level so process pools can pickle it. The
-    sweep CSV reads no per-group error, so none is scored: the metrics'
-    per_group_error is NaN for every group."""
+    sweep CSV reads only the counts and the relative errors, so the run keeps
+    no full records: no per-group error is scored (the metrics'
+    per_group_error is NaN for every group), and outside CAS no drift."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
     for axis, value in point.items():
         apply_axis_override(overrides, axis, value)
     overrides.setdefault("workload", {})["seed"] = str(seed)
     cfg = resolve(file_raw, overrides)
-    return _execute(cfg, _shared_reference(cfg), score_groups=False)[1]
+    return _execute(cfg, _shared_reference(cfg), full_records=False)[1]
 
 
 def cmd_sweep(args) -> int:

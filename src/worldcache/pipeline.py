@@ -3,10 +3,11 @@
 run() walks a descending timestep grid. At each decision point the skip
 policy picks FULL (call the backbone, push the output into the history,
 refresh the token grouping once three outputs exist, reset the streak) or
-CACHE (forecast the output from the history, score its drift, extend the
-streak). Either way the emitted output advances the latent through the
-scheduler. oracle_run() is the no-cache reference: run() with a zero drift
-budget, which makes every step FULL by construction.
+CACHE (forecast the output from the history, extend the streak, and score
+its drift where something reads the score). Either way the emitted output
+advances the latent through the scheduler. oracle_run() is the no-cache
+reference: run() with a zero drift budget, which makes every step FULL by
+construction.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class RunResult:
 
 
 _TINY = 1e-30
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
 _GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
@@ -161,7 +163,8 @@ def step_errors(
     runs is normed once. Where the difference, a norm or a group's sum passes
     the float range, the values that overflowed are taken again at an exact
     power-of-two scale, so an error is inf only if it lies past the float
-    range itself; the others keep their bits.
+    range itself; the others keep their bits. With g None and every sum in
+    the normal range, rel takes one difference and one dot and nothing else.
 
     When y is oracle_y itself (a replayed FULL step emits the reference's own
     output), nothing is computed: every difference is 0, so rel and each
@@ -171,6 +174,13 @@ def step_errors(
         if g is None:
             return 0.0, math.nan, math.nan, math.nan
         return (0.0, *(0.0 if rows.size else math.nan for rows in g.members))
+    if g is None:  # rel alone: one difference and one dot, as fro_norm takes it
+        with np.errstate(over="ignore"):  # an overflow is taken again below
+            flat = (y.data - oracle_y.data).ravel(order="K")
+            sq = float(flat.dot(flat))
+        den = oracle_y.fro_norm()
+        if (sq >= _NORMAL_MIN or sq == 0.0) and sq != math.inf and den != math.inf:
+            return math.sqrt(sq) / (den + _TINY), math.nan, math.nan, math.nan
     groups = () if g is None else g.members
     with np.errstate(over="ignore"):  # what overflows is taken again below
         diff = y.data - oracle_y.data
@@ -192,6 +202,21 @@ def step_errors(
     return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
 
 
+def _probe(
+    kind: SkipKind, y_t: TokenMatrix, y_prev: TokenMatrix | None, g: GroupAssignment | None
+) -> DriftProbe:
+    """The one statistic a guided kind reads, over the last emitted
+    difference y_t - y_prev or the active grouping; the others stay None."""
+    if kind is SkipKind.CURVATURE_GUIDED:
+        return DriftProbe(mean_kappa=None if g is None else g.mean_kappa())
+    if y_prev is None:
+        return DriftProbe()
+    diff_norm = kernels.fro_norm(y_t.data - y_prev.data)
+    if kind is SkipKind.NORM_GUIDED:
+        return DriftProbe(diff_norm=diff_norm, base_norm=kernels.fro_norm(y_prev.data))
+    return DriftProbe(diff_norm=diff_norm)
+
+
 def run(
     backbone: Backbone,
     scheduler: Scheduler,
@@ -201,15 +226,21 @@ def run(
     *,
     record_outputs: bool = False,
     oracle_outputs: Sequence[TokenMatrix] | None = None,
-    score_groups: bool = True,
+    full_records: bool = True,
 ) -> RunResult:
     """Execute the cached denoising loop over the scheduler's grid.
 
     The grid has steps+1 nodes; decisions happen at the first `steps` nodes
     and the final node only terminates the last scheduler update. When
     oracle_outputs is given (one reference output per decision step), each
-    record carries rel/per-group errors against it; with score_groups=False
-    only rel is scored, and the per-group errors read NaN.
+    record carries rel/per-group errors against it.
+
+    full_records=False is for a caller that reads only the FULL/CACHE counts
+    and rel_err, as a sweep cell does. The per-group errors then read NaN,
+    and a cached step's drift is scored only under CAS, the one policy that
+    reads it; under the other kinds its record's e_t and e_acc read NaN.
+    Every decision, k, rel_err and the final latent are the same either way,
+    and FULL records read e_t = e_acc = 0.
     """
     predictor_cfg = predictor_cfg or PredictorConfig()
     skip_cfg = skip_cfg or SkipConfig()
@@ -240,6 +271,7 @@ def run(
     k, e_acc, y_prev, group = 0, 0.0, None, None
     probe = None  # read only by the guided baselines, so built only for them
     guided = skip_cfg.kind in _GUIDED
+    score_drift = full_records or skip_cfg.kind is SkipKind.CAS
     records: list[StepRecord] = []
     surrogates: list[TokenMatrix] | None = [] if record_outputs else None
     full_count = 0
@@ -273,23 +305,22 @@ def run(
                 predictor_cfg.horizon_mode, t, history.latest.timestep, k
             )
             y_t = predict(history, group, k, horizon, predictor_cfg)
-            e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
-            e_acc = accumulate(state, e_t).e_acc  # state holds the streak's e_acc
+            if score_drift:
+                e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
+                e_acc = accumulate(state, e_t).e_acc  # state holds the streak's e_acc
+            else:
+                e_t = e_acc = math.nan
             decision = Decision.CACHE
 
         errors = (math.nan,) * 4  # rel, stable, linear, chaotic
         if oracle_outputs is not None:
-            errors = step_errors(y_t, oracle_outputs[i], group if score_groups else None)
+            errors = step_errors(y_t, oracle_outputs[i], group if full_records else None)
         records.append(StepRecord(i, t.value, decision, k, e_t, e_acc, *errors))
         if surrogates is not None:
             surrogates.append(y_t)
 
-        if guided:  # probe statistics: the last emitted difference
-            probe = DriftProbe(
-                diff_norm=None if y_prev is None else kernels.fro_norm(y_t.data - y_prev.data),
-                base_norm=None if y_prev is None else kernels.fro_norm(y_prev.data),
-                mean_kappa=None if group is None else group.mean_kappa(),
-            )
+        if guided:
+            probe = _probe(skip_cfg.kind, y_t, y_prev, group)
         y_prev = y_t
         z = scheduler.step(z, y_t, t, grid[i + 1])
 

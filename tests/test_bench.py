@@ -41,6 +41,10 @@ def _pair(seed=7, steps=30, eta=0.2, skip_cfg=None):
     return cached, ref
 
 
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
 class TestCompareRuns:
     def test_self_comparison_is_zero_error(self):
         # eta = 0 is the oracle by construction, so nothing may differ
@@ -88,6 +92,13 @@ class TestCompareRuns:
         assert big[0] == pytest.approx(base[0], rel=1e-14)
         for b, e in zip(big[1:], base[1:]):
             assert b == pytest.approx(math.ldexp(e, 1020), rel=1e-14)
+        # rel alone (no grouping) has the bits of the grouped rel at every
+        # scale, the sums of squares normal, inf, subnormal or all 0
+        for exp in (0, 1020, 600, -520, -600):
+            ys, os_ = TokenMatrix(np.ldexp(y, exp)), TokenMatrix(np.ldexp(o, exp))
+            rel, *nans = step_errors(ys, os_, None)
+            assert _bits(rel) == _bits(step_errors(ys, os_, g)[0])
+            assert all(math.isnan(e) for e in nans)
 
     def test_errors_where_the_difference_itself_overflows(self):
         # y - y_o is +-3e308 in row 0, past the float range, though every
@@ -101,6 +112,10 @@ class TestCompareRuns:
             warnings.simplefilter("error")
             big = step_errors(TokenMatrix(y), TokenMatrix(o), g)
         small = step_errors(TokenMatrix(np.ldexp(y, -64)), TokenMatrix(np.ldexp(o, -64)), g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rel = step_errors(TokenMatrix(y), TokenMatrix(o), None)[0]
+        assert _bits(rel) == _bits(big[0])
         assert all(math.isfinite(e) for e in big)
         assert big[0] == pytest.approx(small[0], rel=1e-14)
         for b, s in zip(big[1:], small[1:]):

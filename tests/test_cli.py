@@ -1,10 +1,11 @@
 import math
 import os
 import re
+import warnings
 
 import pytest
 
-from worldcache import TokenGroup, bench, cli, kernels
+from worldcache import SkipKind, TokenGroup, bench, cli, kernels, pipeline
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -101,6 +102,20 @@ class TestRunCommand:
         args = ["run", "--seed", "1", "--n-tokens", "64", "--dims", "8",
                 "--amplitude", "1e308", "--out", str(tmp_path), "--run-id", "rid"]
         assert main(args) == 2
+        assert capsys.readouterr().err == \
+            "error: token matrix contains non-finite values\n"
+
+    @pytest.mark.parametrize("t_max", ["1e200", "1.7e308"])
+    @pytest.mark.parametrize("preset", ["mixed", "smooth", "turnpoint"])
+    def test_grid_values_past_a_preset_s_range_fail_with_a_typed_error(
+        self, tmp_path, capsys, preset, t_max
+    ):
+        # the mixed preset squares t, which passes the float range above 1.3e154
+        args = ["run", "--seed", "1", "--preset", preset, "--t-max", t_max,
+                "--steps", "4", "--out", str(tmp_path), "--run-id", "rid"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
         assert capsys.readouterr().err == \
             "error: token matrix contains non-finite values\n"
 
@@ -486,7 +501,7 @@ class TestSweepScoresOnlyWhatItWrites:
         )
         # the same cells with every group scored write the same bytes
         execute = cli._execute
-        monkeypatch.setattr(cli, "_execute", lambda cfg, ref, score_groups: execute(cfg, ref))
+        monkeypatch.setattr(cli, "_execute", lambda cfg, ref, full_records: execute(cfg, ref))
         assert main([*argv, "--out", str(tmp_path / "scored")]) == 0
         assert calls
         assert not math.isnan(rows[1][0].metrics.per_group_error[TokenGroup.LINEAR])
@@ -506,6 +521,35 @@ class TestSweepScoresOnlyWhatItWrites:
         cached = [r for r in steps if r[2] == "CACHE"]
         assert cached and len(calls) >= len(cached)
         assert all(r[i] != "nan" for r in cached for i in _GROUP_COLUMNS[1:])
+
+
+    def test_sweep_scores_drift_only_in_cas_cells(self, tmp_path, monkeypatch):
+        trace = tmp_path / "ref.wct"
+        assert main(["record", str(trace), "--seed", "3", *FAST]) == 0
+        scores, real = [], pipeline.drift_score
+
+        def counted(*args):
+            scores.append(args)
+            return real(*args)
+
+        cells, execute = [], cli._execute
+
+        def cell(cfg, ref, **kwargs):
+            before = len(scores)
+            cached, metrics = execute(cfg, ref, **kwargs)
+            cells.append((cfg.skip_config().kind, len(scores) - before, cached.cache_count))
+            return cached, metrics
+
+        monkeypatch.setattr(pipeline, "drift_score", counted)
+        monkeypatch.setattr(cli, "_execute", cell)
+        argv = ["sweep", "--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}",
+                "--set", "sweep.eta=0.15,0.3", "--set", "sweep.skipper=cas,fixed-interval",
+                "--seeds", "3", "--out", str(tmp_path), "--run-id", "sw"]
+        assert main(argv) == 0
+        assert sorted(kind.value for kind, _, _ in cells) == ["cas"] * 2 + ["fixed-interval"] * 2
+        for kind, n_scores, n_cached in cells:
+            assert n_cached
+            assert n_scores == (n_cached if kind is SkipKind.CAS else 0)
 
 
 class TestFlagTable:

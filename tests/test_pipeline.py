@@ -443,6 +443,27 @@ class TestBaselinePolicies:
             assert result.full_count + result.cache_count == 50
             assert result.full_count >= 3
 
+    @pytest.mark.parametrize(
+        "kind, norms_per_step",
+        [
+            (SkipKind.DIFFERENCE_GUIDED, 1),
+            (SkipKind.NORM_GUIDED, 2),
+            (SkipKind.CURVATURE_GUIDED, 0),
+        ],
+    )
+    def test_a_probe_takes_only_the_norms_its_kind_reads(self, kind, norms_per_step, monkeypatch):
+        calls, real = [], kernels.fro_norm
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(kernels, "fro_norm", counted)
+        backbone, sched, z0 = _setup(steps=30)
+        run(backbone, sched, z0, PredictorConfig(), SkipConfig(kind=kind, tau=0.05))
+        # no probe difference exists before the second step
+        assert len(calls) == norms_per_step * 29
+
     def test_random_grouping_is_seed_deterministic(self):
         backbone, sched, z0 = _setup()
         cfg = PredictorConfig(kind=PredictorKind.RANDOM_GROUPING, rng_seed=11)
@@ -558,20 +579,66 @@ class TestRecordsMatchFreshErrors:
 
 
 class TestScoreGroups:
-    def test_rel_only_scoring_leaves_every_other_field_alone(self):
-        backbone, sched, z0 = _setup(steps=30)
-        ref = oracle_run(backbone, sched, z0)
-        scored, lean = (
-            run(backbone, sched, z0, oracle_outputs=ref.surrogates, score_groups=flag)
+    """run(full_records=False), as sweep cells call it, against full records."""
+
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(3, 6),
+        steps=st.integers(0, 30),
+        preset=st.sampled_from(list(Preset)),
+        replayed=st.booleans(),
+        kind=st.sampled_from(list(SkipKind)),
+        predictor=st.sampled_from([PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING]),
+        eta=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 100.0),  # the guided kinds cache at large tau
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rel_only_scoring_leaves_every_other_field_alone(
+        self, n, d, steps, preset, replayed, kind, predictor, eta, tau, seed
+    ):
+        workload = _setup(preset, seed=seed, steps=steps, n_tokens=n, dims=d)
+        if replayed and steps:
+            workload = _replayed(*workload)
+        ref = oracle_run(*workload)
+        cfgs = (
+            PredictorConfig(kind=predictor, rng_seed=seed),
+            SkipConfig(kind=kind, eta=eta, tau=tau),
+        )
+        full, lean = (
+            run(*workload, *cfgs, oracle_outputs=ref.surrogates, full_records=flag)
             for flag in (True, False)
         )
-        assert any(not math.isnan(r.linear_err) for r in scored.records)
-        for a, b in zip(scored.records, lean.records, strict=True):
+        for a, b in zip(full.records, lean.records, strict=True):
             assert (a.step, a.timestep, a.decision, a.k) == (b.step, b.timestep, b.decision, b.k)
-            assert _bits((a.e_t, a.e_acc, a.rel_err)) == _bits((b.e_t, b.e_acc, b.rel_err))
+            assert _bits(a.rel_err) == _bits(b.rel_err)
             assert all(math.isnan(e) for e in (b.stable_err, b.linear_err, b.chaotic_err))
-        assert lean.final_latent == scored.final_latent
-        m_scored, m_lean = compare_runs(scored, ref), compare_runs(lean, ref)
-        assert all(math.isnan(e) for e in m_lean.per_group_error.values())
-        assert m_lean.per_step_rel_error == m_scored.per_step_rel_error
-        assert m_lean.final_latent_rel_error == m_scored.final_latent_rel_error
+            if kind is SkipKind.CAS or b.decision is Decision.FULL:
+                assert _bits((a.e_t, a.e_acc)) == _bits((b.e_t, b.e_acc))
+            else:  # only CAS reads the drift score
+                assert math.isnan(b.e_t) and math.isnan(b.e_acc)
+        assert (lean.full_count, lean.cache_count) == (full.full_count, full.cache_count)
+        assert lean.final_latent.data.tobytes() == full.final_latent.data.tobytes()
+        if steps:
+            m_full, m_lean = compare_runs(full, ref), compare_runs(lean, ref)
+            assert all(math.isnan(e) for e in m_lean.per_group_error.values())
+            assert _bits(m_lean.per_step_rel_error) == _bits(m_full.per_step_rel_error)
+            assert _bits(m_lean.final_latent_rel_error) == _bits(m_full.final_latent_rel_error)
+
+    @pytest.mark.parametrize("kind", list(SkipKind))
+    def test_drift_is_scored_only_where_it_is_read(self, kind, monkeypatch):
+        backbone, sched, z0 = _setup(steps=30)
+        ref = oracle_run(backbone, sched, z0)
+        calls, real = [], pipeline.drift_score
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "drift_score", counted)
+        cfgs = (PredictorConfig(), SkipConfig(kind=kind, tau=50.0))  # every kind caches
+        full = run(backbone, sched, z0, *cfgs, oracle_outputs=ref.surrogates)
+        assert full.cache_count and len(calls) == full.cache_count
+        calls.clear()
+        run(backbone, sched, z0, *cfgs, oracle_outputs=ref.surrogates, full_records=False)
+        assert len(calls) == (full.cache_count if kind is SkipKind.CAS else 0)
