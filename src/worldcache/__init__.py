@@ -57,18 +57,15 @@ from .predictor import (
     randomize_groups,
 )
 from .skipper import (
-    CacheState,
-    DriftProbe,
     SkipConfig,
     SkipKind,
-    accumulate,
     drift_score,
+    probe_statistic,
     should_full,
 )
 
 __all__ = [
     "__version__",
-    "CacheState",
     "compare_runs",
     "compute_curvature",
     "ConfigError",
@@ -76,7 +73,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "drift_score",
-    "DriftProbe",
     "EulerScheduler",
     "FullHistory",
     "GroupAssignment",
@@ -90,6 +86,7 @@ __all__ = [
     "OrderingError",
     "ParameterError",
     "predict",
+    "probe_statistic",
     "PredictorConfig",
     "PredictorKind",
     "Preset",
@@ -117,6 +114,5 @@ __all__ = [
     "validate_trace",
     "WorldCacheError",
     "write_trace",
-    "accumulate",
     "axpy_rows",
 ]

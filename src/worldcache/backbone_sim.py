@@ -183,7 +183,11 @@ class SyntheticBackbone:
             self._bend_dir = frames[1]
             self._bend_freq = spec.frequency * _BEND_FREQUENCY_FACTOR
             omega_b = 2.0 * math.pi * self._bend_freq
-            self._bend_amp = _BEND_CURVE_TARGET * mag**2 / omega_b**2
+            try:
+                omega_sq = omega_b**2
+            except OverflowError:  # frequency above about 1e153: no bend
+                omega_sq = math.inf
+            self._bend_amp = _BEND_CURVE_TARGET * mag**2 / omega_sq
             self._bend_phase = rng.uniform(0.0, 2.0 * math.pi, n_l)
 
             # Circling block: planar orbit around a center that drifts along

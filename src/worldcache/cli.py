@@ -337,7 +337,9 @@ def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
 def cmd_sweep(args) -> int:
     if getattr(args, "seeds", None):
         args.assignments.append(f"sweep.seeds={args.seeds}")
-    cfg = _load(args)
+    file_raw = read_config_file(args.config) if args.config else None
+    overrides = _collect_overrides(args)
+    cfg = resolve(file_raw, overrides)
     axes = sweep_axes(cfg)
     if not axes:
         raise ConfigError("sweep needs at least one populated axis in [sweep]")
@@ -349,8 +351,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(cfg.values["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    file_raw = read_config_file(args.config) if args.config else None
-    worker = functools.partial(_sweep_worker, file_raw, _collect_overrides(args))
+    worker = functools.partial(_sweep_worker, file_raw, overrides)
     try:
         rows = sweep(worker, axes, seeds, jobs=args.jobs)
     finally:

@@ -153,13 +153,10 @@ class GroupAssignment:
         return {g: self.members[g].size for g in TokenGroup}
 
     @cached_property
-    def _mean_kappa(self) -> float:
-        # The guided baselines' probe reads it at every step; kappa changes
+    def mean_kappa(self) -> float:
+        # The curvature-guided probe reads it at every step; kappa changes
         # only at a refresh, which builds a new assignment.
         return float(np.mean(self.kappa)) if self.kappa.size else 0.0
-
-    def mean_kappa(self) -> float:
-        return self._mean_kappa
 
 
 def _snap_integer(v: float, rel: float = 1e-9) -> float:

@@ -140,10 +140,12 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha, mode):
 def drift_mean(y_t, y_prev, kappa, chaotic):
     """Mean of kappa_i ||y_t,i - y_prev,i|| over the rows listed in `chaotic`
     (ascending indices), or over all rows if it is empty. Only those rows'
-    norms are computed."""
+    norms are computed. A non-finite mean (an inf kappa, or a difference past
+    the float range) is returned without a warning, for the caller to reject."""
     if chaotic.size:
         y_t, y_prev = y_t.take(chaotic, axis=0), y_prev.take(chaotic, axis=0)
         kappa = kappa.take(chaotic)
-    diff_norm = np.sqrt(_sumsq(y_t - y_prev))
-    # cumsum adds strictly left to right, unlike sum's pairwise tree
-    return np.cumsum(kappa * diff_norm)[-1] / kappa.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff_norm = np.sqrt(_sumsq(y_t - y_prev))
+        # cumsum adds strictly left to right, unlike sum's pairwise tree
+        return np.cumsum(kappa * diff_norm)[-1] / kappa.size

@@ -1,13 +1,15 @@
 """The denoising loop with caching: FULL/CACHE decisions, history, records.
 
-run() walks a descending timestep grid. At each decision point the skip
-policy picks FULL (call the backbone, push the output into the history,
-refresh the token grouping once three outputs exist, reset the streak) or
-CACHE (forecast the output from the history, extend the streak, and score
-its drift where something reads the score). Either way the emitted output
-advances the latent through the scheduler. oracle_run() is the no-cache
-reference: run() with a zero drift budget, which makes every step FULL by
-construction.
+run() walks a descending timestep grid. At each decision point
+skipper.should_full picks, from plain values the loop carries (the streak
+length, the drift accumulated over it, and skipper.probe_statistic of the
+last emitted output), FULL (call the backbone, push the output into the
+history, refresh the token grouping once three outputs exist, reset the
+streak) or CACHE (forecast the output from the history, extend the streak,
+and add its drift score to the streak's total where something reads it).
+Either way the emitted output advances the latent through the scheduler.
+oracle_run() is the no-cache reference: run() with a zero drift budget,
+which makes every step FULL by construction.
 """
 
 from __future__ import annotations
@@ -31,15 +33,7 @@ from .predictor import (
     predict,
     randomize_groups,
 )
-from .skipper import (
-    CacheState,
-    DriftProbe,
-    SkipConfig,
-    SkipKind,
-    accumulate,
-    drift_score,
-    should_full,
-)
+from .skipper import SkipConfig, SkipKind, drift_score, probe_statistic, should_full
 
 
 @runtime_checkable
@@ -136,7 +130,6 @@ class RunResult:
 
 _TINY = 1e-30
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
-_GUIDED = (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED, SkipKind.CURVATURE_GUIDED)
 
 
 def _group_means(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> list[float]:
@@ -202,21 +195,6 @@ def step_errors(
     return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
 
 
-def _probe(
-    kind: SkipKind, y_t: TokenMatrix, y_prev: TokenMatrix | None, g: GroupAssignment | None
-) -> DriftProbe:
-    """The one statistic a guided kind reads, over the last emitted
-    difference y_t - y_prev or the active grouping; the others stay None."""
-    if kind is SkipKind.CURVATURE_GUIDED:
-        return DriftProbe(mean_kappa=None if g is None else g.mean_kappa())
-    if y_prev is None:
-        return DriftProbe()
-    diff_norm = kernels.fro_norm(y_t.data - y_prev.data)
-    if kind is SkipKind.NORM_GUIDED:
-        return DriftProbe(diff_norm=diff_norm, base_norm=kernels.fro_norm(y_prev.data))
-    return DriftProbe(diff_norm=diff_norm)
-
-
 def run(
     backbone: Backbone,
     scheduler: Scheduler,
@@ -267,10 +245,7 @@ def run(
 
     z = z_init
     history = FullHistory()
-    # CacheState's fields, in locals; each step packs them once for should_full
-    k, e_acc, y_prev, group = 0, 0.0, None, None
-    probe = None  # read only by the guided baselines, so built only for them
-    guided = skip_cfg.kind in _GUIDED
+    k, e_acc, y_prev, group, stat = 0, 0.0, None, None, None
     score_drift = full_records or skip_cfg.kind is SkipKind.CAS
     records: list[StepRecord] = []
     surrogates: list[TokenMatrix] | None = [] if record_outputs else None
@@ -280,10 +255,7 @@ def run(
 
     for i in range(n_steps):
         t = grid[i]
-        state = CacheState(k, e_acc, y_prev, group)
-        if should_full(
-            state, skip_cfg, full_count, i, probe, n_max=predictor_cfg.n_max
-        ):
+        if should_full(skip_cfg, k, e_acc, full_count, stat, n_max=predictor_cfg.n_max):
             y_t = backbone.evaluate(z, t)
             full_count += 1
             history = push_full(history, t, y_t)
@@ -307,7 +279,7 @@ def run(
             y_t = predict(history, group, k, horizon, predictor_cfg)
             if score_drift:
                 e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
-                e_acc = accumulate(state, e_t).e_acc  # state holds the streak's e_acc
+                e_acc += e_t
             else:
                 e_t = e_acc = math.nan
             decision = Decision.CACHE
@@ -319,8 +291,7 @@ def run(
         if surrogates is not None:
             surrogates.append(y_t)
 
-        if guided:
-            probe = _probe(skip_cfg.kind, y_t, y_prev, group)
+        stat = probe_statistic(skip_cfg.kind, y_t, y_prev, group)
         y_prev = y_t
         z = scheduler.step(z, y_t, t, grid[i + 1])
 

@@ -1,10 +1,12 @@
 """Skip scheduling: decide FULL vs CACHE at the top of every step.
 
-The adaptive policy scores each cached step by curvature-weighted drift of
-the chaotic tokens, accumulates the score along the streak, and forces a FULL
-recomputation once the running total crosses eta. Baseline policies (fixed
-interval, difference / norm / curvature probes) share the same decision
-surface so runs are comparable.
+The adaptive policy (CAS) scores each cached step by curvature-weighted
+drift of the chaotic tokens (drift_score); the loop adds the scores along the
+streak, and should_full forces a FULL recomputation once the total reaches
+eta. The baselines share should_full: fixed interval counts cached steps, and
+the difference / norm / curvature probes compare the one statistic
+probe_statistic takes after each step with tau. should_full reads only plain
+values, so every policy's decision lives in this module.
 """
 
 from __future__ import annotations
@@ -63,46 +65,14 @@ class SkipConfig:
             )
 
 
-@dataclass(frozen=True)
-class CacheState:
-    """Policy state at the top of a step, as should_full reads it.
-
-    run() keeps the four values in locals and builds one CacheState per step
-    from them.
-
-    k: cached steps taken since the last FULL.
-    e_acc: drift accumulated over the current streak.
-    y_prev: output emitted at the previous step (FULL or cached).
-    group: active token grouping (refreshed at FULL steps).
-    """
-
-    k: int = 0
-    e_acc: float = 0.0
-    y_prev: TokenMatrix | None = None
-    group: GroupAssignment | None = None
-
-
-@dataclass(frozen=True)
-class DriftProbe:
-    """Statistics over recent emitted outputs, for the guided baselines.
-
-    diff_norm: Frobenius norm of (previous output - the one before it).
-    base_norm: Frobenius norm of the older of those two outputs.
-    mean_kappa: mean curvature of the active assignment.
-    None means the statistic is not yet defined (start of run).
-    """
-
-    diff_norm: float | None = None
-    base_norm: float | None = None
-    mean_kappa: float | None = None
-
-
 def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> float:
     """Curvature-weighted mean drift of the chaotic tokens.
 
     e_i = kappa_i * ||y_t,i - y_prev,i||_2 averaged over the chaotic group;
     when the assignment has no chaotic tokens the mean runs over all tokens.
-    Summation order is fixed left-to-right for reproducibility.
+    Summation order is fixed left-to-right for reproducibility. A score
+    that is not finite and >= 0 (an inf kappa, which eps = 0 allows, times
+    a nonzero or a zero displacement) raises DomainError.
     """
     if y_t.shape != y_prev.shape:
         raise DimensionError(f"shape mismatch: {y_t.shape} vs {y_prev.shape}")
@@ -111,57 +81,58 @@ def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> fl
             f"assignment covers {g.n_tokens} tokens, outputs have {y_t.n_tokens}"
         )
     chaotic = g.indices(TokenGroup.CHAOTIC)
-    return float(kernels.drift_mean(y_t.data, y_prev.data, g.kappa, chaotic))
-
-
-def accumulate(state: CacheState, e_t: float) -> CacheState:
-    """Add one step's drift score to the streak accumulator."""
-    if not math.isfinite(e_t) or e_t < 0:
+    e_t = float(kernels.drift_mean(y_t.data, y_prev.data, g.kappa, chaotic))
+    if not 0.0 <= e_t < math.inf:  # NaN fails both comparisons
         raise DomainError(f"drift increment must be finite and >= 0, got {e_t}")
-    return CacheState(state.k, state.e_acc + e_t, state.y_prev, state.group)
+    return e_t
+
+
+def probe_statistic(
+    kind: SkipKind, y_t: TokenMatrix, y_prev: TokenMatrix | None, g: GroupAssignment | None
+) -> float | None:
+    """The statistic a guided kind compares with tau at the next step.
+
+    Difference-guided reads ||y_t - y_prev||_F, norm-guided divides it by
+    ||y_prev||_F (inf over a zero base, 0 when both are 0) and
+    curvature-guided reads the active grouping's mean kappa. None where the
+    statistic is not yet defined (no previous output or no grouping), and for
+    CAS and fixed-interval, which read none.
+    """
+    if kind is SkipKind.CAS or kind is SkipKind.FIXED_INTERVAL:
+        return None
+    if kind is SkipKind.CURVATURE_GUIDED:
+        return None if g is None else g.mean_kappa
+    if y_prev is None:
+        return None
+    diff_norm = kernels.fro_norm(y_t.data - y_prev.data)
+    if kind is SkipKind.DIFFERENCE_GUIDED:
+        return diff_norm
+    base_norm = kernels.fro_norm(y_prev.data)
+    if base_norm == 0.0:
+        return math.inf if diff_norm > 0.0 else 0.0
+    return diff_norm / base_norm
 
 
 def should_full(
-    state: CacheState,
     cfg: SkipConfig,
-    history_len: int,
-    step_index: int,
-    probe: DriftProbe | None = None,
+    k: int,
+    e_acc: float,
+    full_count: int,
+    stat: float | None = None,
     n_max: int = DEFAULT_N_MAX,
 ) -> bool:
     """Decide FULL (True) or CACHE (False) at the top of a step.
 
-    history_len counts FULL evaluations taken so far (the retained history
-    saturates at three entries, so the cumulative count is what warmup must
-    compare against). The accumulator is the one carried over from previous
-    steps; it is not updated here.
+    k counts the cached steps since the last FULL and e_acc the drift they
+    accumulated. full_count counts every FULL evaluation so far, which warmup
+    compares against (the retained history saturates at three entries).
+    stat is probe_statistic's value after the previous step, read only by
+    the guided kinds; None (not yet defined) forces FULL.
     """
-    if history_len < cfg.warmup_fulls:
+    if full_count < cfg.warmup_fulls:
         return True
-
     if cfg.kind is SkipKind.CAS:
-        if state.e_acc >= cfg.eta:
-            return True
-        return bool(cfg.enforce_streak_cap and state.k >= n_max)
-
+        return e_acc >= cfg.eta or (cfg.enforce_streak_cap and k >= n_max)
     if cfg.kind is SkipKind.FIXED_INTERVAL:
-        return state.k + 1 > cfg.interval
-
-    if probe is None:
-        probe = DriftProbe()
-    if cfg.kind is SkipKind.DIFFERENCE_GUIDED:
-        stat = probe.diff_norm
-    elif cfg.kind is SkipKind.NORM_GUIDED:
-        if probe.diff_norm is None or probe.base_norm is None:
-            stat = None
-        elif probe.base_norm == 0.0:
-            stat = math.inf if probe.diff_norm > 0.0 else 0.0
-        else:
-            stat = probe.diff_norm / probe.base_norm
-    elif cfg.kind is SkipKind.CURVATURE_GUIDED:
-        stat = probe.mean_kappa
-    else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unknown skip kind {cfg.kind!r}")
-    if stat is None:
-        return True
-    return stat >= cfg.tau
+        return k + 1 > cfg.interval
+    return stat is None or stat >= cfg.tau

@@ -3,9 +3,10 @@ import os
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from worldcache import SkipKind, TokenGroup, bench, cli, kernels, pipeline
+from worldcache import SkipKind, TokenGroup, bench, cli, kernels, pipeline, write_trace
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -119,6 +120,22 @@ class TestRunCommand:
         assert capsys.readouterr().err == \
             "error: token matrix contains non-finite values\n"
 
+    @pytest.mark.parametrize(
+        "frequency, code, err",
+        [("1e200", 0, ""), ("1.7e308", 2, "error: token matrix contains non-finite values\n")],
+    )
+    def test_frequency_past_the_float_range_ends_without_a_traceback(
+        self, tmp_path, capsys, frequency, code, err
+    ):
+        # the mixed preset squares the bend frequency, which passes the float
+        # range above about 1e153; the bend then has amplitude 0
+        args = ["run", "--seed", "1", "--frequency", frequency, "--steps", "4",
+                "--out", str(tmp_path), "--run-id", "rid"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == code
+        assert capsys.readouterr().err == err
+
     def test_manifest_rerun_reproduces_outputs_byte_for_byte(self, tmp_path):
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
@@ -170,6 +187,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "magic" in err
+
+    @pytest.mark.parametrize("predictor, score", [("uniform-reuse", "nan"), ("chtp", "inf")])
+    def test_a_non_finite_drift_score_is_one_typed_error(
+        self, tmp_path, capsys, predictor, score
+    ):
+        # Token 0 moves over the first interval and then stops, so under
+        # eps = 0 its newest velocity of 0 gives it an inf kappa. Reuse
+        # forecasts no displacement for it (inf * 0), chtp a nonzero one.
+        outputs = np.zeros((12, 4, 2))
+        outputs[0, 0] = [1.0, 0.0]
+        write_trace(tmp_path / "stop.wct", [float(11 - i) for i in range(12)], outputs)
+        args = ["replay", str(tmp_path / "stop.wct"), "--predictor", predictor,
+                "--set", "predictor.eps=0", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert capsys.readouterr().err == \
+            f"error: drift increment must be finite and >= 0, got {score}\n"
 
     def test_truncated_trace_on_run_is_runtime_error(self, tmp_path, capsys):
         trace = tmp_path / "t"
@@ -239,6 +274,22 @@ class TestSweepCommand:
         assert all(r[2] == "12" for r in rows)  # steps column
         assert (tmp_path / "sw.manifest.ini").exists()
         assert "4/4 cells ok" in capsys.readouterr().out
+
+    def test_config_file_and_flags_are_read_once(self, tmp_path, monkeypatch):
+        ini = tmp_path / "base.ini"
+        ini.write_text("[skipper]\neta = 0.3\n", encoding="utf-8")
+        reads, read_file, collect = [], cli.read_config_file, cli._collect_overrides
+        monkeypatch.setattr(
+            cli, "read_config_file", lambda path: reads.append("file") or read_file(path)
+        )
+        monkeypatch.setattr(
+            cli, "_collect_overrides", lambda args: reads.append("flags") or collect(args)
+        )
+        code = main(["sweep", "--config", str(ini), "--seed", "1",
+                     "--set", "sweep.p_chaotic=0.6,0.8", "--seeds", "1",
+                     "--out", str(tmp_path), "--run-id", "sw", *FAST])
+        assert code == 0
+        assert reads == ["file", "flags"]
 
     def test_failed_cells_are_reported_not_fatal(self, tmp_path, capsys):
         code = main(["sweep", "--seed", "1", "--set", "sweep.eta=0.2,-1",

@@ -285,3 +285,13 @@ class TestDriftMean:
         a = drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC))
         b = drift_mean(y_t, y_prev, kappa, _rows(labels, LABEL_CHAOTIC))
         assert a == b
+
+    def test_a_non_finite_mean_is_returned_without_a_warning(self):
+        # an inf kappa (eps = 0) times a zero and a nonzero displacement, and
+        # a difference past the float range; the caller rejects each
+        one, inf = np.arange(1), np.array([math.inf])
+        y = np.array([[1.0, 0.0]])
+        assert math.isnan(drift_mean(y, y.copy(), inf, one))
+        assert drift_mean(2.0 * y, y, inf, one) == math.inf
+        big = np.array([[1.5e308]])
+        assert drift_mean(big, -big, np.ones(1), one) == math.inf

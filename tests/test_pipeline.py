@@ -30,7 +30,7 @@ from worldcache import (
     write_trace,
 )
 from worldcache import kernels, pipeline
-from worldcache.curvature import TokenGroup, group_tokens
+from worldcache.curvature import GroupAssignment, TokenGroup, group_tokens
 from worldcache.errors import OrderingError
 from worldcache.pipeline import step_errors
 
@@ -321,25 +321,6 @@ class TestConstantTrajectories:
             assert stable.tolist() == list(range(sizes[TokenGroup.STABLE]))
 
 
-class TestDriftProbeGuard:
-    @pytest.mark.parametrize("kind", list(SkipKind))
-    def test_probe_built_only_for_guided_kinds(self, kind, monkeypatch):
-        class ProbeBuilt(Exception):
-            pass
-
-        def refuse(**_):
-            raise ProbeBuilt
-
-        monkeypatch.setattr(pipeline, "DriftProbe", refuse)
-        backbone, sched, z0 = _setup(steps=10)
-        args = (backbone, sched, z0, PredictorConfig(), SkipConfig(kind=kind, tau=0.05))
-        if kind in (SkipKind.CAS, SkipKind.FIXED_INTERVAL):
-            assert run(*args).steps == 10
-        else:
-            with pytest.raises(ProbeBuilt):
-                run(*args)
-
-
 class TestRunValidation:
     def test_random_grouping_needs_seed(self):
         backbone, sched, z0 = _setup()
@@ -446,6 +427,8 @@ class TestBaselinePolicies:
     @pytest.mark.parametrize(
         "kind, norms_per_step",
         [
+            (SkipKind.CAS, 0),
+            (SkipKind.FIXED_INTERVAL, 0),
             (SkipKind.DIFFERENCE_GUIDED, 1),
             (SkipKind.NORM_GUIDED, 2),
             (SkipKind.CURVATURE_GUIDED, 0),
@@ -458,11 +441,17 @@ class TestBaselinePolicies:
             calls.append(a.shape)
             return real(a)
 
+        kappa_reads, mean_kappa = [], GroupAssignment.mean_kappa.func
         monkeypatch.setattr(kernels, "fro_norm", counted)
+        monkeypatch.setattr(
+            GroupAssignment, "mean_kappa",
+            property(lambda g: kappa_reads.append(g) or mean_kappa(g)),
+        )
         backbone, sched, z0 = _setup(steps=30)
         run(backbone, sched, z0, PredictorConfig(), SkipConfig(kind=kind, tau=0.05))
         # no probe difference exists before the second step
         assert len(calls) == norms_per_step * 29
+        assert bool(kappa_reads) == (kind is SkipKind.CURVATURE_GUIDED)
 
     def test_random_grouping_is_seed_deterministic(self):
         backbone, sched, z0 = _setup()

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldcache import (
-    CacheState,
     DimensionError,
     DomainError,
-    DriftProbe,
     ParameterError,
     SkipConfig,
     SkipKind,
     TokenGroup,
     TokenMatrix,
-    accumulate,
     drift_score,
+    probe_statistic,
     should_full,
 )
 from worldcache.curvature import GroupAssignment
@@ -93,74 +91,49 @@ class TestDriftScore:
         )
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-15)
 
-
-class TestAccumulate:
-    def test_single_addition(self):
-        out = accumulate(CacheState(), 0.07)
-        assert out.e_acc == 0.07
-        assert out.k == 0
-
-    def test_zero_is_identity(self):
-        state = CacheState(k=2, e_acc=0.5)
-        out = accumulate(state, 0.0)
-        assert out == state
-
-    def test_three_additions_left_to_right(self):
-        state = CacheState()
-        for _ in range(3):
-            state = accumulate(state, 0.1)
-        assert state.e_acc == (0.1 + 0.1) + 0.1
-
     def test_rejects_negative_and_non_finite(self):
-        with pytest.raises(DomainError):
-            accumulate(CacheState(), -0.1)
-        with pytest.raises(DomainError):
-            accumulate(CacheState(), math.nan)
-        with pytest.raises(DomainError):
-            accumulate(CacheState(), math.inf)
-
-    @given(st.lists(st.floats(0, 1), min_size=0, max_size=20))
-    def test_never_decreases(self, increments):
-        state = CacheState()
-        prev = 0.0
-        for e in increments:
-            state = accumulate(state, e)
-            assert state.e_acc >= prev
-            prev = state.e_acc
+        y_prev = TokenMatrix([[0.0, 0.0]])
+        y_t = TokenMatrix([[0.0, 2.0]])
+        with pytest.raises(DomainError, match="got -1.0"):
+            drift_score(_assignment([-0.5], [C]), y_t, y_prev)
+        # an inf kappa (eps = 0, a token whose newest velocity is 0) times a
+        # nonzero displacement is inf, and times a zero one NaN; neither warns
+        with pytest.raises(DomainError, match="got inf"):
+            drift_score(_assignment([math.inf], [C]), y_t, y_prev)
+        with pytest.raises(DomainError, match="got nan"):
+            drift_score(_assignment([math.inf], [C]), y_t, y_t)
 
 
 class TestShouldFull:
     def test_warmup_forces_full(self):
         cfg = SkipConfig(eta=1e9)
-        state = CacheState(k=0, e_acc=0.0)
-        assert should_full(state, cfg, history_len=2, step_index=7) is True
+        assert should_full(cfg, k=0, e_acc=0.0, full_count=2) is True
 
     def test_cas_threshold_crossing(self):
         cfg = SkipConfig(eta=0.2)
-        assert should_full(CacheState(k=1, e_acc=0.25), cfg, 3, 5) is True
-        assert should_full(CacheState(k=1, e_acc=0.1), cfg, 3, 5) is False
+        assert should_full(cfg, 1, 0.25, 3) is True
+        assert should_full(cfg, 1, 0.1, 3) is False
 
     def test_cas_threshold_is_inclusive(self):
-        cfg = SkipConfig(eta=0.2)
-        assert should_full(CacheState(k=1, e_acc=0.2), cfg, 3, 5) is True
+        assert should_full(SkipConfig(eta=0.2), 1, 0.2, 3) is True
 
     def test_eta_zero_always_fires(self):
-        cfg = SkipConfig(eta=0.0)
-        assert should_full(CacheState(k=0, e_acc=0.0), cfg, 3, 5) is True
+        assert should_full(SkipConfig(eta=0.0), 0, 0.0, 3) is True
 
     def test_streak_cap(self):
         cfg = SkipConfig(eta=math.inf)
-        state = CacheState(k=6, e_acc=0.0)
-        assert should_full(state, cfg, 3, 9, n_max=6) is True
+        assert should_full(cfg, 6, 0.0, 3, n_max=6) is True
+        assert should_full(cfg, 5, 0.0, 3, n_max=6) is False
         uncapped = SkipConfig(eta=math.inf, enforce_streak_cap=False)
-        assert should_full(state, uncapped, 3, 9, n_max=6) is False
+        assert should_full(uncapped, 6, 0.0, 3, n_max=6) is False
 
     def test_fixed_interval_schedule(self):
         cfg = SkipConfig(kind=SkipKind.FIXED_INTERVAL, interval=2)
         decisions = []
         k = 0
-        for step in range(3, 12):
-            full = should_full(CacheState(k=k), cfg, history_len=3, step_index=step)
+        for _ in range(9):
+            # a statistic or drift total is not read by this kind
+            full = should_full(cfg, k, math.nan, full_count=3, stat=0.0)
             decisions.append(full)
             k = 0 if full else k + 1
         # streaks of exactly `interval` cached steps between FULLs
@@ -168,45 +141,55 @@ class TestShouldFull:
 
     def test_difference_guided_compares_probe(self):
         cfg = SkipConfig(kind=SkipKind.DIFFERENCE_GUIDED, tau=0.5)
-        hit = DriftProbe(diff_norm=0.6)
-        miss = DriftProbe(diff_norm=0.4)
-        assert should_full(CacheState(), cfg, 3, 5, probe=hit) is True
-        assert should_full(CacheState(), cfg, 3, 5, probe=miss) is False
+        y_prev = TokenMatrix([[0.0, 0.0]])
+        hit = probe_statistic(cfg.kind, TokenMatrix([[0.0, 0.6]]), y_prev, None)
+        miss = probe_statistic(cfg.kind, TokenMatrix([[0.0, 0.4]]), y_prev, None)
+        assert (hit, miss) == (0.6, 0.4)
+        assert should_full(cfg, 0, math.nan, 3, stat=hit) is True
+        assert should_full(cfg, 0, math.nan, 3, stat=miss) is False
 
     def test_norm_guided_divides_by_base(self):
         cfg = SkipConfig(kind=SkipKind.NORM_GUIDED, tau=0.5)
-        hit = DriftProbe(diff_norm=3.0, base_norm=4.0)
-        miss = DriftProbe(diff_norm=1.0, base_norm=4.0)
-        assert should_full(CacheState(), cfg, 3, 5, probe=hit) is True
-        assert should_full(CacheState(), cfg, 3, 5, probe=miss) is False
+        y_prev = TokenMatrix([[4.0, 0.0]])
+        hit = probe_statistic(cfg.kind, TokenMatrix([[4.0, 3.0]]), y_prev, None)
+        miss = probe_statistic(cfg.kind, TokenMatrix([[4.0, 1.0]]), y_prev, None)
+        assert (hit, miss) == (0.75, 0.25)
+        assert should_full(cfg, 0, math.nan, 3, stat=hit) is True
+        assert should_full(cfg, 0, math.nan, 3, stat=miss) is False
 
     def test_norm_guided_zero_base(self):
         cfg = SkipConfig(kind=SkipKind.NORM_GUIDED, tau=0.5)
-        probe = DriftProbe(diff_norm=1.0, base_norm=0.0)
-        assert should_full(CacheState(), cfg, 3, 5, probe=probe) is True
+        zero = TokenMatrix([[0.0, 0.0]])
+        moved = probe_statistic(cfg.kind, TokenMatrix([[1.0, 0.0]]), zero, None)
+        assert moved == math.inf
+        assert should_full(cfg, 0, math.nan, 3, stat=moved) is True
+        assert probe_statistic(cfg.kind, zero, zero, None) == 0.0
 
     def test_curvature_guided_uses_mean_kappa(self):
         cfg = SkipConfig(kind=SkipKind.CURVATURE_GUIDED, tau=0.1)
-        assert should_full(CacheState(), cfg, 3, 5, probe=DriftProbe(mean_kappa=0.2))
-        assert not should_full(
-            CacheState(), cfg, 3, 5, probe=DriftProbe(mean_kappa=0.05)
-        )
+        y = TokenMatrix([[1.0], [2.0]])
+        hot = probe_statistic(cfg.kind, y, y, _assignment([0.1, 0.3], [L, C]))
+        cold = probe_statistic(cfg.kind, y, y, _assignment([0.0, 0.1], [L, C]))
+        assert (hot, cold) == (0.2, 0.05)
+        assert should_full(cfg, 0, math.nan, 3, stat=hot) is True
+        assert should_full(cfg, 0, math.nan, 3, stat=cold) is False
 
     def test_undefined_probe_statistic_forces_full(self):
+        y = TokenMatrix([[1.0]])
         for kind in (
             SkipKind.DIFFERENCE_GUIDED,
             SkipKind.NORM_GUIDED,
             SkipKind.CURVATURE_GUIDED,
         ):
-            cfg = SkipConfig(kind=kind, tau=0.5)
-            assert should_full(CacheState(), cfg, 3, 5, probe=DriftProbe()) is True
+            # no previous output, or no grouping yet
+            assert probe_statistic(kind, y, None, None) is None
+            assert should_full(SkipConfig(kind=kind, tau=0.5), 0, 0.0, 3) is True
 
     @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 3))
     def test_lower_eta_never_flips_full_to_cache(self, eta_lo, eta_hi, e_acc):
         lo, hi = min(eta_lo, eta_hi), max(eta_lo, eta_hi)
-        state = CacheState(k=1, e_acc=e_acc)
-        fired_hi = should_full(state, SkipConfig(eta=hi), 3, 5)
-        fired_lo = should_full(state, SkipConfig(eta=lo), 3, 5)
+        fired_hi = should_full(SkipConfig(eta=hi), 1, e_acc, 3)
+        fired_lo = should_full(SkipConfig(eta=lo), 1, e_acc, 3)
         assert fired_lo or not fired_hi
 
 
