@@ -321,6 +321,27 @@ class TestConstantTrajectories:
             assert stable.tolist() == list(range(sizes[TokenGroup.STABLE]))
 
 
+class TestDriftProbeGuard:
+    @pytest.mark.parametrize("kind", list(SkipKind))
+    def test_probe_built_only_for_guided_kinds(self, kind, monkeypatch):
+        stats, real = [], pipeline.should_full
+
+        def seen(cfg, k, e_acc, full_count, stat, n_max):
+            stats.append(stat)
+            return real(cfg, k, e_acc, full_count, stat, n_max=n_max)
+
+        monkeypatch.setattr(pipeline, "should_full", seen)
+        backbone, sched, z0 = _setup(steps=10)
+        result = run(backbone, sched, z0, PredictorConfig(), SkipConfig(kind=kind, tau=0.05))
+        assert result.steps == 10 and len(stats) == 10
+        # the first step has no previous output, so no kind has a statistic yet
+        assert stats[0] is None
+        if kind in (SkipKind.CAS, SkipKind.FIXED_INTERVAL):
+            assert all(s is None for s in stats)
+        else:
+            assert all(isinstance(s, float) for s in stats[3:])
+
+
 class TestRunValidation:
     def test_random_grouping_needs_seed(self):
         backbone, sched, z0 = _setup()
