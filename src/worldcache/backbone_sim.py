@@ -296,17 +296,23 @@ class TraceData:
         return len(self.outputs)
 
 
+def _block(m) -> np.ndarray:
+    """An output block as write_trace casts it: float32 kept, else float64."""
+    arr = np.asarray(m.data if isinstance(m, TokenMatrix) else m)
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
+
+
 def write_trace(path, timesteps, outputs, modality=None) -> None:
     """Serialize decision timesteps plus their outputs to a trace file.
 
     timesteps may be Timestep objects or plain floats; outputs are stored as
-    float32, so reading back reproduces them to 32-bit rounding.
+    float32, so reading back reproduces them to 32-bit rounding. Each block
+    is cast once, as it is written: a float32 block as is, any other through
+    float64. A block with a value that is not finite in float32 raises
+    ParameterError before the file is opened.
     """
     values = [t.value if isinstance(t, Timestep) else float(t) for t in timesteps]
-    outs = [
-        np.asarray(m.data if isinstance(m, TokenMatrix) else m, dtype=np.float64)
-        for m in outputs
-    ]
+    outs = [_block(m) for m in outputs]
     if len(values) != len(outs):
         raise DimensionError(
             f"{len(values)} timesteps for {len(outs)} output blocks"
@@ -317,6 +323,8 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
     for m in outs:
         if m.shape != shape or m.ndim != 2:
             raise DimensionError(f"inconsistent block shapes: {m.shape} vs {shape}")
+    if 0 in shape:  # read_trace rejects a trace with no tokens or no dims
+        raise DimensionError(f"output blocks must not be empty, got shape {shape}")
     for a, b in zip(values, values[1:]):
         if not (b < a):
             raise OrderingError(
@@ -324,6 +332,14 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
             )
     if any(not math.isfinite(v) for v in values):
         raise ParameterError("trace timesteps must be finite")
+    for i, m in enumerate(outs):
+        peak = np.maximum(m.max(), -m.min())  # NaN if the block holds one
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(peak)):
+                raise ParameterError(
+                    f"output block {i} does not fit in float32: "
+                    f"max |value| is {float(peak):g}"
+                )
     n_tokens, dims = shape
     labels = None
     if modality is not None:
@@ -351,8 +367,9 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
             f.write(labels.tobytes())
 
 
-def read_trace(path) -> TraceData:
-    """Parse a trace file, rejecting malformed containers with byte offsets."""
+def _parse_trace(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Check a trace file; return its timesteps, its samples as a float32
+    (n_steps, n_tokens, dims) view of the file's bytes, and its labels."""
     data = Path(path).read_bytes()
     if len(data) < len(TRACE_MAGIC):
         raise TraceFormatError(
@@ -415,11 +432,6 @@ def read_trace(path) -> TraceData:
         raise TraceFormatError(
             f"non-finite sample at flat index {bad}", byte_offset=off + bad * 4
         )
-    # Widened to float64 in one pass (exactly, so still finite) and frozen;
-    # each block is a view of it.
-    wide = samples.astype(np.float64)
-    wide.setflags(write=False)
-    outputs = tuple(TokenMatrix._wrap(m) for m in wide.reshape(n_steps, n_tokens, dims))
     off += payload
 
     modality = None
@@ -432,7 +444,9 @@ def read_trace(path) -> TraceData:
                     f"truncated modality labels: need {n_tokens} bytes",
                     byte_offset=len(data),
                 )
-            modality = np.frombuffer(data, dtype=np.uint8, count=n_tokens, offset=off)
+            # a copy, so the labels do not keep the file's bytes alive
+            modality = np.frombuffer(data, np.uint8, count=n_tokens, offset=off).copy()
+            modality.setflags(write=False)
             off += n_tokens
         elif flag != 0:
             raise TraceFormatError(
@@ -443,29 +457,42 @@ def read_trace(path) -> TraceData:
                 f"{len(data) - off} trailing bytes after trace content",
                 byte_offset=off,
             )
+    return timesteps, samples.reshape(n_steps, n_tokens, dims), modality
+
+
+def read_trace(path) -> TraceData:
+    """Parse a trace file, rejecting malformed containers with byte offsets."""
+    timesteps, samples, modality = _parse_trace(path)
+    # Widened to float64 in one pass (exactly, so still finite) and frozen;
+    # each block is a view of it.
+    wide = samples.astype(np.float64)
+    wide.setflags(write=False)
     return TraceData(
         timesteps=tuple(float(v) for v in timesteps),
-        outputs=outputs,
+        outputs=tuple(TokenMatrix._wrap(m) for m in wide),
         modality=modality,
     )
 
 
 def validate_trace(path) -> dict:
-    """Full parse plus a human-readable summary (raises on any violation)."""
-    trace = read_trace(path)
+    """Full parse plus a human-readable summary (raises on any violation).
+    The samples are checked as read_trace checks them, but not widened to
+    float64, which the summary does not read."""
+    timesteps, samples, modality = _parse_trace(path)
     mods = None
-    if trace.modality is not None:
+    if modality is not None:
         names = {int(m): m.name for m in Modality}
         mods = {
             names.get(int(v), str(int(v))): int(c)
-            for v, c in zip(*np.unique(trace.modality, return_counts=True))
+            for v, c in zip(*np.unique(modality, return_counts=True))
         }
+    n_steps, n_tokens, dims = samples.shape
     return {
-        "n_tokens": trace.n_tokens,
-        "dims": trace.dims,
-        "n_steps": trace.n_steps,
-        "t_first": trace.timesteps[0],
-        "t_last": trace.timesteps[-1],
+        "n_tokens": n_tokens,
+        "dims": dims,
+        "n_steps": n_steps,
+        "t_first": float(timesteps[0]),
+        "t_last": float(timesteps[-1]),
         "modality": mods,
         "size_bytes": Path(path).stat().st_size,
     }

@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__, kernels
 from .backbone_sim import (
     SyntheticBackbone,
@@ -398,8 +396,9 @@ def cmd_record(args) -> int:
     trace_path.parent.mkdir(parents=True, exist_ok=True)
 
     ref = _reference(cfg)
-    outputs = np.stack([m.data for m in ref.oracle.surrogates]).astype(np.float32)
+    outputs = ref.oracle.surrogates
     write_trace(trace_path, ref.scheduler.timesteps[: len(outputs)], outputs)
+    del ref, outputs  # free the oracle before validate_trace re-reads the file
 
     run_id = _run_identifier(cfg)
     manifest_path = trace_path.with_name(trace_path.stem + ".manifest.ini")

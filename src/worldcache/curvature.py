@@ -1,10 +1,11 @@
 """FULL-output history, discrete curvature, and percentile token grouping.
 
-The policy watches the last three recomputed (FULL) outputs. Finite
-differences over their true timestep gaps give per-token velocity and
-acceleration; curvature kappa_i = ||a_i|| / (||v_i||^2 + eps) ranks tokens by
-how badly a straight-line forecast will do, and rank-based selection with
-exact counts splits them into stable / linear / chaotic groups.
+The policy watches the last three recomputed (FULL) outputs through what it
+reads of them: the newest output and two finite-difference velocities over
+their true timestep gaps, which give per-token velocity and acceleration.
+Curvature kappa_i = ||a_i|| / (||v_i||^2 + eps) ranks tokens by how badly a
+straight-line forecast will do, and rank-based selection with exact counts
+splits them into stable / linear / chaotic groups.
 """
 
 from __future__ import annotations
@@ -46,61 +47,71 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class FullHistory:
-    """Ring buffer of the <= 3 most recent FULL outputs, newest first.
+    """What the forecast and the curvature read of the recent FULL outputs.
 
-    v_latest is the finite-difference velocity over the newest interval,
-    v_prev over the one before it. Velocities divide by the true timestep
-    difference, which is negative on a descending schedule; callers that
-    extrapolate forward multiply by the matching signed horizon.
+    Only the newest output is kept, with the timestep value of the FULL step
+    before it (None until two exist); an older output is dropped once its
+    velocity is taken. v_latest is the finite-difference velocity over the
+    newest interval, v_prev over the one before it. Velocities divide by the
+    true timestep difference, which is negative on a descending schedule;
+    callers that extrapolate forward multiply by the matching signed horizon.
+    len(h) is the number of FULL outputs pushed, capped at 3: one for the
+    newest output and one for each velocity.
     """
 
-    entries: tuple[HistoryEntry, ...] = ()
+    newest: HistoryEntry | None = None
+    t_before: float | None = None
     v_latest: TokenMatrix | None = None
     v_prev: TokenMatrix | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if self.newest is None:
+            return 0
+        return 1 + (self.v_latest is not None) + (self.v_prev is not None)
 
     @property
     def latest(self) -> HistoryEntry:
-        if not self.entries:
+        if self.newest is None:
             raise InsufficientHistoryError("history is empty")
-        return self.entries[0]
+        return self.newest
 
 
 def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
-    """Insert a freshly recomputed output, evicting the oldest beyond depth 3.
+    """Push a freshly recomputed output: it becomes the newest, its velocity
+    against the previous newest becomes v_latest, and the old v_latest moves
+    to v_prev. The previous newest output is not kept.
 
     Timesteps must be strictly decreasing across pushes; output shape must
-    match the existing entries. A velocity past the float range raises
+    match the newest output. A velocity past the float range raises
     ParameterError.
     """
-    if h.entries:
-        newest = h.entries[0]
-        if t.value >= newest.timestep.value:
-            raise OrderingError(
-                "timesteps must be strictly decreasing: "
-                f"got {t.value} after {newest.timestep.value}"
-            )
-        if y.shape != newest.output.shape:
-            raise DimensionError(
-                f"output shape {y.shape} does not match history {newest.output.shape}"
-            )
-    entries = (HistoryEntry(t, y),) + h.entries[: HISTORY_DEPTH - 1]
-
-    v_latest = h.v_latest
-    v_prev = h.v_prev
-    if len(entries) >= 2:
-        v_prev = v_latest if len(h.entries) >= 2 else None
-        e0, e1 = entries[0], entries[1]
-        dt = e0.timestep.value - e1.timestep.value
-        with finite_math():  # dt < 0 (maybe -inf), as the timesteps strictly decrease
-            v_latest = TokenMatrix._wrap((e0.output.data - e1.output.data) / dt)
-    return FullHistory(entries=entries, v_latest=v_latest, v_prev=v_prev)
+    newest = h.newest
+    if newest is None:
+        return FullHistory(newest=HistoryEntry(t, y))
+    if t.value >= newest.timestep.value:
+        raise OrderingError(
+            "timesteps must be strictly decreasing: "
+            f"got {t.value} after {newest.timestep.value}"
+        )
+    if y.shape != newest.output.shape:
+        raise DimensionError(
+            f"output shape {y.shape} does not match history {newest.output.shape}"
+        )
+    dt = t.value - newest.timestep.value
+    with finite_math():  # dt < 0 (maybe -inf), as the timesteps strictly decrease
+        v = np.subtract(y.data, newest.output.data)
+        v /= dt
+    return FullHistory(
+        newest=HistoryEntry(t, y),
+        t_before=newest.timestep.value,
+        v_latest=TokenMatrix._wrap(v),
+        v_prev=h.v_latest,
+    )
 
 
 def compute_curvature(h: FullHistory, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Per-token curvature from the three most recent FULL outputs.
+    """Per-token curvature from the velocities of the three most recent FULL
+    outputs.
 
     a_i = (v_latest,i - v_prev,i) / dt over the newest interval, and
     kappa_i = ||a_i||_2 / (||v_latest,i||_2^2 + eps). eps = 0 is allowed (the
@@ -120,7 +131,7 @@ def compute_curvature(h: FullHistory, eps: float = DEFAULT_EPS) -> np.ndarray:
         )
     if eps < 0 or not math.isfinite(eps):
         raise ParameterError(f"eps must be a finite value >= 0, got {eps}")
-    dt = h.entries[0].timestep.value - h.entries[1].timestep.value
+    dt = h.newest.timestep.value - h.t_before
     return kernels.curvature_rows(h.v_latest.data, h.v_prev.data, dt, eps)
 
 

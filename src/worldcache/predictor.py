@@ -57,7 +57,7 @@ class HorizonMode(str, Enum):
     STEP_COUNT = "step-count"
 
 
-# Minimum FULL history entries each predictor kind needs before it can run.
+# Minimum FULL outputs (len of the history) each predictor kind needs before it can run.
 MIN_HISTORY = {
     PredictorKind.CHTP: 3,
     PredictorKind.UNIFORM_REUSE: 1,

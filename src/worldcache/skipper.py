@@ -125,7 +125,7 @@ def should_full(
 
     k counts the cached steps since the last FULL and e_acc the drift they
     accumulated. full_count counts every FULL evaluation so far, which warmup
-    compares against (the retained history saturates at three entries).
+    compares against (the history's depth, len(h), saturates at three).
     stat is probe_statistic's value after the previous step, read only by
     the guided kinds; None (not yet defined) forces FULL.
     """

@@ -92,7 +92,7 @@ def _mixed_policy_run(seed, pkind, skind, eta=0.2, interval=5,
         PredictorConfig(kind=pkind, rng_seed=rng_seed),
         SkipConfig(kind=skind, eta=eta, interval=interval,
                    enforce_streak_cap=cap),
-        record_outputs=True, oracle_outputs=ref.surrogates,
+        oracle_outputs=ref.surrogates,
     )
     return compare_runs(cached, ref), cached
 
@@ -243,7 +243,7 @@ def test_criterion_06_linear_exactness(criterion_report):
                                     horizon_mode=HorizonMode.TIMESTEP_DELTA),
                     SkipConfig(eta=eta,
                                enforce_streak_cap=not math.isinf(eta)),
-                    record_outputs=True, oracle_outputs=ref.surrogates,
+                    oracle_outputs=ref.surrogates,
                 )
                 worst = max(worst,
                             compare_runs(cached, ref).final_latent_rel_error)
@@ -272,7 +272,7 @@ def test_criterion_07_damped_vs_linear(criterion_report):
                     backbone, scheduler, z0,
                     PredictorConfig(kind=pkind),
                     SkipConfig(kind=SkipKind.FIXED_INTERVAL, interval=6),
-                    record_outputs=True, oracle_outputs=ref.surrogates,
+                    oracle_outputs=ref.surrogates,
                 )
                 cum = {k: 0.0 for k in range(1, 7)}
                 for r in cached.records:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,8 @@ from worldcache import (
     write_trace,
 )
 from worldcache.errors import OrderingError
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _ts(value, index=0):
@@ -210,9 +215,62 @@ class TestTraceRoundTrip:
         with pytest.raises(DimensionError):
             write_trace(tmp_path / "x.wct", [2.0, 1.0], blocks)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_write_rejects_empty_blocks(self, tmp_path, shape):
+        # read_trace rejects such a trace as degenerate, so none is written
+        path = tmp_path / "x.wct"
+        with pytest.raises(DimensionError, match="must not be empty"):
+            write_trace(path, [1.0], [np.zeros(shape)])
+        assert not path.exists()
+
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(ParameterError):
             write_trace(tmp_path / "x.wct", [], [])
+
+    @pytest.mark.parametrize("value", [F32_MAX + 2.0**103, -1e39, np.inf, np.nan])
+    def test_write_rejects_a_block_past_the_float32_range(self, tmp_path, value):
+        # F32_MAX + 2**103 is the half-way point that rounds to inf
+        blocks = np.zeros((3, 2, 2))
+        blocks[1, 1, 0] = value
+        path = tmp_path / "x.wct"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="output block 1 does not fit in float32"):
+                write_trace(path, [3.0, 2.0, 1.0], blocks)
+        assert not path.exists()
+
+    def test_write_takes_values_that_round_into_the_float32_range(self, tmp_path):
+        # just below the half-way point, the cast rounds down to F32_MAX
+        blocks = np.array([[[F32_MAX + 2.0**102, -F32_MAX]]])
+        path = tmp_path / "x.wct"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_trace(path, [1.0], blocks)
+        assert read_trace(path).outputs[0].data.tolist() == [[F32_MAX, -F32_MAX]]
+
+    def test_float32_blocks_are_not_widened_on_write(self, tmp_path):
+        blocks = np.random.default_rng(4).normal(size=(4, 256, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            write_trace(tmp_path / "x.wct", [4.0, 3.0, 2.0, 1.0], blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's bytes are made to write it; a float64 copy would double that
+        assert peak < 1.5 * blocks[0].nbytes
+
+    def test_labels_do_not_keep_the_file_buffer_alive(self, tmp_path):
+        blocks = np.zeros((4, 64, 256), dtype=np.float32)  # a 256 KiB payload
+        path = tmp_path / "x.wct"
+        write_trace(path, [4.0, 3.0, 2.0, 1.0], blocks, modality=[1] * 64)
+        tracemalloc.start()
+        try:
+            labels = read_trace(path).modality
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert labels.tolist() == [1] * 64 and not labels.flags.writeable
+        assert held < path.stat().st_size // 16
 
 
 class TestTraceFormatErrors:
@@ -288,6 +346,17 @@ class TestTraceFormatErrors:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path / "absent.wct")
+
+    def test_non_finite_sample(self, tmp_path):
+        raw = self._valid_bytes(tmp_path)
+        # the payload starts after magic (8) + header (12) + 3 timesteps (24)
+        raw[44 + 4 * 5: 44 + 4 * 6] = np.array([np.inf], dtype="<f4").tobytes()
+        bad = tmp_path / "inf.wct"
+        bad.write_bytes(raw)
+        for parse in (read_trace, validate_trace):
+            with pytest.raises(TraceFormatError, match="flat index 5") as exc_info:
+                parse(bad)
+            assert exc_info.value.byte_offset == 64
 
     def test_validate_trace_summary(self, tmp_path):
         rng = np.random.default_rng(2)

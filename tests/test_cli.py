@@ -250,6 +250,17 @@ class TestRecordValidateReplay:
         _, metrics = _read_rows(out_dir / "rep.metrics.csv")
         assert int(metrics[0][2]) == decisions.count("FULL")
 
+    def test_record_past_the_float32_range_writes_no_file(self, tmp_path, capsys):
+        args = ["record", str(tmp_path / "rec" / "t.wct"), "--n-tokens", "8",
+                "--dims", "4", "--steps", "6", "--seed", "1", "--amplitude", "1e40"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: output block 0 does not fit in float32: max |value| is 3.10827e+39\n"
+        )
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_record_requires_synthetic_workload(self, tmp_path, capsys):
         main(["record", str(tmp_path / "demo"), "--seed", "5", *FAST])
         capsys.readouterr()

@@ -51,13 +51,17 @@ class TestPushFull:
     def test_newest_entry_first(self):
         h = _history([(50, [0.0]), (49, [1.0])])
         assert h.latest.timestep.value == 49
-        assert h.entries[1].timestep.value == 50
+        assert h.t_before == 50
 
     def test_depth_caps_at_three(self):
-        h = _history([(50, [0.0]), (49, [1.0]), (48, [2.0]), (47, [3.0])])
+        # velocities -1, -2, -3 over 50->49, 49->48, 48->47
+        h = _history([(50, [0.0]), (49, [1.0]), (48, [3.0]), (47, [6.0])])
         assert len(h) == 3
         assert h.latest.timestep.value == 47
-        assert h.entries[-1].timestep.value == 49
+        assert h.t_before == 48
+        # the oldest FULL step still read is t = 49, the start of v_prev
+        assert h.v_latest.data.tolist() == [[-3.0]]
+        assert h.v_prev.data.tolist() == [[-2.0]]
 
     def test_rejects_non_decreasing_timestep(self):
         h = _history([(50, [0.0])])

@@ -43,10 +43,9 @@ def _quiet(fn, *args):
 
 
 def _history(y_star, v_latest, v_prev) -> FullHistory:
-    """Three FULL entries ending in y_star, with the given velocities."""
-    y = TokenMatrix(y_star)
-    entries = tuple(HistoryEntry(Timestep(float(-i), i), y) for i in range(3))
-    return FullHistory(entries, TokenMatrix(v_latest), TokenMatrix(v_prev))
+    """Three FULL outputs ending in y_star, with the given velocities."""
+    newest = HistoryEntry(Timestep(0.0, 0), TokenMatrix(y_star))
+    return FullHistory(newest, -1.0, TokenMatrix(v_latest), TokenMatrix(v_prev))
 
 
 def _groups(labels) -> GroupAssignment:
