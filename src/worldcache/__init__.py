@@ -48,11 +48,9 @@ from .pipeline import (
     uniform_grid,
 )
 from .predictor import (
-    HorizonMode,
     PredictorConfig,
     PredictorKind,
     hermite_alpha,
-    horizon_for,
     predict,
     randomize_groups,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "GroupAssignment",
     "group_tokens",
     "hermite_alpha",
-    "HorizonMode",
-    "horizon_for",
     "InsufficientHistoryError",
     "Modality",
     "oracle_run",

@@ -112,6 +112,8 @@ class SyntheticSpec:
             raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.coupling <= 1.0):
             raise ParameterError(f"coupling must lie in [0, 1], got {self.coupling}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.preset is Preset.MIXED and self.dims < 3:
             raise ParameterError(
                 f"the mixed preset needs dims >= 3 for its orbit geometry, got {self.dims}"
@@ -309,7 +311,8 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
     float32, so reading back reproduces them to 32-bit rounding. Each block
     is cast once, as it is written: a float32 block as is, any other through
     float64. A block with a value that is not finite in float32 raises
-    ParameterError before the file is opened.
+    ParameterError before the file is opened. The parent directory is made
+    only once every check has passed, so a rejected trace leaves nothing.
     """
     values = [t.value if isinstance(t, Timestep) else float(t) for t in timesteps]
     outs = [_block(m) for m in outputs]
@@ -354,6 +357,7 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
             raise ParameterError("modality labels must fit in one byte")
         labels = labels.astype(np.uint8)
 
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(_HEADER.pack(n_tokens, dims, len(outs)))

@@ -2,10 +2,10 @@
 
 compare_runs() reduces a cached run and its no-cache reference to the
 numbers reported everywhere else: per-step relative error, final-latent
-relative error, per-group error, FULL ratio, and an estimated speedup under
-a simple cost model (FULL costs 1, a cached step costs c_cache of that). The
-per-step numbers are the cached run's records, which run(oracle_outputs=...)
-fills in as it goes, so neither run has to keep its outputs for it.
+relative error, FULL ratio, and an estimated speedup under a simple cost
+model (FULL costs 1, a cached step costs c_cache of that). The per-step
+numbers are the cached run's records, which run(oracle_outputs=...) fills
+in as it goes, so neither run has to keep its outputs for it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .curvature import TokenGroup
 from .errors import DimensionError, ParameterError
 from .pipeline import RunResult, step_errors
 
@@ -29,7 +28,6 @@ DEFAULT_CACHE_COST = 0.01
 class RunMetrics:
     per_step_rel_error: tuple[float, ...]
     final_latent_rel_error: float
-    per_group_error: dict[TokenGroup, float]
     full_ratio: float
     est_speedup: float
     steps: int
@@ -51,11 +49,9 @@ def compare_runs(
     """Reduce a (cached, reference) run pair to scalar quality metrics.
 
     The cached run must have been executed with the reference's outputs as
-    oracle_outputs; its records then hold the per-step and per-group errors.
-    A group's error is the mean over the steps where it is defined, so steps
-    before the first grouping refresh contribute nothing to it, and a run
-    made with full_records=False (as sweep cells are) reads NaN for every
-    group. Only the final latents are compared here.
+    oracle_outputs; its records then hold the per-step errors (and, unless
+    it ran with full_records=False, the per-group ones, which steps.csv
+    writes). Only the final latents are compared here.
     """
     if cached.steps != oracle.steps:
         raise DimensionError(f"step count mismatch: {cached.steps} vs {oracle.steps}")
@@ -73,16 +69,6 @@ def compare_runs(
             "the cached run's records carry no errors: run it with oracle_outputs"
         )
 
-    sums = {g: 0.0 for g in TokenGroup}
-    counts = {g: 0 for g in TokenGroup}
-    for r in cached.records:
-        for g, err in zip(TokenGroup, (r.stable_err, r.linear_err, r.chaotic_err)):
-            if not math.isnan(err):
-                sums[g] += err
-                counts[g] += 1
-    per_group = {
-        g: (sums[g] / counts[g]) if counts[g] else math.nan for g in TokenGroup
-    }
     final_rel = step_errors(cached.final_latent, oracle.final_latent, None)[0]
 
     steps = cached.steps
@@ -95,7 +81,6 @@ def compare_runs(
     return RunMetrics(
         per_step_rel_error=per_step,
         final_latent_rel_error=final_rel,
-        per_group_error=per_group,
         full_ratio=full_ratio,
         est_speedup=est_speedup,
         steps=steps,

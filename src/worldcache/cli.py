@@ -94,7 +94,6 @@ _FLAGS = {
     "turn_step": ("workload", "turn_step", None),
     "predictor": ("predictor", "kind", "predictor kind"),
     "n_max": ("predictor", "n_max", None),
-    "horizon_mode": ("predictor", "horizon_mode", None),
     "rng_seed": ("predictor", "rng_seed", None),
     "p_stable": ("predictor", "p_stable", None),
     "p_chaotic": ("predictor", "p_chaotic", None),
@@ -280,11 +279,10 @@ def _write_metrics_csv(path: Path, run_id: str, m: RunMetrics) -> None:
 def cmd_run(args) -> int:
     cfg = _load(args)
     run_id = _run_identifier(cfg)
-    out_dir = Path(cfg.values["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     cached, metrics = _execute(cfg, _reference(cfg))
 
+    out_dir = Path(cfg.values["output"]["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     steps_path = out_dir / f"{run_id}.steps.csv"
     metrics_path = out_dir / f"{run_id}.metrics.csv"
     manifest_path = out_dir / f"{run_id}.manifest.ini"
@@ -322,8 +320,8 @@ def _shared_reference(cfg: ResolvedConfig) -> _Reference:
 def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
     """One sweep cell; module level so process pools can pickle it. The
     sweep CSV reads only the counts and the relative errors, so the run keeps
-    no full records: no per-group error is scored (the metrics'
-    per_group_error is NaN for every group), and outside CAS no drift."""
+    no full records: no per-group error is scored, and outside CAS no
+    drift."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
     for axis, value in point.items():
         apply_axis_override(overrides, axis, value)
@@ -393,7 +391,6 @@ def cmd_record(args) -> int:
     trace_path = Path(args.trace)
     if trace_path.suffix != TRACE_EXTENSION:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
 
     ref = _reference(cfg)
     outputs = ref.oracle.surrogates

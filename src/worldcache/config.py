@@ -19,7 +19,7 @@ from typing import Any
 from .backbone_sim import Preset, SyntheticSpec
 from .bench import DEFAULT_CACHE_COST
 from .errors import ConfigError
-from .predictor import HorizonMode, PredictorConfig, PredictorKind
+from .predictor import PredictorConfig, PredictorKind
 from .skipper import SkipConfig, SkipKind
 
 
@@ -82,7 +82,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "predictor": {
         "kind": ("str", PredictorConfig.kind.value),
         "n_max": ("int", PredictorConfig.n_max),
-        "horizon_mode": ("str", PredictorConfig.horizon_mode.value),
         "rng_seed": ("int", PredictorConfig.rng_seed),
         "p_stable": ("float", PredictorConfig.p_stable),
         "p_chaotic": ("float", PredictorConfig.p_chaotic),
@@ -112,7 +111,6 @@ _ENUMS = {
     ("workload", "kind"): ("synthetic", "trace"),
     ("workload", "preset"): tuple(p.value for p in Preset),
     ("predictor", "kind"): tuple(k.value for k in PredictorKind),
-    ("predictor", "horizon_mode"): tuple(m.value for m in HorizonMode),
     ("skipper", "kind"): tuple(k.value for k in SkipKind),
 }
 
@@ -157,7 +155,6 @@ class ResolvedConfig:
         return PredictorConfig(
             kind=PredictorKind(p["kind"]),
             n_max=p["n_max"],
-            horizon_mode=HorizonMode(p["horizon_mode"]),
             rng_seed=rng_seed,
             p_stable=p["p_stable"],
             p_chaotic=p["p_chaotic"],

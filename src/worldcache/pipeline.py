@@ -29,7 +29,6 @@ from .predictor import (
     MIN_HISTORY,
     PredictorConfig,
     PredictorKind,
-    horizon_for,
     predict,
     randomize_groups,
 )
@@ -273,9 +272,7 @@ def run(
         else:
             cache_count += 1
             k += 1
-            horizon = horizon_for(
-                predictor_cfg.horizon_mode, t, history.latest.timestep, k
-            )
+            horizon = t.value - history.latest.timestep.value
             y_t = predict(history, group, k, horizon, predictor_cfg)
             if score_drift:
                 e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .core import Timestep, TokenMatrix, finite_math
+from .core import TokenMatrix, finite_math
 from .curvature import (
     DEFAULT_EPS,
     DEFAULT_P_CHAOTIC,
@@ -41,20 +41,6 @@ class PredictorKind(str, Enum):
     UNIFORM_LINEAR = "uniform-linear"
     UNIFORM_DAMPED = "uniform-damped"
     RANDOM_GROUPING = "random-grouping"
-
-
-class HorizonMode(str, Enum):
-    """How the extrapolation distance is derived inside the pipeline.
-
-    TIMESTEP_DELTA uses the signed scheduler-time distance t - t_full (negative
-    while denoising), which makes straight-line extrapolation exact on
-    trajectories affine in scheduler time. STEP_COUNT uses the raw cached-step
-    count k, reproducing the formula as published (only equivalent when the
-    grid spacing is one unit and of opposite sign).
-    """
-
-    TIMESTEP_DELTA = "timestep-delta"
-    STEP_COUNT = "step-count"
 
 
 # Minimum FULL outputs (len of the history) each predictor kind needs before it can run.
@@ -80,7 +66,6 @@ class PredictorConfig:
 
     kind: PredictorKind = PredictorKind.CHTP
     n_max: int = DEFAULT_N_MAX
-    horizon_mode: HorizonMode = HorizonMode.TIMESTEP_DELTA
     rng_seed: int | None = None
     p_stable: float = DEFAULT_P_STABLE
     p_chaotic: float = DEFAULT_P_CHAOTIC
@@ -89,6 +74,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
+        if self.rng_seed is not None and self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.eps < 0 or not math.isfinite(self.eps):
             raise ParameterError(f"eps must be finite and >= 0, got {self.eps}")
 
@@ -118,10 +105,11 @@ def predict(
     FULL output.
 
     horizon is in scheduler-time units and signed: the pipeline passes
-    t - t_full under TIMESTEP_DELTA (negative on descending schedules) or +k
-    under STEP_COUNT. The heterogeneous kinds apply the labels in `g` as
-    given; the pipeline refreshes (and for random-grouping permutes) them at
-    FULL steps. A forecast past the float range raises ParameterError.
+    t - t_full, which is negative on descending schedules and makes the
+    linear rule exact on trajectories affine in scheduler time. The
+    heterogeneous kinds apply the labels in `g` as given; the pipeline
+    refreshes (and for random-grouping permutes) them at FULL steps. A
+    forecast past the float range raises ParameterError.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1 on cached steps, got {k}")
@@ -181,12 +169,3 @@ def randomize_groups(
     labels = g.labels[rng.permutation(g.n_tokens)]
     labels.setflags(write=False)
     return GroupAssignment(kappa=g.kappa, labels=labels)
-
-
-def horizon_for(
-    mode: HorizonMode, current: Timestep, t_full: Timestep, k: int
-) -> float:
-    """Extrapolation distance for a cached step."""
-    if mode is HorizonMode.TIMESTEP_DELTA:
-        return current.value - t_full.value
-    return float(k)

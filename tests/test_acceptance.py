@@ -17,7 +17,6 @@ from worldcache import (
     Decision,
     EulerScheduler,
     FullHistory,
-    HorizonMode,
     PredictorConfig,
     PredictorKind,
     Preset,
@@ -239,8 +238,7 @@ def test_criterion_06_linear_exactness(criterion_report):
             for eta in (0.0, 0.2, math.inf):
                 cached = run(
                     backbone, scheduler, z0,
-                    PredictorConfig(kind=PredictorKind.CHTP,
-                                    horizon_mode=HorizonMode.TIMESTEP_DELTA),
+                    PredictorConfig(kind=PredictorKind.CHTP),
                     SkipConfig(eta=eta,
                                enforce_streak_cap=not math.isinf(eta)),
                     oracle_outputs=ref.surrogates,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from worldcache import SkipKind, TokenGroup, bench, cli, kernels, pipeline, write_trace
+from worldcache import SkipKind, bench, cli, kernels, pipeline, write_trace
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -101,10 +101,11 @@ class TestRunCommand:
 
     def test_overflowing_update_fails_with_a_typed_error(self, tmp_path, capsys):
         args = ["run", "--seed", "1", "--n-tokens", "64", "--dims", "8",
-                "--amplitude", "1e308", "--out", str(tmp_path), "--run-id", "rid"]
+                "--amplitude", "1e308", "--out", str(tmp_path / "x"), "--run-id", "rid"]
         assert main(args) == 2
         assert capsys.readouterr().err == \
             "error: token matrix contains non-finite values\n"
+        assert list(tmp_path.iterdir()) == []  # the output directory is not made
 
     @pytest.mark.parametrize("t_max", ["1e200", "1.7e308"])
     @pytest.mark.parametrize("preset", ["mixed", "smooth", "turnpoint"])
@@ -154,6 +155,22 @@ class TestRunCommand:
         assert "eta = 0.31" in text
         assert "run_id = rid" in text
 
+    def test_a_manifest_with_the_removed_horizon_mode_key_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        assert main(_run_args(tmp_path / "a")) == 0
+        manifest = tmp_path / "a" / "rid.manifest.ini"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(
+            text.replace("[predictor]\n", "[predictor]\nhorizon_mode = timestep-delta\n"),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "predictor.horizon_mode" in err
+        assert not (tmp_path / "b").exists()
+
 
 class TestExitCodes:
     def test_unknown_override_key_is_usage_error(self, tmp_path, capsys):
@@ -175,6 +192,27 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["run", "--seed", "-1"],
+             "invalid workload parameters: seed must be >= 0, got -1"),
+            (["record", "t.wct", "--seed", "-2"],
+             "invalid workload parameters: seed must be >= 0, got -2"),
+            (["run", "--seed", "1", "--predictor", "random-grouping", "--rng-seed", "-3"],
+             "invalid policy parameters: rng_seed must be >= 0, got -3"),
+        ],
+        ids=["run-seed", "record-seed", "rng-seed"],
+    )
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv, err):
+        if argv[0] == "record":
+            argv = ["record", str(tmp_path / argv[1]), *argv[2:]]
+        else:
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_trace_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.wct")]) == 2
@@ -259,7 +297,13 @@ class TestRecordValidateReplay:
         assert capsys.readouterr().err == (
             "error: output block 0 does not fit in float32: max |value| is 3.10827e+39\n"
         )
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert list(tmp_path.iterdir()) == []  # nor is the trace's directory
+
+    def test_record_of_no_steps_writes_nothing(self, tmp_path, capsys):
+        args = ["record", str(tmp_path / "a" / "b.wct"), "--seed", "1", "--steps", "0"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: cannot write an empty trace\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_record_requires_synthetic_workload(self, tmp_path, capsys):
         main(["record", str(tmp_path / "demo"), "--seed", "5", *FAST])
@@ -510,7 +554,6 @@ _COMMON_OPTIONS = [
     (("--turn-step",), "turn_step"),
     (("--predictor",), "predictor"),
     (("--n-max",), "n_max"),
-    (("--horizon-mode",), "horizon_mode"),
     (("--rng-seed",), "rng_seed"),
     (("--p-stable",), "p_stable"),
     (("--p-chaotic",), "p_chaotic"),
@@ -553,20 +596,14 @@ class TestSweepScoresOnlyWhatItWrites:
             trace = tmp_path / "ref.wct"
             assert main(["record", str(trace), "--seed", "3", *FAST]) == 0
             argv += ["--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}"]
-        rows = []
-        monkeypatch.setattr(cli, "sweep", _capturing(rows, cli.sweep))
         calls = _count_row_norms(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / "lean")]) == 0
         assert calls == []
-        assert all(
-            math.isnan(err) for row in rows[0] for err in row.metrics.per_group_error.values()
-        )
         # the same cells with every group scored write the same bytes
         execute = cli._execute
         monkeypatch.setattr(cli, "_execute", lambda cfg, ref, full_records: execute(cfg, ref))
         assert main([*argv, "--out", str(tmp_path / "scored")]) == 0
         assert calls
-        assert not math.isnan(rows[1][0].metrics.per_group_error[TokenGroup.LINEAR])
         assert (tmp_path / "lean" / "sw.sweep.csv").read_bytes() == \
             (tmp_path / "scored" / "sw.sweep.csv").read_bytes()
 

@@ -2,7 +2,6 @@ import pytest
 
 from worldcache import (
     ConfigError,
-    HorizonMode,
     PredictorConfig,
     PredictorKind,
     SkipConfig,
@@ -48,7 +47,6 @@ class TestDefaults:
         assert spec.seed == 7
         pc = cfg.predictor_config()
         assert pc.kind is PredictorKind.CHTP
-        assert pc.horizon_mode is HorizonMode.TIMESTEP_DELTA
         sc = cfg.skip_config()
         assert sc.kind is SkipKind.CAS
 

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 from worldcache import (
     DimensionError,
     FullHistory,
-    HorizonMode,
     InsufficientHistoryError,
     ParameterError,
     PredictorConfig,
@@ -20,7 +19,7 @@ from worldcache import (
     push_full,
 )
 from worldcache.curvature import GroupAssignment
-from worldcache.predictor import horizon_for, randomize_groups
+from worldcache.predictor import randomize_groups
 
 
 def _history(ts_and_rows):
@@ -236,15 +235,3 @@ class TestRandomizeGroups:
         c = randomize_groups(g, seed=5, refresh_index=4)
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.labels, c.labels)
-
-
-class TestHorizonFor:
-    def test_timestep_delta_is_signed(self):
-        t_full = Timestep(value=40.0, index=10)
-        current = Timestep(value=37.0, index=13)
-        assert horizon_for(HorizonMode.TIMESTEP_DELTA, current, t_full, 3) == -3.0
-
-    def test_step_count_is_literal_k(self):
-        t_full = Timestep(value=40.0, index=10)
-        current = Timestep(value=37.0, index=13)
-        assert horizon_for(HorizonMode.STEP_COUNT, current, t_full, 3) == 3.0
