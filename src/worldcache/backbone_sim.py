@@ -35,6 +35,7 @@ optionally followed by n_tokens label bytes. Canonical extension: .wct.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -371,105 +372,133 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
             f.write(labels.tobytes())
 
 
-def _parse_trace(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Check a trace file; return its timesteps, its samples as a float32
-    (n_steps, n_tokens, dims) view of the file's bytes, and its labels."""
-    data = Path(path).read_bytes()
-    if len(data) < len(TRACE_MAGIC):
-        raise TraceFormatError(
-            f"file too short for magic: {len(data)} bytes", byte_offset=0
-        )
-    magic = data[: len(TRACE_MAGIC)]
-    if magic != TRACE_MAGIC:
-        if magic[:7] == TRACE_MAGIC[:7]:
+def _read(f, n: int, size: int, message: str) -> bytes:
+    """The next n bytes of f, or TraceFormatError(message) at the file's end
+    if fewer remain. It asks for no more than the file's size allows, so a
+    damaged header that declares a huge table allocates nothing for it."""
+    at = f.tell()
+    data = f.read(min(n, max(size - at, 0)))
+    if len(data) < n:
+        raise TraceFormatError(message, byte_offset=at + len(data))
+    return data
+
+
+def _parse_trace(
+    path, widen: bool
+) -> tuple[np.ndarray, tuple[int, int, int], np.ndarray | None, np.ndarray | None]:
+    """Check a trace file, reading its samples one float32 block at a time.
+
+    Returns the timesteps, the (n_steps, n_tokens, dims) shape, the samples
+    widened into one (n_steps, n_tokens, dims) float64 array if widen is set
+    (else None), and the labels. The file's size is checked against the
+    payload its header declares before anything is read or allocated for the
+    samples, so a damaged header ends in TraceFormatError, not MemoryError.
+    The samples pass through one reused block buffer, checked for finiteness
+    as each block arrives, so no reader holds the file's bytes.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        magic = f.read(len(TRACE_MAGIC))
+        if len(magic) < len(TRACE_MAGIC):
             raise TraceFormatError(
-                f"unsupported trace version {magic!r} (expected {TRACE_MAGIC!r})",
-                byte_offset=7,
+                f"file too short for magic: {len(magic)} bytes", byte_offset=0
             )
-        raise TraceFormatError(
-            f"bad magic {magic!r} (expected {TRACE_MAGIC!r})", byte_offset=0
-        )
-    off = len(TRACE_MAGIC)
-    if len(data) < off + _HEADER.size:
-        raise TraceFormatError("truncated header", byte_offset=len(data))
-    n_tokens, dims, n_steps = _HEADER.unpack_from(data, off)
-    off += _HEADER.size
-    if n_tokens == 0 or dims == 0 or n_steps == 0:
-        raise TraceFormatError(
-            f"degenerate dimensions n_tokens={n_tokens} dims={dims} n_steps={n_steps}",
-            byte_offset=len(TRACE_MAGIC),
-        )
-
-    ts_bytes = n_steps * 8
-    if len(data) < off + ts_bytes:
-        raise TraceFormatError(
-            f"truncated timestep table: need {ts_bytes} bytes at offset {off}",
-            byte_offset=len(data),
-        )
-    timesteps = np.frombuffer(data, dtype="<f8", count=n_steps, offset=off)
-    if not np.isfinite(timesteps).all():
-        bad = int(np.flatnonzero(~np.isfinite(timesteps))[0])
-        raise TraceFormatError(
-            f"non-finite timestep at entry {bad}", byte_offset=off + bad * 8
-        )
-    deltas = np.diff(timesteps)
-    if deltas.size and not (deltas < 0).all():
-        bad = int(np.flatnonzero(deltas >= 0)[0]) + 1
-        raise TraceFormatError(
-            f"timesteps not strictly decreasing at entry {bad} "
-            f"({timesteps[bad]!r} after {timesteps[bad - 1]!r})",
-            byte_offset=off + bad * 8,
-        )
-    off += ts_bytes
-
-    block = n_tokens * dims
-    payload = n_steps * block * 4
-    if len(data) < off + payload:
-        raise TraceFormatError(
-            f"truncated payload: need {payload} bytes at offset {off}, "
-            f"file ends after {len(data) - off}",
-            byte_offset=len(data),
-        )
-    samples = np.frombuffer(data, dtype="<f4", count=n_steps * block, offset=off)
-    if not np.isfinite(samples).all():
-        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise TraceFormatError(
-            f"non-finite sample at flat index {bad}", byte_offset=off + bad * 4
-        )
-    off += payload
-
-    modality = None
-    if off < len(data):
-        flag = data[off]
-        off += 1
-        if flag == 1:
-            if len(data) < off + n_tokens:
+        if magic != TRACE_MAGIC:
+            if magic[:7] == TRACE_MAGIC[:7]:
                 raise TraceFormatError(
-                    f"truncated modality labels: need {n_tokens} bytes",
-                    byte_offset=len(data),
+                    f"unsupported trace version {magic!r} (expected {TRACE_MAGIC!r})",
+                    byte_offset=7,
                 )
-            # a copy, so the labels do not keep the file's bytes alive
-            modality = np.frombuffer(data, np.uint8, count=n_tokens, offset=off).copy()
-            modality.setflags(write=False)
-            off += n_tokens
-        elif flag != 0:
             raise TraceFormatError(
-                f"bad modality flag byte {flag:#04x}", byte_offset=off - 1
+                f"bad magic {magic!r} (expected {TRACE_MAGIC!r})", byte_offset=0
             )
-        if off != len(data):
+        off = len(TRACE_MAGIC)
+        n_tokens, dims, n_steps = _HEADER.unpack(
+            _read(f, _HEADER.size, size, "truncated header")
+        )
+        off += _HEADER.size
+        if n_tokens == 0 or dims == 0 or n_steps == 0:
             raise TraceFormatError(
-                f"{len(data) - off} trailing bytes after trace content",
-                byte_offset=off,
+                f"degenerate dimensions n_tokens={n_tokens} dims={dims} n_steps={n_steps}",
+                byte_offset=len(TRACE_MAGIC),
             )
-    return timesteps, samples.reshape(n_steps, n_tokens, dims), modality
+
+        ts_bytes = n_steps * 8
+        table = _read(
+            f, ts_bytes, size, f"truncated timestep table: need {ts_bytes} bytes at offset {off}"
+        )
+        timesteps = np.frombuffer(table, dtype="<f8")
+        if not np.isfinite(timesteps).all():
+            bad = int(np.flatnonzero(~np.isfinite(timesteps))[0])
+            raise TraceFormatError(
+                f"non-finite timestep at entry {bad}", byte_offset=off + bad * 8
+            )
+        deltas = np.diff(timesteps)
+        if deltas.size and not (deltas < 0).all():
+            bad = int(np.flatnonzero(deltas >= 0)[0]) + 1
+            raise TraceFormatError(
+                f"timesteps not strictly decreasing at entry {bad} "
+                f"({timesteps[bad]!r} after {timesteps[bad - 1]!r})",
+                byte_offset=off + bad * 8,
+            )
+        off += ts_bytes
+
+        block = n_tokens * dims
+        payload = n_steps * block * 4
+
+        def truncated(ends_after: int) -> TraceFormatError:
+            return TraceFormatError(
+                f"truncated payload: need {payload} bytes at offset {off}, "
+                f"file ends after {ends_after}",
+                byte_offset=off + ends_after,
+            )
+
+        if size - off < payload:
+            raise truncated(size - off)
+        wide = np.empty((n_steps, n_tokens, dims)) if widen else None
+        buf = np.empty((n_tokens, dims), dtype="<f4")
+        for i in range(n_steps):
+            got = f.readinto(buf)
+            if got < buf.nbytes:  # the file shrank after it was opened
+                raise truncated(i * buf.nbytes + got)
+            if not np.isfinite(buf).all():
+                bad = i * block + int(np.flatnonzero(~np.isfinite(buf))[0])
+                raise TraceFormatError(
+                    f"non-finite sample at flat index {bad}", byte_offset=off + bad * 4
+                )
+            if widen:
+                wide[i] = buf  # exact, so still finite
+        off += payload
+
+        modality = None
+        flag = f.read(1)
+        if flag:
+            off += 1
+            if flag == b"\x01":
+                labels = _read(
+                    f, n_tokens, size, f"truncated modality labels: need {n_tokens} bytes"
+                )
+                modality = np.frombuffer(labels, np.uint8)  # read-only
+                off += n_tokens
+            elif flag != b"\x00":
+                raise TraceFormatError(
+                    f"bad modality flag byte {flag[0]:#04x}", byte_offset=off - 1
+                )
+            if off != size:
+                raise TraceFormatError(
+                    f"{size - off} trailing bytes after trace content",
+                    byte_offset=off,
+                )
+    return timesteps, (n_steps, n_tokens, dims), wide, modality
 
 
 def read_trace(path) -> TraceData:
-    """Parse a trace file, rejecting malformed containers with byte offsets."""
-    timesteps, samples, modality = _parse_trace(path)
-    # Widened to float64 in one pass (exactly, so still finite) and frozen;
-    # each block is a view of it.
-    wide = samples.astype(np.float64)
+    """Parse a trace file, rejecting malformed containers with byte offsets.
+
+    Each float32 block is widened into its slice of one float64 array,
+    allocated once the file's size has been checked; the array is frozen,
+    and each output is a view of it."""
+    timesteps, _, wide, modality = _parse_trace(path, widen=True)
     wide.setflags(write=False)
     return TraceData(
         timesteps=tuple(float(v) for v in timesteps),
@@ -480,9 +509,10 @@ def read_trace(path) -> TraceData:
 
 def validate_trace(path) -> dict:
     """Full parse plus a human-readable summary (raises on any violation).
-    The samples are checked as read_trace checks them, but not widened to
-    float64, which the summary does not read."""
-    timesteps, samples, modality = _parse_trace(path)
+    The samples are checked as read_trace checks them, one block at a time,
+    and none is kept: the summary reads only the header, the timesteps and
+    the labels."""
+    timesteps, (n_steps, n_tokens, dims), _, modality = _parse_trace(path, widen=False)
     mods = None
     if modality is not None:
         names = {int(m): m.name for m in Modality}
@@ -490,7 +520,6 @@ def validate_trace(path) -> dict:
             names.get(int(v), str(int(v))): int(c)
             for v, c in zip(*np.unique(modality, return_counts=True))
         }
-    n_steps, n_tokens, dims = samples.shape
     return {
         "n_tokens": n_tokens,
         "dims": dims,

@@ -331,9 +331,12 @@ def sweep_seeds(cfg: ResolvedConfig) -> list[int]:
     if not raw:
         raise ConfigError("sweep.seeds is required for sweeps")
     try:
-        return [int(part.strip()) for part in raw.split(",") if part.strip()]
+        seeds = [int(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep.seeds list: {raw!r}") from exc
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"sweep.seeds must be >= 0, got {raw!r}")
+    return seeds
 
 
 def apply_axis_override(

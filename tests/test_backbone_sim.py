@@ -33,6 +33,10 @@ from worldcache.errors import OrderingError
 F32_MAX = float(np.finfo(np.float32).max)
 
 
+def _patch(raw: bytes, at: int, new: bytes) -> bytes:
+    return raw[:at] + new + raw[at + len(new):]
+
+
 def _ts(value, index=0):
     return Timestep(value=float(value), index=index)
 
@@ -357,6 +361,42 @@ class TestTraceFormatErrors:
             with pytest.raises(TraceFormatError, match="flat index 5") as exc_info:
                 parse(bad)
             assert exc_info.value.byte_offset == 64
+
+    @pytest.mark.parametrize("parse", [read_trace, validate_trace])
+    @pytest.mark.parametrize(
+        "labels, damage, message, offset",
+        [
+            (None, lambda raw: raw[:5], "file too short for magic: 5 bytes", 0),
+            (None, lambda raw: raw[:14], "truncated header", 14),
+            (None, lambda raw: _patch(raw, 12, np.uint32(0).tobytes()),
+             "degenerate dimensions n_tokens=2 dims=0 n_steps=3", 8),
+            (None, lambda raw: raw[:30],
+             "truncated timestep table: need 24 bytes at offset 20", 30),
+            (None, lambda raw: _patch(raw, 28, np.array([np.nan], "<f8").tobytes()),
+             "non-finite timestep at entry 1", 28),
+            (None, lambda raw: raw[:-20],
+             "truncated payload: need 48 bytes at offset 44, file ends after 29", 73),
+            # flat index 10 lies in the last of the three 2x2 blocks
+            (None, lambda raw: _patch(raw, 44 + 4 * 10, np.array([-np.inf], "<f4").tobytes()),
+             "non-finite sample at flat index 10", 84),
+            (None, lambda raw: _patch(raw, 92, b"\x02"), "bad modality flag byte 0x02", 92),
+            ([0, 1], lambda raw: raw[:-1], "truncated modality labels: need 2 bytes", 94),
+            (None, lambda raw: raw + b"xx", "2 trailing bytes after trace content", 93),
+            ([0, 1], lambda raw: raw + b"x", "1 trailing bytes after trace content", 95),
+        ],
+    )
+    def test_every_format_error_names_its_cause_and_offset(
+        self, tmp_path, parse, labels, damage, message, offset
+    ):
+        # 3 steps of 2x2: timesteps at byte 20, payload at 44, flag at 92
+        blocks = np.random.default_rng(1).normal(size=(3, 2, 2)).astype(np.float32)
+        path = tmp_path / "bad.wct"
+        write_trace(path, [3.0, 2.0, 1.0], blocks, modality=labels)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(TraceFormatError) as exc_info:
+            parse(path)
+        assert str(exc_info.value) == f"{message} (byte offset {offset})"
+        assert exc_info.value.byte_offset == offset
 
     def test_validate_trace_summary(self, tmp_path):
         rng = np.random.default_rng(2)

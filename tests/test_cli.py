@@ -379,6 +379,14 @@ class TestSweepCommand:
                      "--jobs", "0", "--out", str(tmp_path), *FAST])
         assert code == 1
 
+    def test_negative_seed_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--seed", "1", "--seeds=-1,2", "--set", "sweep.eta=0.1",
+                     "--out", str(out), *FAST])
+        assert code == 1
+        assert "sweep.seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_default_to_one_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("WORLDCACHE_JOBS", "3")
         assert build_parser().parse_args(["sweep"]).jobs == 1
