@@ -19,6 +19,7 @@ from typing import Any
 from .backbone_sim import Preset, SyntheticSpec
 from .bench import DEFAULT_CACHE_COST
 from .errors import ConfigError
+from .pipeline import check_policy
 from .predictor import PredictorConfig, PredictorKind
 from .skipper import SkipConfig, SkipKind
 
@@ -267,14 +268,9 @@ def _validate(cfg: ResolvedConfig) -> None:
         if not w["trace_path"]:
             raise ConfigError("workload.trace_path is required when kind = trace")
     try:
-        pred = cfg.predictor_config()
-        cfg.skip_config()
-    except ConfigError:
-        raise
+        check_policy(cfg.predictor_config(), cfg.skip_config())
     except Exception as exc:
         raise ConfigError(f"invalid policy parameters: {exc}") from exc
-    if pred.kind is PredictorKind.RANDOM_GROUPING and pred.rng_seed is None:
-        raise ConfigError("predictor.rng_seed is required for random-grouping")
     if cfg.values["scheduler"]["steps"] < 0:
         raise ConfigError("scheduler.steps must be >= 0")
     if cfg.values["output"]["c_cache"] < 0:

@@ -175,6 +175,18 @@ def _snap_integer(v: float, rel: float = 1e-9) -> float:
     return float(r) if abs(v - r) <= rel * max(1.0, abs(v)) else v
 
 
+def check_percentiles(p_stable: float, p_chaotic: float) -> None:
+    """Raise ParameterError unless 0 <= p_stable <= p_chaotic <= 1."""
+    if not (0.0 <= p_stable <= 1.0) or not (0.0 <= p_chaotic <= 1.0):
+        raise ParameterError(
+            f"percentiles must lie in [0, 1], got p_stable={p_stable}, p_chaotic={p_chaotic}"
+        )
+    if p_stable > p_chaotic:
+        raise ParameterError(
+            f"p_stable must not exceed p_chaotic, got {p_stable} > {p_chaotic}"
+        )
+
+
 def group_tokens(
     kappa: np.ndarray,
     p_stable: float = DEFAULT_P_STABLE,
@@ -193,14 +205,7 @@ def group_tokens(
         raise DimensionError(f"kappa must be 1-D, got shape {kappa.shape}")
     if np.isnan(kappa).any():
         raise ParameterError("kappa contains NaN")
-    if not (0.0 <= p_stable <= 1.0) or not (0.0 <= p_chaotic <= 1.0):
-        raise ParameterError(
-            f"percentiles must lie in [0, 1], got p_stable={p_stable}, p_chaotic={p_chaotic}"
-        )
-    if p_stable > p_chaotic:
-        raise ParameterError(
-            f"p_stable must not exceed p_chaotic, got {p_stable} > {p_chaotic}"
-        )
+    check_percentiles(p_stable, p_chaotic)
     n = kappa.shape[0]
     if n == 0:
         raise DimensionError("cannot group zero tokens")

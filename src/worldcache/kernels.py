@@ -1,10 +1,12 @@
 """Numeric kernels for the rowwise policy math, in numpy.
 
 Row norms, curvature, the prediction blend and the drift score run on every
-step. Row sums of squares come from einsum and the drift score adds its rows
-strictly left to right, so a run is bit-reproducible. row_norms, fro_norm and
-curvature_rows are scale-safe: a row whose sum of squares is inf or subnormal
-is rescaled by an exact power of two first; all other rows are computed as is.
+step. The blend takes one (stable, chaotic) row split; the uniform baselines
+are that split with every token in one group. Row sums of squares come from
+einsum and the drift score adds its rows strictly left to right, so a run is
+bit-reproducible. row_norms, fro_norm and curvature_rows are scale-safe: a
+row whose sum of squares is inf or subnormal is rescaled by an exact power of
+two first; all other rows are computed as is.
 """
 
 import math
@@ -16,11 +18,6 @@ __all__ = [
 ]
 
 BACKEND = "numpy"  # recorded in manifests and benchmark environments
-
-# Prediction blend modes.
-MODE_BY_GROUP = 0   # heterogeneous: each row's group picks the rule
-MODE_LINEAR = 2     # one rule for all rows: y* + horizon * v_latest
-MODE_DAMPED = 3     # one rule for all rows: y* + horizon * blended velocity
 
 _TINY = np.finfo(np.float64).tiny
 # Subnormals are spaced 2**-1074 apart, so an acceleration row whose entries
@@ -57,8 +54,10 @@ def fro_norm(a: np.ndarray) -> float:
     array) while that sum is in the normal range; row_norms' rule otherwise."""
     flat = a.ravel(order="K")
     with np.errstate(over="ignore"):
-        sq = flat.dot(flat)
-    return float(row_norms(flat[None, :])[0] if _off_normal(sq) else np.sqrt(sq))
+        sq = float(flat.dot(flat))
+    if sq == math.inf or 0.0 < sq < _TINY:
+        return float(row_norms(flat[None, :])[0])
+    return math.sqrt(sq)
 
 
 def _out_of_range(sums: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
@@ -104,34 +103,27 @@ def curvature_rows(v_latest, v_prev, dt, eps):
     return kappa
 
 
-def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha, mode):
-    """Forecast rows from the last FULL output. Under MODE_BY_GROUP the rows
-    listed in `stable` (ascending indices) are reused, those in `chaotic`
-    take the damped rule and the rest the linear one; the uniform modes
-    ignore both lists.
+def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
+    """Forecast rows from the last FULL output: the rows listed in `stable`
+    (ascending indices) are reused, those in `chaotic` take the damped rule
+    and the rest the linear one. A uniform baseline is one split: no rows
+    for linear everywhere, every row chaotic for damped everywhere.
 
     The blend runs under the FPU's overflow and invalid flags, which its
     finite operands set only past the float range; the result is scanned only
     when one fires. A forecast row past the range raises FloatingPointError,
-    and nothing is warned about. Under MODE_BY_GROUP the stable and chaotic
-    rows take the linear rule first and are then overwritten, so an overflow
-    there is discarded."""
+    and nothing is warned about. The stable and chaotic rows take the linear
+    rule first and are then overwritten, so an overflow there is discarded."""
     fired = []
     with np.errstate(over="call", invalid="call", call=lambda err, flag: fired.append(err)):
-        if mode == MODE_LINEAR:
-            out = y_star + horizon * v_latest
-        elif mode == MODE_DAMPED:
-            vel = (1.0 - alpha) * v_latest + alpha * v_prev
-            out = y_star + horizon * vel
-        else:
-            out = horizon * v_latest
-            out += y_star
-            out[stable] = y_star.take(stable, axis=0)
-            vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
-            vel += alpha * v_prev.take(chaotic, axis=0)
-            vel *= horizon
-            vel += y_star.take(chaotic, axis=0)
-            out[chaotic] = vel
+        out = horizon * v_latest
+        out += y_star
+        out[stable] = y_star.take(stable, axis=0)
+        vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
+        vel += alpha * v_prev.take(chaotic, axis=0)
+        vel *= horizon
+        vel += y_star.take(chaotic, axis=0)
+        out[chaotic] = vel
     if fired and not np.isfinite(out).all():
         raise FloatingPointError(f"{fired[0]} in a forecast row")
     return out

@@ -23,7 +23,10 @@ import numpy as np
 
 from . import kernels
 from .core import Timestep, TokenMatrix, axpy_rows
-from .curvature import FullHistory, GroupAssignment, TokenGroup, compute_curvature, group_tokens, push_full
+from .curvature import (
+    HISTORY_DEPTH, FullHistory, GroupAssignment, TokenGroup, compute_curvature,
+    group_tokens, push_full,
+)
 from .errors import OrderingError, ParameterError
 from .predictor import (
     MIN_HISTORY,
@@ -128,7 +131,6 @@ class RunResult:
 
 
 _TINY = 1e-30
-_NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
 def _group_means(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> list[float]:
@@ -166,13 +168,6 @@ def step_errors(
         if g is None:
             return 0.0, math.nan, math.nan, math.nan
         return (0.0, *(0.0 if rows.size else math.nan for rows in g.members))
-    if g is None:  # rel alone: one difference and one dot, as fro_norm takes it
-        with np.errstate(over="ignore"):  # an overflow is taken again below
-            flat = (y.data - oracle_y.data).ravel(order="K")
-            sq = float(flat.dot(flat))
-        den = oracle_y.fro_norm()
-        if (sq >= _NORMAL_MIN or sq == 0.0) and sq != math.inf and den != math.inf:
-            return math.sqrt(sq) / (den + _TINY), math.nan, math.nan, math.nan
     groups = () if g is None else g.members
     with np.errstate(over="ignore"):  # what overflows is taken again below
         diff = y.data - oracle_y.data
@@ -192,6 +187,22 @@ def step_errors(
                 for m, s in zip(per_group, _group_means(diff_s, groups))
             ]
     return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
+
+
+def check_policy(predictor_cfg: PredictorConfig, skip_cfg: SkipConfig) -> None:
+    """Raise ParameterError for a policy run() cannot execute: a warmup below
+    the FULL outputs the forecast (and CAS's drift score, which reads
+    curvature) needs, or random-grouping without rng_seed."""
+    min_hist = MIN_HISTORY[predictor_cfg.kind]
+    if skip_cfg.kind is SkipKind.CAS:
+        min_hist = max(min_hist, HISTORY_DEPTH)
+    if skip_cfg.warmup_fulls < min_hist:
+        raise ParameterError(
+            f"warmup_fulls={skip_cfg.warmup_fulls} is below the {min_hist} FULL "
+            f"outputs required by {predictor_cfg.kind.value}/{skip_cfg.kind.value}"
+        )
+    if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING and predictor_cfg.rng_seed is None:
+        raise ParameterError("random-grouping requires rng_seed")
 
 
 def run(
@@ -228,19 +239,7 @@ def run(
         raise ParameterError(
             f"oracle_outputs has {len(oracle_outputs)} entries for {n_steps} steps"
         )
-    min_hist = MIN_HISTORY[predictor_cfg.kind]
-    if skip_cfg.kind is SkipKind.CAS:
-        min_hist = max(min_hist, 3)  # drift scoring needs curvature
-    if skip_cfg.warmup_fulls < min_hist:
-        raise ParameterError(
-            f"warmup_fulls={skip_cfg.warmup_fulls} is below the {min_hist} FULL "
-            f"outputs required by {predictor_cfg.kind.value}/{skip_cfg.kind.value}"
-        )
-    if (
-        predictor_cfg.kind is PredictorKind.RANDOM_GROUPING
-        and predictor_cfg.rng_seed is None
-    ):
-        raise ParameterError("random-grouping requires rng_seed")
+    check_policy(predictor_cfg, skip_cfg)
 
     z = z_init
     history = FullHistory()
@@ -258,7 +257,7 @@ def run(
             y_t = backbone.evaluate(z, t)
             full_count += 1
             history = push_full(history, t, y_t)
-            if len(history) == 3:
+            if len(history) == HISTORY_DEPTH:
                 kappa = compute_curvature(history, predictor_cfg.eps)
                 group = group_tokens(kappa, predictor_cfg.p_stable, predictor_cfg.p_chaotic)
                 if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING:

@@ -8,8 +8,11 @@ FULL history. The heterogeneous predictor applies one rule per token group:
     chaotic  extrapolation with a smoothstep-damped blend of the two most
              recent velocities, leaning on the older one as the streak grows
 
-Uniform baselines apply a single rule to every token; the random-grouping
-baseline keeps the heterogeneous rules but permutes the labels.
+Uniform baselines apply a single rule to every token: they are the same
+blend with every token in one group (no token stable or chaotic for
+uniform-linear, every token chaotic for uniform-damped), and uniform-reuse
+returns the last FULL output itself. The random-grouping baseline keeps the
+heterogeneous rules but permutes the labels.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .curvature import (
     FullHistory,
     GroupAssignment,
     TokenGroup,
+    check_percentiles,
 )
 from .errors import DimensionError, InsufficientHistoryError, ParameterError
 
@@ -78,6 +82,7 @@ class PredictorConfig:
             raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.eps < 0 or not math.isfinite(self.eps):
             raise ParameterError(f"eps must be finite and >= 0, got {self.eps}")
+        check_percentiles(self.p_stable, self.p_chaotic)
 
 
 def hermite_alpha(k: int, n_max: int) -> float:
@@ -132,23 +137,20 @@ def predict(
             raise DimensionError(
                 f"assignment covers {g.n_tokens} tokens, history has {y_star.n_tokens}"
             )
-        mode = kernels.MODE_BY_GROUP
         stable, chaotic = g.indices(TokenGroup.STABLE), g.indices(TokenGroup.CHAOTIC)
     elif cfg.kind is PredictorKind.UNIFORM_LINEAR:
-        mode = kernels.MODE_LINEAR
         stable = chaotic = _NO_ROWS
-    else:  # UNIFORM_DAMPED
-        mode = kernels.MODE_DAMPED
-        stable = chaotic = _NO_ROWS
+    else:  # UNIFORM_DAMPED: every row chaotic
+        stable, chaotic = _NO_ROWS, np.arange(y_star.n_tokens)
 
     alpha = hermite_alpha(k, cfg.n_max)
     v_latest = h.v_latest.data
-    # The linear-only path never reads v_prev; substitute v_latest so the
-    # kernel signature stays uniform when only two outputs exist.
+    # Uniform-linear may run on two outputs and reads no v_prev then (no row
+    # is chaotic); substitute v_latest so the kernel takes the same arguments.
     v_prev = h.v_prev.data if h.v_prev is not None else v_latest
     with finite_math():  # the blend's FloatingPointError becomes ParameterError
         out = kernels.blend_rows(
-            y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha, mode
+            y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha
         )
     return TokenMatrix._wrap(out)
 

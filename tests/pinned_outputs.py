@@ -1,0 +1,148 @@
+"""A fixed matrix of CLI commands and the expected bytes of what it writes.
+
+The expected files live in tests/data/pinned/: every CSV and manifest as it
+is, except the manifest lines that name the output directory or the trace
+path, and the trace file as a SHA-256 in HEADER. Values print at 17
+significant digits, so the bytes belong to a numpy and BLAS build; HEADER
+records the one that made them.
+
+Regenerate the data (a change to a check: say so in CHANGES.md) with
+
+    PYTHONPATH=src python tests/pinned_outputs.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from worldcache.cli import main as cli_main
+
+DATA = Path(__file__).resolve().parent / "data" / "pinned"
+HEADER = "HEADER"
+TRACE = "trace.wct"
+REGENERATE = "PYTHONPATH=src python tests/pinned_outputs.py"
+
+PREDICTORS = ("chtp", "uniform-reuse", "uniform-linear", "uniform-damped", "random-grouping")
+SKIPPERS = ("cas", "fixed-interval", "difference-guided", "norm-guided", "curvature-guided")
+_RUN = ("--steps", "30", "--rng-seed", "7")
+# A tau per skip kind at which each guided probe caches some steps at seeds 1-3.
+_TAU = {"difference-guided": "7", "norm-guided": "0.05", "curvature-guided": "0.13"}
+_TRACE_WORKLOAD = ("--preset", "turnpoint", "--n-tokens", "32", "--dims", "4", "--steps", "30")
+# Manifest lines that name where this matrix ran, not what it computed.
+_PLACE_KEYS = ("dir = ", "trace_path = ")
+
+
+def commands(out: Path) -> list[list[str]]:
+    """The matrix, in run order, writing under `out`: `run` at seeds 1-3 with
+    each predictor kind under CAS and each other skip kind under chtp;
+    `record` then `replay`; a five-skipper x two-eta trace sweep for chtp and
+    the two uniform forecasts; a synthetic sweep of the uniform kinds under
+    --jobs 2; an eps = 0 run. Every command names its run id, since the
+    default one hashes the output directory."""
+    o = ["--out", str(out)]
+    argvs = []
+    for seed in (1, 2, 3):
+        for predictor, skipper in [(p, "cas") for p in PREDICTORS] + [
+            ("chtp", s) for s in SKIPPERS[1:]
+        ]:
+            run_id = f"run-{seed}-{predictor}-{skipper}"
+            argvs.append(["run", "--seed", str(seed), "--predictor", predictor,
+                          "--skipper", skipper, "--tau", _TAU.get(skipper, "0.05"), *_RUN,
+                          *o, "--run-id", run_id])
+    trace = str(out / TRACE)
+    argvs.append(["record", trace, "--seed", "1", *_TRACE_WORKLOAD, *o, "--run-id", "record"])
+    argvs.append(["replay", trace, "--seed", "1", "--tau", "0.05", *o, "--run-id", "replay"])
+    for predictor in ("chtp", "uniform-linear", "uniform-damped"):
+        argvs.append(["sweep", "--seed", "1", "--seeds", "1", "--predictor", predictor,
+                      "--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}",
+                      "--set", "sweep.eta=0.1,0.4", "--set", f"sweep.skipper={','.join(SKIPPERS)}",
+                      "--tau", "1", *o, "--run-id", f"trace-sweep-{predictor}"])
+    argvs.append(["sweep", "--seed", "1", "--seeds", "1,2", "--steps", "20",
+                  "--set", "sweep.predictor=uniform-reuse,uniform-linear,uniform-damped",
+                  "--set", "sweep.eta=0.1,0.3", "--jobs", "2", *o, "--run-id", "sweep-uniform"])
+    argvs.append(["run", "--seed", "2", "--set", "predictor.eps=0", *_RUN, *o,
+                  "--run-id", "eps0"])
+    return argvs
+
+
+def generate(out: Path) -> dict[str, bytes]:
+    """Run the matrix through cli.main into `out`; return each output file's
+    name and comparable bytes (the trace as its SHA-256 hex digest)."""
+    for argv in commands(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        if code != 0:
+            raise AssertionError(f"exit {code}: worldcache {' '.join(argv)}")
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == TRACE:
+            data = hashlib.sha256(data).hexdigest().encode()
+        elif path.name.endswith(".manifest.ini"):
+            lines = data.decode("utf-8").splitlines(keepends=True)
+            data = "".join(l for l in lines if not l.startswith(_PLACE_KEYS)).encode()
+        files[path.name] = data
+    return files
+
+
+def build() -> str:
+    """The numpy version and BLAS that the bytes depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas_name = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas_name}"
+
+
+def header_text(trace_digest: bytes) -> str:
+    return (
+        "# Expected outputs of the CLI matrix in tests/pinned_outputs.py.\n"
+        f"# Made with {build()}.\n"
+        f"# Regenerate: {REGENERATE}\n"
+        "# Manifests omit their output-directory and trace-path lines.\n"
+        f"{trace_digest.decode()}  {TRACE}\n"
+    )
+
+
+def expected() -> dict[str, bytes]:
+    """The committed files, with the trace digest read from HEADER."""
+    files = {p.name: p.read_bytes() for p in sorted(DATA.iterdir()) if p.name != HEADER}
+    for line in (DATA / HEADER).read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#"):
+            digest, name = line.split()
+            files[name] = digest.encode()
+    return files
+
+
+def recorded_build() -> str:
+    for line in (DATA / HEADER).read_text(encoding="utf-8").splitlines():
+        if line.startswith("# Made with "):
+            return line[len("# Made with "):].rstrip(".")
+    return "unknown"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        files = generate(Path(tmp))
+    if DATA.exists():
+        shutil.rmtree(DATA)
+    DATA.mkdir(parents=True)
+    digest = files.pop(TRACE)
+    for name, data in files.items():
+        (DATA / name).write_bytes(data)
+    (DATA / HEADER).write_text(header_text(digest), encoding="utf-8")
+    print(f"wrote {len(files)} files and {HEADER} to {DATA}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

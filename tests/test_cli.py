@@ -202,8 +202,20 @@ class TestExitCodes:
              "invalid workload parameters: seed must be >= 0, got -2"),
             (["run", "--seed", "1", "--predictor", "random-grouping", "--rng-seed", "-3"],
              "invalid policy parameters: rng_seed must be >= 0, got -3"),
+            (["run", "--seed", "1", "--warmup-fulls", "2"],
+             "invalid policy parameters: warmup_fulls=2 is below the 3 FULL outputs "
+             "required by chtp/cas"),
+            (["record", "t.wct", "--seed", "1", "--warmup-fulls", "2"],
+             "invalid policy parameters: warmup_fulls=2 is below the 3 FULL outputs "
+             "required by chtp/cas"),
+            (["run", "--seed", "1", "--p-stable", "1.5"],
+             "invalid policy parameters: percentiles must lie in [0, 1], "
+             "got p_stable=1.5, p_chaotic=0.7"),
+            (["run", "--seed", "1", "--p-stable", "0.8", "--p-chaotic", "0.5"],
+             "invalid policy parameters: p_stable must not exceed p_chaotic, got 0.8 > 0.5"),
         ],
-        ids=["run-seed", "record-seed", "rng-seed"],
+        ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
+             "p-stable-range", "p-stable-above-p-chaotic"],
     )
     def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv, err):
         if argv[0] == "record":
@@ -364,7 +376,7 @@ class TestSweepCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "0/1 cells ok" in captured.out
-        assert "ParameterError: " in captured.err
+        assert "ConfigError: invalid policy parameters: " in captured.err
         header, rows = _read_rows(tmp_path / "sw.sweep.csv")
         assert header.startswith("p_stable,seed,")
         assert rows == []

@@ -8,9 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from worldcache.curvature import TokenGroup
 from worldcache.kernels import (
-    MODE_BY_GROUP,
-    MODE_DAMPED,
-    MODE_LINEAR,
     blend_rows,
     curvature_rows,
     drift_mean,
@@ -174,7 +171,8 @@ class TestCurvatureRows:
 
 
 class TestBlendRows:
-    @pytest.mark.parametrize("mode", [MODE_BY_GROUP, MODE_LINEAR, MODE_DAMPED])
+    @pytest.mark.parametrize("forced", [None, LABEL_LINEAR, LABEL_CHAOTIC],
+                             ids=["drawn", "all-linear", "all-chaotic"])
     @given(
         st.data(),
         _matrices(3, elements=st.floats(-1e6, 1e6)),
@@ -182,14 +180,15 @@ class TestBlendRows:
         st.floats(0.0, 1.0),
     )
     @settings(max_examples=40)
-    def test_matches_scalar_reference(self, mode, data, arrays, horizon, alpha):
+    def test_matches_scalar_reference(self, forced, data, arrays, horizon, alpha):
         y_star, v_latest, v_prev = arrays
         labels = data.draw(_labels_for(y_star.shape[0]))
+        if forced is not None:
+            labels = np.full_like(labels, forced)
         out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), horizon, alpha, mode)
-        forced = {MODE_LINEAR: LABEL_LINEAR, MODE_DAMPED: LABEL_CHAOTIC}.get(mode)
+                         _rows(labels, LABEL_CHAOTIC), horizon, alpha)
         want = [
-            ref_blend(y, vl, vp, lab if forced is None else forced, horizon, alpha)
+            ref_blend(y, vl, vp, lab, horizon, alpha)
             for y, vl, vp, lab in zip(
                 y_star.tolist(), v_latest.tolist(), v_prev.tolist(), labels.tolist()
             )
@@ -203,7 +202,7 @@ class TestBlendRows:
         labels = np.array([LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC],
                           dtype=np.int8)
         out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_GROUP)
+                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5)
         # stable: reuse; linear: 1 + 3*2; damped: 1 + 3*(0.5*2 + 0.5*0)
         assert np.array_equal(out, np.array([[1.0], [7.0], [4.0]]))
 
@@ -214,34 +213,30 @@ class TestBlendRows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = blend_rows(y_star, v_latest, v_latest, _rows(labels, LABEL_STABLE),
-                             _rows(labels, LABEL_CHAOTIC), 3.0, 0.5, MODE_BY_GROUP)
+                             _rows(labels, LABEL_CHAOTIC), 3.0, 0.5)
         assert np.array_equal(out, np.array([[1.0], [7.0]]))
 
-    def test_linear_mode_ignores_labels(self):
-        y_star, v_latest, v_prev, labels = _random_inputs(3, n=12, d=5)
-        other = np.full(12, LABEL_STABLE, dtype=np.int8)
-        a = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                       _rows(labels, LABEL_CHAOTIC), -2.0, 0.4, MODE_LINEAR)
-        b = blend_rows(y_star, v_latest, v_prev, _rows(other, LABEL_STABLE),
-                       _rows(other, LABEL_CHAOTIC), -2.0, 0.4, MODE_LINEAR)
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, y_star + -2.0 * v_latest)
+    def test_an_empty_split_is_linear_everywhere(self):
+        y_star, v_latest, v_prev, _ = _random_inputs(3, n=12, d=5)
+        out = blend_rows(y_star, v_latest, v_prev, _NONE, _NONE, -2.0, 0.4)
+        ignored = blend_rows(y_star, v_latest, -v_prev, _NONE, _NONE, -2.0, 0.9)
+        assert np.array_equal(out, ignored)  # no row reads v_prev or alpha
+        assert np.array_equal(out, y_star + -2.0 * v_latest)
 
-    def test_damped_mode_blends_velocities(self):
-        y_star, v_latest, v_prev, labels = _random_inputs(4, n=8, d=3)
-        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), 1.5, 0.25, MODE_DAMPED)
+    def test_an_all_chaotic_split_blends_velocities(self):
+        y_star, v_latest, v_prev, _ = _random_inputs(4, n=8, d=3)
+        out = blend_rows(y_star, v_latest, v_prev, _NONE, np.arange(8), 1.5, 0.25)
         vel = (1.0 - 0.25) * v_latest + 0.25 * v_prev
-        np.testing.assert_allclose(out, y_star + 1.5 * vel, rtol=1e-15)
+        assert np.array_equal(out, y_star + 1.5 * vel)
 
-    def test_alpha_zero_damped_equals_linear(self):
-        y_star, v_latest, v_prev, labels = _random_inputs(5, n=6, d=2)
-        sta, cha = _rows(labels, LABEL_STABLE), _rows(labels, LABEL_CHAOTIC)
-        damped = blend_rows(y_star, v_latest, v_prev, sta, cha, 2.0, 0.0,
-                            MODE_DAMPED)
-        linear = blend_rows(y_star, v_latest, v_prev, sta, cha, 2.0, 0.99,
-                            MODE_LINEAR)
+    def test_alpha_zero_all_chaotic_equals_empty_split(self):
+        y_star, v_latest, v_prev, _ = _random_inputs(5, n=6, d=2)
+        damped = blend_rows(y_star, v_latest, v_prev, _NONE, np.arange(6), 2.0, 0.0)
+        linear = blend_rows(y_star, v_latest, v_prev, _NONE, _NONE, 2.0, 0.99)
         assert np.array_equal(damped, linear)
+
+
+_NONE = np.empty(0, dtype=np.intp)
 
 
 class TestDriftMean:

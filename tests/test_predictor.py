@@ -13,6 +13,7 @@ from worldcache import (
     Timestep,
     TokenGroup,
     TokenMatrix,
+    compute_curvature,
     group_tokens,
     hermite_alpha,
     predict,
@@ -219,6 +220,35 @@ class TestPredict:
             a = predict(base, g, k, horizon, cfg)
             b = predict(scaled, g, k, horizon, cfg)
             np.testing.assert_allclose(b.data, s * a.data, rtol=1e-9, atol=1e-9)
+
+
+class TestUniformKindsAreRowSplits:
+    """A uniform kind is the heterogeneous blend with every token in one
+    group: no row stable or chaotic for uniform-linear, every row chaotic for
+    uniform-damped. The forecasts agree bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.floats(-3.0, 3.0),
+        st.integers(1, 12),
+        st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_kind_equals_chtp_with_one_group(
+        self, seed, n, d, log_scale, k, horizon
+    ):
+        rng = np.random.default_rng(seed)
+        outputs = 10.0**log_scale * rng.normal(size=(3, n, d))
+        h = _history([(9, outputs[0]), (6, outputs[1]), (2, outputs[2])])
+        kappa = compute_curvature(h)
+        chtp = PredictorConfig(kind=PredictorKind.CHTP)
+        for kind, p_chaotic in ((PredictorKind.UNIFORM_LINEAR, 1.0),
+                                (PredictorKind.UNIFORM_DAMPED, 0.0)):
+            uniform = predict(h, None, k, horizon, PredictorConfig(kind=kind))
+            split = predict(h, group_tokens(kappa, 0.0, p_chaotic), k, horizon, chtp)
+            assert uniform.data.tobytes() == split.data.tobytes(), kind
 
 
 class TestRandomizeGroups:
