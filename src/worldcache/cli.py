@@ -47,7 +47,7 @@ from .config import (
 )
 from .core import TokenMatrix
 from .errors import ConfigError, WorldCacheError
-from .pipeline import Backbone, EulerScheduler, RunResult, oracle_run, run, uniform_grid
+from .pipeline import Backbone, EulerScheduler, RunResult, oracle_run, run
 
 STEP_COLUMNS = (
     "step",
@@ -222,13 +222,10 @@ def _reference(cfg: ResolvedConfig) -> _Reference:
     w = cfg.values["workload"]
     if w["kind"] == "trace":
         backbone = TraceBackbone(read_trace(w["trace_path"]))
-        grid = backbone.replay_grid()
+        scheduler = EulerScheduler(backbone.replay_grid())
     else:
         backbone = SyntheticBackbone(cfg.synthetic_spec())
-        grid = uniform_grid(
-            cfg.values["scheduler"]["steps"], cfg.values["scheduler"]["t_max"]
-        )
-    scheduler = EulerScheduler(grid)
+        scheduler = cfg.synthetic_scheduler()
     z_init = backbone.initial_latent()
     return _Reference(backbone, scheduler, z_init, oracle_run(backbone, scheduler, z_init))
 

@@ -19,7 +19,7 @@ from typing import Any
 from .backbone_sim import Preset, SyntheticSpec
 from .bench import DEFAULT_CACHE_COST
 from .errors import ConfigError
-from .pipeline import check_policy
+from .pipeline import EulerScheduler, check_policy, uniform_grid
 from .predictor import PredictorConfig, PredictorKind
 from .skipper import SkipConfig, SkipKind
 
@@ -143,6 +143,10 @@ class ResolvedConfig:
             coupling=w["coupling"],
             seed=w["seed"],
         )
+
+    def synthetic_scheduler(self) -> EulerScheduler:
+        sched = self.values["scheduler"]
+        return EulerScheduler(uniform_grid(sched["steps"], sched["t_max"]))
 
     def predictor_config(self) -> PredictorConfig:
         p = self.values["predictor"]
@@ -273,6 +277,11 @@ def _validate(cfg: ResolvedConfig) -> None:
         raise ConfigError(f"invalid policy parameters: {exc}") from exc
     if cfg.values["scheduler"]["steps"] < 0:
         raise ConfigError("scheduler.steps must be >= 0")
+    if w["kind"] == "synthetic":
+        try:
+            cfg.synthetic_scheduler()
+        except Exception as exc:
+            raise ConfigError(f"invalid scheduler parameters: {exc}") from exc
     if cfg.values["output"]["c_cache"] < 0:
         raise ConfigError("output.c_cache must be >= 0")
 
@@ -330,6 +339,8 @@ def sweep_seeds(cfg: ResolvedConfig) -> list[int]:
         seeds = [int(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep.seeds list: {raw!r}") from exc
+    if not seeds:
+        raise ConfigError("sweep.seeds lists no values")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"sweep.seeds must be >= 0, got {raw!r}")
     return seeds

@@ -40,40 +40,29 @@ class TokenGroup(IntEnum):
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
-    timestep: Timestep
-    output: TokenMatrix
-
-
-@dataclass(frozen=True)
 class FullHistory:
     """What the forecast and the curvature read of the recent FULL outputs.
 
-    Only the newest output is kept, with the timestep value of the FULL step
-    before it (None until two exist); an older output is dropped once its
-    velocity is taken. v_latest is the finite-difference velocity over the
-    newest interval, v_prev over the one before it. Velocities divide by the
-    true timestep difference, which is negative on a descending schedule;
-    callers that extrapolate forward multiply by the matching signed horizon.
+    Only the newest output is kept, with its timestep value t and dt, the
+    newest interval (t minus the previous FULL timestep; None until two
+    outputs exist); an older output is dropped once its velocity is taken.
+    v_latest is the finite-difference velocity over dt, v_prev over the
+    interval before it. dt is negative on a descending schedule; callers
+    that extrapolate forward multiply by the matching signed horizon.
     len(h) is the number of FULL outputs pushed, capped at 3: one for the
     newest output and one for each velocity.
     """
 
-    newest: HistoryEntry | None = None
-    t_before: float | None = None
+    output: TokenMatrix | None = None
+    t: float | None = None
+    dt: float | None = None
     v_latest: TokenMatrix | None = None
     v_prev: TokenMatrix | None = None
 
     def __len__(self) -> int:
-        if self.newest is None:
+        if self.output is None:
             return 0
         return 1 + (self.v_latest is not None) + (self.v_prev is not None)
-
-    @property
-    def latest(self) -> HistoryEntry:
-        if self.newest is None:
-            raise InsufficientHistoryError("history is empty")
-        return self.newest
 
 
 def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
@@ -85,27 +74,22 @@ def push_full(h: FullHistory, t: Timestep, y: TokenMatrix) -> FullHistory:
     match the newest output. A velocity past the float range raises
     ParameterError.
     """
-    newest = h.newest
-    if newest is None:
-        return FullHistory(newest=HistoryEntry(t, y))
-    if t.value >= newest.timestep.value:
+    if h.output is None:
+        return FullHistory(output=y, t=t.value)
+    if t.value >= h.t:
         raise OrderingError(
-            "timesteps must be strictly decreasing: "
-            f"got {t.value} after {newest.timestep.value}"
+            f"timesteps must be strictly decreasing: got {t.value} after {h.t}"
         )
-    if y.shape != newest.output.shape:
+    if y.shape != h.output.shape:
         raise DimensionError(
-            f"output shape {y.shape} does not match history {newest.output.shape}"
+            f"output shape {y.shape} does not match history {h.output.shape}"
         )
-    dt = t.value - newest.timestep.value
+    dt = t.value - h.t
     with finite_math():  # dt < 0 (maybe -inf), as the timesteps strictly decrease
-        v = np.subtract(y.data, newest.output.data)
+        v = np.subtract(y.data, h.output.data)
         v /= dt
     return FullHistory(
-        newest=HistoryEntry(t, y),
-        t_before=newest.timestep.value,
-        v_latest=TokenMatrix._wrap(v),
-        v_prev=h.v_latest,
+        output=y, t=t.value, dt=dt, v_latest=TokenMatrix._wrap(v), v_prev=h.v_latest
     )
 
 
@@ -131,8 +115,7 @@ def compute_curvature(h: FullHistory, eps: float = DEFAULT_EPS) -> np.ndarray:
         )
     if eps < 0 or not math.isfinite(eps):
         raise ParameterError(f"eps must be a finite value >= 0, got {eps}")
-    dt = h.newest.timestep.value - h.t_before
-    return kernels.curvature_rows(h.v_latest.data, h.v_prev.data, dt, eps)
+    return kernels.curvature_rows(h.v_latest.data, h.v_prev.data, h.dt, eps)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -38,53 +38,39 @@ from .predictor import (
 from .skipper import SkipConfig, SkipKind, drift_score, probe_statistic, should_full
 
 
-@runtime_checkable
 class Backbone(Protocol):
     """One denoising-network evaluation: latent + timestep -> token outputs."""
 
     def evaluate(self, z: TokenMatrix, t: Timestep) -> TokenMatrix: ...
 
 
-@runtime_checkable
-class Scheduler(Protocol):
-    """Latent update rule over a fixed descending timestep grid."""
-
-    @property
-    def timesteps(self) -> tuple[Timestep, ...]: ...
-
-    def step(
-        self, z: TokenMatrix, y: TokenMatrix, t_from: Timestep, t_to: Timestep
-    ) -> TokenMatrix: ...
-
-
 def uniform_grid(steps: int, t_max: float | None = None) -> tuple[Timestep, ...]:
-    """Descending grid of steps+1 nodes; default integer values steps..0."""
+    """Descending grid of steps+1 nodes; default integer values steps..0.
+    Only EulerScheduler checks that the nodes strictly decrease."""
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     if t_max is None:
         t_max = float(steps)
-    if steps == 0:
-        return (Timestep(t_max, 0),)
+    if not math.isfinite(t_max):
+        raise ParameterError(f"t_max must be finite, got {t_max}")
     values = np.linspace(t_max, 0.0, steps + 1)
     return tuple(Timestep(float(v), i) for i, v in enumerate(values))
 
 
-def _check_grid(timesteps: Sequence[Timestep]) -> None:
-    for a, b in zip(timesteps, timesteps[1:]):
-        if b.value >= a.value:
-            raise OrderingError(
-                f"scheduler grid must be strictly decreasing: {b.value} after {a.value}"
-            )
-
-
 @dataclass(frozen=True)
 class EulerScheduler:
-    """Explicit Euler update z' = z + (t_to - t_from) * y; y must have z's shape."""
+    """Explicit Euler update z' = z + (t_to - t_from) * y over a fixed grid;
+    y must have z's shape. The one place a grid is checked: its values must
+    strictly decrease, and run() trusts them."""
 
     grid: tuple[Timestep, ...]
 
     def __post_init__(self):
-        _check_grid(self.grid)
+        for a, b in zip(self.grid, self.grid[1:]):
+            if b.value >= a.value:
+                raise OrderingError(
+                    f"scheduler grid must be strictly decreasing: {b.value} after {a.value}"
+                )
 
     @property
     def timesteps(self) -> tuple[Timestep, ...]:
@@ -207,7 +193,7 @@ def check_policy(predictor_cfg: PredictorConfig, skip_cfg: SkipConfig) -> None:
 
 def run(
     backbone: Backbone,
-    scheduler: Scheduler,
+    scheduler: EulerScheduler,
     z_init: TokenMatrix,
     predictor_cfg: PredictorConfig | None = None,
     skip_cfg: SkipConfig | None = None,
@@ -232,8 +218,7 @@ def run(
     """
     predictor_cfg = predictor_cfg or PredictorConfig()
     skip_cfg = skip_cfg or SkipConfig()
-    grid = tuple(scheduler.timesteps)
-    _check_grid(grid)
+    grid = scheduler.timesteps
     n_steps = max(len(grid) - 1, 0)
     if oracle_outputs is not None and len(oracle_outputs) != n_steps:
         raise ParameterError(
@@ -271,7 +256,7 @@ def run(
         else:
             cache_count += 1
             k += 1
-            horizon = t.value - history.latest.timestep.value
+            horizon = t.value - history.t
             y_t = predict(history, group, k, horizon, predictor_cfg)
             if score_drift:
                 e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
@@ -302,7 +287,7 @@ def run(
 
 def oracle_run(
     backbone: Backbone,
-    scheduler: Scheduler,
+    scheduler: EulerScheduler,
     z_init: TokenMatrix,
     *,
     record_outputs: bool = True,

@@ -125,7 +125,7 @@ def predict(
         raise InsufficientHistoryError(
             f"{cfg.kind.value} needs {need} FULL outputs, have {len(h)}"
         )
-    y_star = h.latest.output
+    y_star = h.output
 
     if cfg.kind is PredictorKind.UNIFORM_REUSE:
         return y_star

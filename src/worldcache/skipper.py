@@ -40,8 +40,12 @@ class SkipConfig:
     eta: drift budget per streak (non-negative; inf disables the trigger).
     interval: cached steps between FULLs for the fixed baseline.
     tau: threshold for the probe-guided baselines.
-    enforce_streak_cap: force FULL when a streak reaches the predictor's
-        n_max (True by default; False reproduces the uncapped published loop).
+    enforce_streak_cap: under CAS, force FULL when a streak reaches the
+        predictor's n_max (True by default; False reproduces the uncapped
+        published loop). No other kind caps: fixed-interval has its interval,
+        and a guided kind caches while its statistic stays below tau.
+        Curvature-guided's (the grouping's mean kappa) changes only at a
+        FULL step, so once it caches it caches to the end of the run.
     warmup_fulls: initial FULL steps before any caching is considered.
     """
 

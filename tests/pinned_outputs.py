@@ -9,6 +9,10 @@ records the one that made them.
 Regenerate the data (a change to a check: say so in CHANGES.md) with
 
     PYTHONPATH=src python tests/pinned_outputs.py
+
+It first prints one line per file it adds, removes or changes against the
+committed data (the trace under its own name), so an intended byte change
+can name each file it touches.
 """
 
 from __future__ import annotations
@@ -42,16 +46,18 @@ _PLACE_KEYS = ("dir = ", "trace_path = ")
 
 def commands(out: Path) -> list[list[str]]:
     """The matrix, in run order, writing under `out`: `run` at seeds 1-3 with
-    each predictor kind under CAS and each other skip kind under chtp;
-    `record` then `replay`; a five-skipper x two-eta trace sweep for chtp and
-    the two uniform forecasts; a synthetic sweep of the uniform kinds under
-    --jobs 2; an eps = 0 run. Every command names its run id, since the
-    default one hashes the output directory."""
+    each predictor kind under CAS and each other skip kind under chtp and
+    random-grouping; `record` then `replay`; a five-skipper x two-eta trace
+    sweep for chtp and the two uniform forecasts; a synthetic sweep of the
+    uniform kinds under --jobs 2; a 2x2x2 eta x p_chaotic x seed sweep under
+    --jobs 1; an eps = 0 run; runs at amplitudes 1e150 and 1e-160. Every
+    command names its run id, since the default one hashes the output
+    directory."""
     o = ["--out", str(out)]
     argvs = []
     for seed in (1, 2, 3):
         for predictor, skipper in [(p, "cas") for p in PREDICTORS] + [
-            ("chtp", s) for s in SKIPPERS[1:]
+            (p, s) for p in ("chtp", "random-grouping") for s in SKIPPERS[1:]
         ]:
             run_id = f"run-{seed}-{predictor}-{skipper}"
             argvs.append(["run", "--seed", str(seed), "--predictor", predictor,
@@ -68,8 +74,14 @@ def commands(out: Path) -> list[list[str]]:
     argvs.append(["sweep", "--seed", "1", "--seeds", "1,2", "--steps", "20",
                   "--set", "sweep.predictor=uniform-reuse,uniform-linear,uniform-damped",
                   "--set", "sweep.eta=0.1,0.3", "--jobs", "2", *o, "--run-id", "sweep-uniform"])
+    argvs.append(["sweep", "--seed", "1", "--seeds", "1,2", "--steps", "20",
+                  "--set", "sweep.eta=0.1,0.3", "--set", "sweep.p_chaotic=0.6,0.8",
+                  "--jobs", "1", *o, "--run-id", "sweep-2x2x2"])
     argvs.append(["run", "--seed", "2", "--set", "predictor.eps=0", *_RUN, *o,
                   "--run-id", "eps0"])
+    for amplitude in ("1e150", "1e-160"):
+        argvs.append(["run", "--seed", "1", "--amplitude", amplitude, *_RUN, *o,
+                      "--run-id", f"amplitude-{amplitude}"])
     return argvs
 
 
@@ -133,6 +145,16 @@ def recorded_build() -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = generate(Path(tmp))
+    old = expected() if DATA.exists() else {}
+    if old and recorded_build() != build():
+        print(f"changed {HEADER}: made with {recorded_build()}, now {build()}")
+    for name in sorted(old.keys() | files.keys()):
+        if name not in old:
+            print(f"added {name}")
+        elif name not in files:
+            print(f"removed {name}")
+        elif old[name] != files[name]:
+            print(f"changed {name}")
     if DATA.exists():
         shutil.rmtree(DATA)
     DATA.mkdir(parents=True)

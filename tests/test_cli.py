@@ -213,9 +213,24 @@ class TestExitCodes:
              "got p_stable=1.5, p_chaotic=0.7"),
             (["run", "--seed", "1", "--p-stable", "0.8", "--p-chaotic", "0.5"],
              "invalid policy parameters: p_stable must not exceed p_chaotic, got 0.8 > 0.5"),
+            (["run", "--seed", "1", "--t-max", "0"],
+             "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
+             "0.0 after 0.0"),
+            (["run", "--seed", "1", "--t-max", "-5"],
+             "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
+             "-4.9 after -5.0"),
+            (["run", "--seed", "1", "--t-max", "inf"],
+             "invalid scheduler parameters: t_max must be finite, got inf"),
+            (["run", "--seed", "1", "--t-max", "1e-322"],
+             "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
+             "1e-322 after 1e-322"),
+            (["record", "t.wct", "--seed", "1", "--t-max", "0"],
+             "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
+             "0.0 after 0.0"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
-             "p-stable-range", "p-stable-above-p-chaotic"],
+             "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
+             "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0"],
     )
     def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv, err):
         if argv[0] == "record":
@@ -391,12 +406,20 @@ class TestSweepCommand:
                      "--jobs", "0", "--out", str(tmp_path), *FAST])
         assert code == 1
 
-    def test_negative_seed_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra, err", [
+        (["--seeds=-1,2"], "sweep.seeds must be >= 0, got '-1,2'"),
+        (["--seeds=,"], "sweep.seeds lists no values"),
+        (["--seeds=1", "--t-max", "0"], "invalid scheduler parameters: "
+         "scheduler grid must be strictly decreasing: 0.0 after 0.0"),
+    ], ids=["negative-seed", "no-seed", "t-max-0"])
+    def test_negative_seed_is_usage_error_and_writes_nothing(
+        self, tmp_path, capsys, extra, err
+    ):
         out = tmp_path / "out"
-        code = main(["sweep", "--seed", "1", "--seeds=-1,2", "--set", "sweep.eta=0.1",
-                     "--out", str(out), *FAST])
+        code = main(["sweep", "--seed", "1", "--set", "sweep.eta=0.1",
+                     "--out", str(out), *FAST, *extra])
         assert code == 1
-        assert "sweep.seeds" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {err}\n"
         assert not out.exists()
 
     def test_jobs_default_to_one_whatever_the_environment(self, monkeypatch):

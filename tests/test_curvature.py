@@ -50,15 +50,15 @@ class TestPushFull:
 
     def test_newest_entry_first(self):
         h = _history([(50, [0.0]), (49, [1.0])])
-        assert h.latest.timestep.value == 49
-        assert h.t_before == 50
+        assert h.t == 49
+        assert h.dt == 49 - 50
 
     def test_depth_caps_at_three(self):
         # velocities -1, -2, -3 over 50->49, 49->48, 48->47
         h = _history([(50, [0.0]), (49, [1.0]), (48, [3.0]), (47, [6.0])])
         assert len(h) == 3
-        assert h.latest.timestep.value == 47
-        assert h.t_before == 48
+        assert h.t == 47
+        assert h.dt == 47 - 48
         # the oldest FULL step still read is t = 49, the start of v_prev
         assert h.v_latest.data.tolist() == [[-3.0]]
         assert h.v_prev.data.tolist() == [[-2.0]]

@@ -29,7 +29,6 @@ from worldcache import (
     write_trace,
 )
 from worldcache.cli import main
-from worldcache.curvature import HistoryEntry
 
 NON_FINITE = "token matrix contains non-finite values"
 STABLE, LINEAR, CHAOTIC = (int(g) for g in TokenGroup)
@@ -44,8 +43,9 @@ def _quiet(fn, *args):
 
 def _history(y_star, v_latest, v_prev) -> FullHistory:
     """Three FULL outputs ending in y_star, with the given velocities."""
-    newest = HistoryEntry(Timestep(0.0, 0), TokenMatrix(y_star))
-    return FullHistory(newest, -1.0, TokenMatrix(v_latest), TokenMatrix(v_prev))
+    return FullHistory(
+        TokenMatrix(y_star), 0.0, 1.0, TokenMatrix(v_latest), TokenMatrix(v_prev)
+    )
 
 
 def _groups(labels) -> GroupAssignment:

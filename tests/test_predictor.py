@@ -64,7 +64,7 @@ class TestHermiteAlpha:
 def _damped_velocity(h, k):
     """The damped blend (1 - alpha_k) * v_latest + alpha_k * v_prev, read off
     predict: at horizon 1 from a zero newest output the forecast is the blend."""
-    assert not h.latest.output.data.any()
+    assert not h.output.data.any()
     cfg = PredictorConfig(kind=PredictorKind.UNIFORM_DAMPED, n_max=6)
     return predict(h, None, k, 1.0, cfg)
 
@@ -110,7 +110,7 @@ class TestPredict:
         h = _history([(3, [[1.0], [2.0]]), (2, [[3.0], [4.0]]), (1, [[5.0], [6.0]])])
         g = _labels([TokenGroup.STABLE, TokenGroup.STABLE])
         out = predict(h, g, 2, -1.0, PredictorConfig())
-        assert out == h.latest.output
+        assert out == h.output
 
     def test_linear_branch_arithmetic(self):
         # y* = 5, v = 2, horizon = 3 -> 11; the descending grid 3 -> 1 with
@@ -143,7 +143,7 @@ class TestPredict:
         out = predict(
             h, g, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_REUSE)
         )
-        assert out == h.latest.output
+        assert out == h.output
 
     def test_uniform_kinds_accept_missing_assignment(self):
         h = _history([(3, [1.0]), (2, [2.0])])
@@ -168,7 +168,7 @@ class TestPredict:
         two = _history([(3, [1.0]), (2, [2.0])])
         assert predict(
             one, None, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_REUSE)
-        ) == one.latest.output
+        ) == one.output
         with pytest.raises(InsufficientHistoryError):
             predict(one, None, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_LINEAR))
         g = _labels([TokenGroup.CHAOTIC])

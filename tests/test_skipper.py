@@ -126,6 +126,14 @@ class TestShouldFull:
         assert should_full(cfg, 5, 0.0, 3, n_max=6) is False
         uncapped = SkipConfig(eta=math.inf, enforce_streak_cap=False)
         assert should_full(uncapped, 6, 0.0, 3, n_max=6) is False
+        # Only CAS caps: fixed-interval keeps its interval and a guided kind
+        # caches while its statistic stays below tau, whatever n_max is.
+        fixed = SkipConfig(kind=SkipKind.FIXED_INTERVAL, interval=10)
+        assert should_full(fixed, 6, math.nan, 3, n_max=6) is False
+        for kind in (SkipKind.DIFFERENCE_GUIDED, SkipKind.NORM_GUIDED,
+                     SkipKind.CURVATURE_GUIDED):
+            guided = SkipConfig(kind=kind, tau=0.5)
+            assert should_full(guided, 6, math.nan, 3, stat=0.1, n_max=6) is False
 
     def test_fixed_interval_schedule(self):
         cfg = SkipConfig(kind=SkipKind.FIXED_INTERVAL, interval=2)
