@@ -58,7 +58,7 @@ from .skipper import (
     SkipConfig,
     SkipKind,
     drift_score,
-    probe_statistic,
+    input_score,
     should_full,
 )
 
@@ -76,13 +76,13 @@ __all__ = [
     "GroupAssignment",
     "group_tokens",
     "hermite_alpha",
+    "input_score",
     "InsufficientHistoryError",
     "Modality",
     "oracle_run",
     "OrderingError",
     "ParameterError",
     "predict",
-    "probe_statistic",
     "PredictorConfig",
     "PredictorKind",
     "Preset",

@@ -146,12 +146,6 @@ class GroupAssignment:
     def counts(self) -> dict[TokenGroup, int]:
         return {g: self.members[g].size for g in TokenGroup}
 
-    @cached_property
-    def mean_kappa(self) -> float:
-        # The curvature-guided probe reads it at every step; kappa changes
-        # only at a refresh, which builds a new assignment.
-        return float(np.mean(self.kappa)) if self.kappa.size else 0.0
-
 
 def _snap_integer(v: float, rel: float = 1e-9) -> float:
     r = round(v)

@@ -2,11 +2,11 @@
 
 run() walks a descending timestep grid. At each decision point
 skipper.should_full picks, from plain values the loop carries (the streak
-length, the drift accumulated over it, and skipper.probe_statistic of the
-last emitted output), FULL (call the backbone, push the output into the
-history, refresh the token grouping once three outputs exist, reset the
-streak) or CACHE (forecast the output from the history, extend the streak,
-and add its drift score to the streak's total where something reads it).
+length and the scores accumulated over it), FULL (call the backbone, push
+the output into the history, refresh the token grouping once three outputs
+exist, reset the streak) or CACHE (forecast the output from the history,
+extend the streak, and add skipper.cache_score to the streak's total where
+something reads it).
 Either way the emitted output advances the latent through the scheduler.
 oracle_run() is the no-cache reference: run() with a zero drift budget,
 which makes every step FULL by construction.
@@ -35,7 +35,7 @@ from .predictor import (
     predict,
     randomize_groups,
 )
-from .skipper import SkipConfig, SkipKind, drift_score, probe_statistic, should_full
+from .skipper import SkipConfig, SkipKind, cache_score, should_full
 
 
 class Backbone(Protocol):
@@ -211,8 +211,9 @@ def run(
 
     full_records=False is for a caller that reads only the FULL/CACHE counts
     and rel_err, as a sweep cell does. The per-group errors then read NaN,
-    and a cached step's drift is scored only under CAS, the one policy that
-    reads it; under the other kinds its record's e_t and e_acc read NaN.
+    and a cached step is scored only under the kinds that accumulate (CAS
+    and input-guided); under fixed-interval its record's e_t and e_acc read
+    NaN.
     Every decision, k, rel_err and the final latent are the same either way,
     and FULL records read e_t = e_acc = 0.
     """
@@ -228,8 +229,8 @@ def run(
 
     z = z_init
     history = FullHistory()
-    k, e_acc, y_prev, group, stat = 0, 0.0, None, None, None
-    score_drift = full_records or skip_cfg.kind is SkipKind.CAS
+    k, e_acc, y_prev, group = 0, 0.0, None, None
+    score = full_records or skip_cfg.kind is not SkipKind.FIXED_INTERVAL
     records: list[StepRecord] = []
     surrogates: list[TokenMatrix] | None = [] if record_outputs else None
     full_count = 0
@@ -238,7 +239,7 @@ def run(
 
     for i in range(n_steps):
         t = grid[i]
-        if should_full(skip_cfg, k, e_acc, full_count, stat, n_max=predictor_cfg.n_max):
+        if should_full(skip_cfg, k, e_acc, full_count, n_max=predictor_cfg.n_max):
             y_t = backbone.evaluate(z, t)
             full_count += 1
             history = push_full(history, t, y_t)
@@ -258,8 +259,9 @@ def run(
             k += 1
             horizon = t.value - history.t
             y_t = predict(history, group, k, horizon, predictor_cfg)
-            if score_drift:
-                e_t = drift_score(group, y_t, y_prev) if group is not None else 0.0
+            if score:
+                dt = grid[i + 1].value - t.value
+                e_t = cache_score(skip_cfg.kind, group, y_t, y_prev, z, dt)
                 e_acc += e_t
             else:
                 e_t = e_acc = math.nan
@@ -272,7 +274,6 @@ def run(
         if surrogates is not None:
             surrogates.append(y_t)
 
-        stat = probe_statistic(skip_cfg.kind, y_t, y_prev, group)
         y_prev = y_t
         z = scheduler.step(z, y_t, t, grid[i + 1])
 

@@ -1,12 +1,12 @@
 """Skip scheduling: decide FULL vs CACHE at the top of every step.
 
-The adaptive policy (CAS) scores each cached step by curvature-weighted
-drift of the chaotic tokens (drift_score); the loop adds the scores along the
-streak, and should_full forces a FULL recomputation once the total reaches
-eta. The baselines share should_full: fixed interval counts cached steps, and
-the difference / norm / curvature probes compare the one statistic
-probe_statistic takes after each step with tau. should_full reads only plain
-values, so every policy's decision lives in this module.
+Every cached step adds a score to the streak's total e_acc (cache_score),
+and FULL resets it. The adaptive policy (CAS) scores curvature-weighted
+drift of the chaotic tokens (drift_score) and goes FULL once the total
+reaches eta; the input-guided baseline scores the relative L1 change the
+step makes to the backbone's input (input_score) and goes FULL once the
+total reaches tau; fixed interval counts cached steps. should_full reads
+only plain values, so every policy's decision lives in this module.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import kernels
 from .core import TokenMatrix
@@ -28,9 +30,7 @@ DEFAULT_WARMUP_FULLS = 3
 class SkipKind(str, Enum):
     CAS = "cas"
     FIXED_INTERVAL = "fixed-interval"
-    DIFFERENCE_GUIDED = "difference-guided"
-    NORM_GUIDED = "norm-guided"
-    CURVATURE_GUIDED = "curvature-guided"
+    INPUT_GUIDED = "input-guided"
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,11 @@ class SkipConfig:
 
     eta: drift budget per streak (non-negative; inf disables the trigger).
     interval: cached steps between FULLs for the fixed baseline.
-    tau: threshold for the probe-guided baselines.
+    tau: input-guided's budget of accumulated relative input change.
     enforce_streak_cap: under CAS, force FULL when a streak reaches the
         predictor's n_max (True by default; False reproduces the uncapped
         published loop). No other kind caps: fixed-interval has its interval,
-        and a guided kind caches while its statistic stays below tau.
-        Curvature-guided's (the grouping's mean kappa) changes only at a
-        FULL step, so once it caches it caches to the end of the run.
+        and input-guided caches while its total stays below tau.
     warmup_fulls: initial FULL steps before any caching is considered.
     """
 
@@ -91,47 +89,52 @@ def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> fl
     return e_t
 
 
-def probe_statistic(
-    kind: SkipKind, y_t: TokenMatrix, y_prev: TokenMatrix | None, g: GroupAssignment | None
-) -> float | None:
-    """The statistic a guided kind compares with tau at the next step.
+def _l1(a: np.ndarray) -> tuple[float, int]:
+    """math.frexp of ||a||_1. Where the plain sum passes the float range, the
+    sum is taken at 2**-e, e putting the largest entry in [0.5, 1)."""
+    with np.errstate(over="ignore"):
+        s = float(np.abs(a).sum())
+    if s < math.inf:
+        return math.frexp(s)
+    e = int(np.frexp(np.abs(a).max())[1])
+    m, e_s = math.frexp(float(np.abs(np.ldexp(a, -e)).sum()))
+    return m, e + e_s
 
-    Difference-guided reads ||y_t - y_prev||_F, norm-guided divides it by
-    ||y_prev||_F (inf over a zero base, 0 when both are 0) and
-    curvature-guided reads the active grouping's mean kappa. None where the
-    statistic is not yet defined (no previous output or no grouping), and for
-    CAS and fixed-interval, which read none.
-    """
-    if kind is SkipKind.CAS or kind is SkipKind.FIXED_INTERVAL:
-        return None
-    if kind is SkipKind.CURVATURE_GUIDED:
-        return None if g is None else g.mean_kappa
-    if y_prev is None:
-        return None
-    diff_norm = kernels.fro_norm(y_t.data - y_prev.data)
-    if kind is SkipKind.DIFFERENCE_GUIDED:
-        return diff_norm
-    base_norm = kernels.fro_norm(y_prev.data)
-    if base_norm == 0.0:
-        return math.inf if diff_norm > 0.0 else 0.0
-    return diff_norm / base_norm
+
+def input_score(z: TokenMatrix, y_t: TokenMatrix, dt: float) -> float:
+    """Relative L1 change |dt| ||y_t||_1 / ||z||_1 that the Euler update
+    z + dt * y_t makes to the backbone's input z.
+
+    0 over a zero latent that does not move and inf over one that does. The
+    factors are combined as mantissas and one power of two, so the score is
+    inf or 0 only past the float range and never NaN, and nothing warns."""
+    (md, ed), (my, ey), (mz, ez) = math.frexp(abs(dt)), _l1(y_t.data), _l1(z.data)
+    if mz == 0.0:
+        return math.inf if md and my else 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(md * my / mz, ed + ey - ez))
+
+
+def cache_score(
+    kind: SkipKind, g: GroupAssignment | None, y_t: TokenMatrix, y_prev: TokenMatrix,
+    z: TokenMatrix, dt: float,
+) -> float:
+    """What a cached step emitting y_t adds to e_acc: input_score under
+    input-guided, else drift_score (0.0 before the first grouping)."""
+    if kind is SkipKind.INPUT_GUIDED:
+        return input_score(z, y_t, dt)
+    return drift_score(g, y_t, y_prev) if g is not None else 0.0
 
 
 def should_full(
-    cfg: SkipConfig,
-    k: int,
-    e_acc: float,
-    full_count: int,
-    stat: float | None = None,
-    n_max: int = DEFAULT_N_MAX,
+    cfg: SkipConfig, k: int, e_acc: float, full_count: int, n_max: int = DEFAULT_N_MAX
 ) -> bool:
     """Decide FULL (True) or CACHE (False) at the top of a step.
 
-    k counts the cached steps since the last FULL and e_acc the drift they
-    accumulated. full_count counts every FULL evaluation so far, which warmup
-    compares against (the history's depth, len(h), saturates at three).
-    stat is probe_statistic's value after the previous step, read only by
-    the guided kinds; None (not yet defined) forces FULL.
+    k counts the cached steps since the last FULL and e_acc the scores they
+    accumulated (cache_score). full_count counts every FULL evaluation so
+    far, which warmup compares against (the history's depth, len(h),
+    saturates at three).
     """
     if full_count < cfg.warmup_fulls:
         return True
@@ -139,4 +142,4 @@ def should_full(
         return e_acc >= cfg.eta or (cfg.enforce_streak_cap and k >= n_max)
     if cfg.kind is SkipKind.FIXED_INTERVAL:
         return k + 1 > cfg.interval
-    return stat is None or stat >= cfg.tau
+    return e_acc >= cfg.tau

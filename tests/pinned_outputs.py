@@ -35,10 +35,8 @@ TRACE = "trace.wct"
 REGENERATE = "PYTHONPATH=src python tests/pinned_outputs.py"
 
 PREDICTORS = ("chtp", "uniform-reuse", "uniform-linear", "uniform-damped", "random-grouping")
-SKIPPERS = ("cas", "fixed-interval", "difference-guided", "norm-guided", "curvature-guided")
+SKIPPERS = ("cas", "fixed-interval", "input-guided")
 _RUN = ("--steps", "30", "--rng-seed", "7")
-# A tau per skip kind at which each guided probe caches some steps at seeds 1-3.
-_TAU = {"difference-guided": "7", "norm-guided": "0.05", "curvature-guided": "0.13"}
 _TRACE_WORKLOAD = ("--preset", "turnpoint", "--n-tokens", "32", "--dims", "4", "--steps", "30")
 # Manifest lines that name where this matrix ran, not what it computed.
 _PLACE_KEYS = ("dir = ", "trace_path = ")
@@ -47,7 +45,7 @@ _PLACE_KEYS = ("dir = ", "trace_path = ")
 def commands(out: Path) -> list[list[str]]:
     """The matrix, in run order, writing under `out`: `run` at seeds 1-3 with
     each predictor kind under CAS and each other skip kind under chtp and
-    random-grouping; `record` then `replay`; a five-skipper x two-eta trace
+    random-grouping; `record` then `replay`; a three-skipper x two-eta trace
     sweep for chtp and the two uniform forecasts; a synthetic sweep of the
     uniform kinds under --jobs 2; a 2x2x2 eta x p_chaotic x seed sweep under
     --jobs 1; an eps = 0 run; runs at amplitudes 1e150 and 1e-160. Every
@@ -61,7 +59,7 @@ def commands(out: Path) -> list[list[str]]:
         ]:
             run_id = f"run-{seed}-{predictor}-{skipper}"
             argvs.append(["run", "--seed", str(seed), "--predictor", predictor,
-                          "--skipper", skipper, "--tau", _TAU.get(skipper, "0.05"), *_RUN,
+                          "--skipper", skipper, "--tau", "0.05", *_RUN,
                           *o, "--run-id", run_id])
     trace = str(out / TRACE)
     argvs.append(["record", trace, "--seed", "1", *_TRACE_WORKLOAD, *o, "--run-id", "record"])

@@ -497,3 +497,61 @@ def test_criterion_12_manifest_determinism(criterion_report, tmp_path):
         out["detail"] = (
             f"run CSVs identical={run_same}, sweep CSV identical={sweep_same}"
         )
+
+
+def _first_run_per_full_count(backbone, scheduler, z0, ref, kind, thresholds):
+    """FULL count -> (threshold, final rel err, max per-step rel err) of the
+    smallest threshold that reaches it."""
+    by_count = {}
+    for th in thresholds:
+        cfg = (SkipConfig(kind=kind, eta=th) if kind is SkipKind.CAS
+               else SkipConfig(kind=kind, tau=th))
+        cached = run(backbone, scheduler, z0, PredictorConfig(), cfg,
+                     oracle_outputs=ref.surrogates)
+        if cached.full_count not in by_count:
+            m = compare_runs(cached, ref)
+            by_count[cached.full_count] = (
+                th, m.final_latent_rel_error, max(r.rel_err for r in cached.records),
+            )
+    return by_count
+
+
+def test_criterion_13_probe_vs_cas(criterion_report):
+    """CAS (eta grid) against the input-guided probe (tau grid) at the FULL
+    counts both reach, on mixed and turnpoint (96x8, 50 steps, seed 0). It
+    reports the final and the largest per-step error of each; it asserts
+    only that both can be compared at several budgets, not who wins."""
+    with _criterion(criterion_report, 13, "probe-vs-cas") as out:
+        t0 = time.perf_counter()
+        grid = [float(v) for v in np.logspace(-4, 1, 101)]
+        rows, summary, ok = [], [], True
+        for preset in (Preset.MIXED, Preset.TURNPOINT):
+            backbone = SyntheticBackbone(
+                SyntheticSpec(preset=preset, seed=0, n_tokens=96, dims=8))
+            scheduler = EulerScheduler(uniform_grid(STEPS))
+            z0 = backbone.initial_latent()
+            ref = oracle_run(backbone, scheduler, z0)
+            cas, probe = (
+                _first_run_per_full_count(backbone, scheduler, z0, ref, kind, grid)
+                for kind in (SkipKind.CAS, SkipKind.INPUT_GUIDED)
+            )
+            matched = sorted(cas.keys() & probe.keys())
+            wins = 0
+            for count in matched:
+                (eta, c_final, c_max), (tau, p_final, p_max) = cas[count], probe[count]
+                ok = ok and all(map(math.isfinite, (c_final, c_max, p_final, p_max)))
+                wins += p_final < c_final
+                rows.append(
+                    f"{preset.value:>9} {count:4d}  eta={eta:<8.3g} {c_final:9.2e} "
+                    f"{c_max:9.2e}  tau={tau:<8.3g} {p_final:9.2e} {p_max:9.2e}"
+                )
+            ok = ok and len(matched) >= 5
+            summary.append(f"{preset.value} {wins}/{len(matched)}")
+        elapsed = time.perf_counter() - t0
+        out["ok"] = ok and elapsed < 30.0
+        header = (f"{'preset':>9} FULL  {'CAS':<12} {'final':>9} {'max':>9}  "
+                  f"{'probe':<12} {'final':>9} {'max':>9}")
+        out["detail"] = (
+            f"probe final < CAS final at matched FULL counts: {', '.join(summary)}, "
+            f"{elapsed:.1f}s\n" + "\n".join(["  " + header, *("  " + r for r in rows)])
+        )

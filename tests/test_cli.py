@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from worldcache import SkipKind, bench, cli, kernels, pipeline, write_trace
+from worldcache import SkipKind, bench, cli, kernels, pipeline, skipper, write_trace
 from worldcache.cli import (
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -227,10 +227,18 @@ class TestExitCodes:
             (["record", "t.wct", "--seed", "1", "--t-max", "0"],
              "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
              "0.0 after 0.0"),
+            # a skip kind the harness does not provide is an unknown value
+            (["run", "--seed", "1", "--skipper", "difference-guided"],
+             "bad value for skipper.kind: 'difference-guided' "
+             "(expected one of cas, fixed-interval, input-guided)"),
+            (["sweep", "--seed", "1", "--set", "sweep.skipper=cas,norm-guided"],
+             "bad value for sweep.skipper: 'norm-guided' "
+             "(expected one of cas, fixed-interval, input-guided)"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
-             "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0"],
+             "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "removed-skipper",
+             "removed-sweep-skipper"],
     )
     def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv, err):
         if argv[0] == "record":
@@ -668,7 +676,7 @@ class TestSweepScoresOnlyWhatItWrites:
     def test_sweep_scores_drift_only_in_cas_cells(self, tmp_path, monkeypatch):
         trace = tmp_path / "ref.wct"
         assert main(["record", str(trace), "--seed", "3", *FAST]) == 0
-        scores, real = [], pipeline.drift_score
+        scores, real = [], skipper.drift_score
 
         def counted(*args):
             scores.append(args)
@@ -682,7 +690,7 @@ class TestSweepScoresOnlyWhatItWrites:
             cells.append((cfg.skip_config().kind, len(scores) - before, cached.cache_count))
             return cached, metrics
 
-        monkeypatch.setattr(pipeline, "drift_score", counted)
+        monkeypatch.setattr(skipper, "drift_score", counted)
         monkeypatch.setattr(cli, "_execute", cell)
         argv = ["sweep", "--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}",
                 "--set", "sweep.eta=0.15,0.3", "--set", "sweep.skipper=cas,fixed-interval",
