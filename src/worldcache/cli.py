@@ -98,9 +98,8 @@ _FLAGS = {
     "p_stable": ("predictor", "p_stable", None),
     "p_chaotic": ("predictor", "p_chaotic", None),
     "skipper": ("skipper", "kind", "skip policy kind"),
-    "eta": ("skipper", "eta", "drift budget threshold"),
+    "eta": ("skipper", "eta", "budget of a streak's summed score (cas, input-guided)"),
     "interval": ("skipper", "interval", None),
-    "tau": ("skipper", "tau", None),
     "warmup_fulls": ("skipper", "warmup_fulls", None),
     "steps": ("scheduler", "steps", None),
     "t_max": ("scheduler", "t_max", None),
@@ -150,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_record)
 
     p_rep = sub.add_parser("replay", help="run the cache policy against a trace")
-    p_rep.add_argument("trace", help="input trace path")
+    p_rep.add_argument("trace", help="input trace path; its own timestep grid is "
+                       "replayed, so [scheduler] keys such as --steps are ignored")
     _add_common_flags(p_rep)
     p_rep.set_defaults(func=cmd_run)
 
@@ -385,6 +385,8 @@ def cmd_record(args) -> int:
     cfg = _load(args)
     if cfg.values["workload"]["kind"] != "synthetic":
         raise ConfigError("record requires a synthetic workload")
+    if cfg.values["scheduler"]["steps"] < 1:
+        raise ConfigError("record requires scheduler.steps >= 1")
     trace_path = Path(args.trace)
     if trace_path.suffix != TRACE_EXTENSION:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)

@@ -56,7 +56,6 @@ _AXIS_TARGET = {
     "n_max": ("predictor", "n_max"),
     "predictor": ("predictor", "kind"),
     "skipper": ("skipper", "kind"),
-    "tau": ("skipper", "tau"),
     "interval": ("skipper", "interval"),
 }
 SWEEP_AXES = tuple(_AXIS_TARGET)
@@ -92,7 +91,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "kind": ("str", SkipConfig.kind.value),
         "eta": ("float", SkipConfig.eta),
         "interval": ("int", SkipConfig.interval),
-        "tau": ("float", SkipConfig.tau),
         "enforce_streak_cap": ("bool", SkipConfig.enforce_streak_cap),
         "warmup_fulls": ("int", SkipConfig.warmup_fulls),
     },
@@ -172,7 +170,6 @@ class ResolvedConfig:
             kind=SkipKind(s["kind"]),
             eta=s["eta"],
             interval=s["interval"],
-            tau=s["tau"],
             enforce_streak_cap=s["enforce_streak_cap"],
             warmup_fulls=s["warmup_fulls"],
         )

@@ -1,12 +1,12 @@
 """Skip scheduling: decide FULL vs CACHE at the top of every step.
 
 Every cached step adds a score to the streak's total e_acc (cache_score),
-and FULL resets it. The adaptive policy (CAS) scores curvature-weighted
-drift of the chaotic tokens (drift_score) and goes FULL once the total
-reaches eta; the input-guided baseline scores the relative L1 change the
-step makes to the backbone's input (input_score) and goes FULL once the
-total reaches tau; fixed interval counts cached steps. should_full reads
-only plain values, so every policy's decision lives in this module.
+and FULL resets it. Both accumulating kinds go FULL once the total reaches
+the one budget, eta: the adaptive policy (CAS) scores curvature-weighted
+drift of the chaotic tokens (drift_score), and the input-guided baseline
+scores the relative L1 change the step makes to the backbone's input
+(input_score). Fixed interval counts cached steps. should_full reads only
+plain values, so every policy's decision lives in this module.
 """
 
 from __future__ import annotations
@@ -37,20 +37,19 @@ class SkipKind(str, Enum):
 class SkipConfig:
     """Skip policy parameters. Only the fields for the selected kind are read.
 
-    eta: drift budget per streak (non-negative; inf disables the trigger).
+    eta: budget of a streak's accumulated score e_acc, read by CAS and
+        input-guided (non-negative; inf disables the trigger).
     interval: cached steps between FULLs for the fixed baseline.
-    tau: input-guided's budget of accumulated relative input change.
     enforce_streak_cap: under CAS, force FULL when a streak reaches the
         predictor's n_max (True by default; False reproduces the uncapped
         published loop). No other kind caps: fixed-interval has its interval,
-        and input-guided caches while its total stays below tau.
+        and input-guided caches while its total stays below eta.
     warmup_fulls: initial FULL steps before any caching is considered.
     """
 
     kind: SkipKind = SkipKind.CAS
     eta: float = DEFAULT_ETA
     interval: int = 5
-    tau: float = 0.1
     enforce_streak_cap: bool = True
     warmup_fulls: int = DEFAULT_WARMUP_FULLS
 
@@ -59,8 +58,6 @@ class SkipConfig:
             raise ParameterError(f"eta must be >= 0 (inf allowed), got {self.eta}")
         if self.interval < 1:
             raise ParameterError(f"interval must be >= 1, got {self.interval}")
-        if not math.isfinite(self.tau) or self.tau < 0:
-            raise ParameterError(f"tau must be finite and >= 0, got {self.tau}")
         if self.warmup_fulls < 1:
             raise ParameterError(
                 f"warmup_fulls must be >= 1, got {self.warmup_fulls}"
@@ -138,8 +135,7 @@ def should_full(
     """
     if full_count < cfg.warmup_fulls:
         return True
-    if cfg.kind is SkipKind.CAS:
-        return e_acc >= cfg.eta or (cfg.enforce_streak_cap and k >= n_max)
     if cfg.kind is SkipKind.FIXED_INTERVAL:
         return k + 1 > cfg.interval
-    return e_acc >= cfg.tau
+    capped = cfg.kind is SkipKind.CAS and cfg.enforce_streak_cap
+    return e_acc >= cfg.eta or (capped and k >= n_max)

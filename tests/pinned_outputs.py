@@ -45,8 +45,8 @@ _PLACE_KEYS = ("dir = ", "trace_path = ")
 def commands(out: Path) -> list[list[str]]:
     """The matrix, in run order, writing under `out`: `run` at seeds 1-3 with
     each predictor kind under CAS and each other skip kind under chtp and
-    random-grouping; `record` then `replay`; a three-skipper x two-eta trace
-    sweep for chtp and the two uniform forecasts; a synthetic sweep of the
+    random-grouping (input-guided at eta 0.05); `record` then `replay`; a
+    three-skipper x two-eta trace sweep for chtp and the two uniform forecasts; a synthetic sweep of the
     uniform kinds under --jobs 2; a 2x2x2 eta x p_chaotic x seed sweep under
     --jobs 1; an eps = 0 run; runs at amplitudes 1e150 and 1e-160. Every
     command names its run id, since the default one hashes the output
@@ -58,17 +58,18 @@ def commands(out: Path) -> list[list[str]]:
             (p, s) for p in ("chtp", "random-grouping") for s in SKIPPERS[1:]
         ]:
             run_id = f"run-{seed}-{predictor}-{skipper}"
+            budget = ("--eta", "0.05") if skipper == "input-guided" else ()
             argvs.append(["run", "--seed", str(seed), "--predictor", predictor,
-                          "--skipper", skipper, "--tau", "0.05", *_RUN,
+                          "--skipper", skipper, *budget, *_RUN,
                           *o, "--run-id", run_id])
     trace = str(out / TRACE)
     argvs.append(["record", trace, "--seed", "1", *_TRACE_WORKLOAD, *o, "--run-id", "record"])
-    argvs.append(["replay", trace, "--seed", "1", "--tau", "0.05", *o, "--run-id", "replay"])
+    argvs.append(["replay", trace, "--seed", "1", *o, "--run-id", "replay"])
     for predictor in ("chtp", "uniform-linear", "uniform-damped"):
         argvs.append(["sweep", "--seed", "1", "--seeds", "1", "--predictor", predictor,
                       "--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}",
                       "--set", "sweep.eta=0.1,0.4", "--set", f"sweep.skipper={','.join(SKIPPERS)}",
-                      "--tau", "1", *o, "--run-id", f"trace-sweep-{predictor}"])
+                      *o, "--run-id", f"trace-sweep-{predictor}"])
     argvs.append(["sweep", "--seed", "1", "--seeds", "1,2", "--steps", "20",
                   "--set", "sweep.predictor=uniform-reuse,uniform-linear,uniform-damped",
                   "--set", "sweep.eta=0.1,0.3", "--jobs", "2", *o, "--run-id", "sweep-uniform"])

@@ -499,25 +499,23 @@ def test_criterion_12_manifest_determinism(criterion_report, tmp_path):
         )
 
 
-def _first_run_per_full_count(backbone, scheduler, z0, ref, kind, thresholds):
-    """FULL count -> (threshold, final rel err, max per-step rel err) of the
-    smallest threshold that reaches it."""
+def _first_run_per_full_count(backbone, scheduler, z0, ref, kind, etas):
+    """FULL count -> (eta, final rel err, max per-step rel err) of the
+    smallest eta that reaches it."""
     by_count = {}
-    for th in thresholds:
-        cfg = (SkipConfig(kind=kind, eta=th) if kind is SkipKind.CAS
-               else SkipConfig(kind=kind, tau=th))
-        cached = run(backbone, scheduler, z0, PredictorConfig(), cfg,
-                     oracle_outputs=ref.surrogates)
+    for eta in etas:
+        cached = run(backbone, scheduler, z0, PredictorConfig(),
+                     SkipConfig(kind=kind, eta=eta), oracle_outputs=ref.surrogates)
         if cached.full_count not in by_count:
             m = compare_runs(cached, ref)
             by_count[cached.full_count] = (
-                th, m.final_latent_rel_error, max(r.rel_err for r in cached.records),
+                eta, m.final_latent_rel_error, max(r.rel_err for r in cached.records),
             )
     return by_count
 
 
 def test_criterion_13_probe_vs_cas(criterion_report):
-    """CAS (eta grid) against the input-guided probe (tau grid) at the FULL
+    """CAS against the input-guided probe over one eta grid at the FULL
     counts both reach, on mixed and turnpoint (96x8, 50 steps, seed 0). It
     reports the final and the largest per-step error of each; it asserts
     only that both can be compared at several budgets, not who wins."""
@@ -538,12 +536,12 @@ def test_criterion_13_probe_vs_cas(criterion_report):
             matched = sorted(cas.keys() & probe.keys())
             wins = 0
             for count in matched:
-                (eta, c_final, c_max), (tau, p_final, p_max) = cas[count], probe[count]
+                (c_eta, c_final, c_max), (p_eta, p_final, p_max) = cas[count], probe[count]
                 ok = ok and all(map(math.isfinite, (c_final, c_max, p_final, p_max)))
                 wins += p_final < c_final
                 rows.append(
-                    f"{preset.value:>9} {count:4d}  eta={eta:<8.3g} {c_final:9.2e} "
-                    f"{c_max:9.2e}  tau={tau:<8.3g} {p_final:9.2e} {p_max:9.2e}"
+                    f"{preset.value:>9} {count:4d}  eta={c_eta:<8.3g} {c_final:9.2e} "
+                    f"{c_max:9.2e}  eta={p_eta:<8.3g} {p_final:9.2e} {p_max:9.2e}"
                 )
             ok = ok and len(matched) >= 5
             summary.append(f"{preset.value} {wins}/{len(matched)}")

@@ -127,7 +127,7 @@ class TestCompareRuns:
 
     @pytest.mark.parametrize("kind", list(SkipKind))
     def test_metrics_reduce_the_records(self, kind, monkeypatch):
-        cached, ref = _pair(skip_cfg=SkipConfig(kind=kind, tau=0.05))
+        cached, ref = _pair(skip_cfg=SkipConfig(kind=kind, eta=0.05))
         calls = []
 
         def counted(*args):

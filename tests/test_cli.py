@@ -234,13 +234,28 @@ class TestExitCodes:
             (["sweep", "--seed", "1", "--set", "sweep.skipper=cas,norm-guided"],
              "bad value for sweep.skipper: 'norm-guided' "
              "(expected one of cas, fixed-interval, input-guided)"),
+            # a trace holds at least one step; record says so before any work
+            (["record", "t.wct", "--seed", "1", "--steps", "0"],
+             "record requires scheduler.steps >= 1"),
+            # eta is the one budget: tau is gone as a flag, a sweep axis and a key
+            (["run", "--seed", "1", "--tau", "0.1"], "unrecognized arguments: --tau 0.1"),
+            (["sweep", "--seed", "1", "--set", "sweep.tau=0.1,0.2"],
+             "unknown key sweep.tau in overrides"),
+            (["run", "--seed", "1", "--config"], "unknown key skipper.tau in {}"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
              "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "removed-skipper",
-             "removed-sweep-skipper"],
+             "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
+             "removed-tau-axis", "removed-tau-key"],
     )
-    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv, err):
+    def test_a_negative_seed_is_a_usage_error(
+        self, tmp_path, tmp_path_factory, capsys, argv, err
+    ):
+        if argv[-1] == "--config":  # a manifest that still sets skipper.tau
+            manifest = tmp_path_factory.mktemp("old") / "old.manifest.ini"
+            manifest.write_text("[skipper]\ntau = 0.1\n", encoding="utf-8")
+            argv, err = [*argv, str(manifest)], err.format(manifest)
         if argv[0] == "record":
             argv = ["record", str(tmp_path / argv[1]), *argv[2:]]
         else:
@@ -333,12 +348,6 @@ class TestRecordValidateReplay:
             "error: output block 0 does not fit in float32: max |value| is 3.10827e+39\n"
         )
         assert list(tmp_path.iterdir()) == []  # nor is the trace's directory
-
-    def test_record_of_no_steps_writes_nothing(self, tmp_path, capsys):
-        args = ["record", str(tmp_path / "a" / "b.wct"), "--seed", "1", "--steps", "0"]
-        assert main(args) == 2
-        assert capsys.readouterr().err == "error: cannot write an empty trace\n"
-        assert list(tmp_path.iterdir()) == []
 
     def test_record_requires_synthetic_workload(self, tmp_path, capsys):
         main(["record", str(tmp_path / "demo"), "--seed", "5", *FAST])
@@ -611,7 +620,6 @@ _COMMON_OPTIONS = [
     (("--skipper",), "skipper"),
     (("--eta",), "eta"),
     (("--interval",), "interval"),
-    (("--tau",), "tau"),
     (("--warmup-fulls",), "warmup_fulls"),
     (("--steps",), "steps"),
     (("--t-max",), "t_max"),

@@ -233,21 +233,20 @@ class TestLoopInvariants:
         steps=st.integers(0, 25),
         kind=st.sampled_from(list(SkipKind)),
         eta=st.floats(0.0, 1.0),
-        tau=st.floats(0.0, 1.0),
         cap=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=100, deadline=None)
-    def test_records_hold_the_invariants(self, n, d, steps, kind, eta, tau, cap, seed):
+    def test_records_hold_the_invariants(self, n, d, steps, kind, eta, cap, seed):
         backbone, sched, z0 = _setup(seed=seed, steps=steps, n_tokens=n, dims=d)
         ref = oracle_run(backbone, sched, z0)
         pcfg = PredictorConfig()
-        scfg = SkipConfig(kind=kind, eta=eta, tau=tau, enforce_streak_cap=cap)
+        scfg = SkipConfig(kind=kind, eta=eta, enforce_streak_cap=cap)
         result = run(backbone, sched, z0, pcfg, scfg, oracle_outputs=ref.surrogates)
 
         assert result.full_count + result.cache_count == steps == len(result.records)
         # CAS and input-guided cache a step only below their budget
-        budget = {SkipKind.CAS: eta, SkipKind.INPUT_GUIDED: tau}.get(kind, math.inf)
+        budget = math.inf if kind is SkipKind.FIXED_INTERVAL else eta
         prev_e_acc = 0.0
         for r in result.records:
             assert math.isfinite(r.rel_err)
@@ -349,7 +348,7 @@ class TestRunValidation:
         result = run(
             backbone, sched, z0,
             PredictorConfig(kind=PredictorKind.UNIFORM_REUSE),
-            SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=1e9, warmup_fulls=1),
+            SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=1e9, warmup_fulls=1),
         )
         assert result.full_count >= 1
 
@@ -418,38 +417,40 @@ class TestBaselinePolicies:
         result = run(
             backbone, sched, z0,
             PredictorConfig(),
-            SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.05),
+            SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.05),
         )
         assert result.full_count + result.cache_count == 50
         assert 3 <= result.full_count < 50
 
     @pytest.mark.parametrize("preset", list(Preset))
     def test_input_guided_can_be_tuned_to_a_budget(self, preset):
-        """tau reaches at least 20 FULL counts on every preset (96x8, 50
-        steps, seed 0): the probe accumulates its score over a streak, so a
-        larger tau buys a longer streak."""
+        """eta reaches at least 20 FULL counts on every preset (96x8, 50
+        steps, seed 0), and the count never rises as eta grows: the probe
+        accumulates its score over a streak, so a larger eta buys a longer
+        streak."""
         backbone, sched, z0 = _setup(preset, seed=0, n_tokens=96, dims=8)
-        counts = {
+        counts = [
             run(backbone, sched, z0, PredictorConfig(),
-                SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=float(tau))).full_count
-            for tau in np.logspace(-4, 1, 101)
-        }
-        assert len(counts) >= 20, sorted(counts)
+                SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=float(eta))).full_count
+            for eta in np.logspace(-4, 1, 101)
+        ]
+        assert len(set(counts)) >= 20, sorted(set(counts))
+        assert counts == sorted(counts, reverse=True), counts
 
-    def test_input_guided_at_tau_zero_equals_oracle_bitwise(self):
+    def test_input_guided_at_eta_zero_equals_oracle_bitwise(self):
         backbone, sched, z0 = _setup()
         ref = oracle_run(backbone, sched, z0)
         result = run(backbone, sched, z0, PredictorConfig(),
-                     SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.0))
+                     SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.0))
         assert result.full_count == 50
         assert result.final_latent == ref.final_latent  # bitwise equality
 
     def test_input_guided_caches_after_every_full(self):
         # only cached steps add to the total, so a FULL past warmup restarts
-        # it at 0 < tau and the next step is cached
+        # it at 0 < eta and the next step is cached
         backbone, sched, z0 = _setup(seed=0)
         result = run(backbone, sched, z0, PredictorConfig(),
-                     SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=1e-3))
+                     SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=1e-3))
         decisions = [r.decision for r in result.records]
         assert 3 < result.full_count < 50
         for before, after in zip(decisions[3:], decisions[4:]):
@@ -458,7 +459,7 @@ class TestBaselinePolicies:
     def test_input_guided_scores_the_relative_l1_change_of_the_latent(self):
         backbone, sched, z0 = _setup()
         result = run(backbone, sched, z0, PredictorConfig(),
-                     SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.05),
+                     SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.05),
                      record_outputs=True)
         z = z0
         for r, y_t, t, t_next in zip(result.records, result.surrogates,
@@ -474,7 +475,7 @@ class TestBaselinePolicies:
     def test_input_guided_at_extreme_amplitudes(self, amplitude):
         """The score is a ratio of L1 sums, so it reads as at amplitude 1
         wherever those sums pass the float range: no NaN and no warning."""
-        cfgs = (PredictorConfig(), SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.05))
+        cfgs = (PredictorConfig(), SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.05))
         backbone, sched, z0 = _setup(seed=1, n_tokens=64, dims=8, amplitude=amplitude)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -566,12 +567,11 @@ class TestRecordsMatchFreshErrors:
         kind=st.sampled_from(list(SkipKind)),
         p_stable=st.sampled_from([0.0, 0.3]),
         eta=st.floats(0.0, 1.0),
-        tau=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
     def test_every_record_carries_the_fresh_errors(
-        self, n, d, steps, preset, replayed, kind, p_stable, eta, tau, seed
+        self, n, d, steps, preset, replayed, kind, p_stable, eta, seed
     ):
         workload = _setup(preset, seed=seed, steps=steps, n_tokens=n, dims=d)
         if replayed and steps:
@@ -587,7 +587,7 @@ class TestRecordsMatchFreshErrors:
             result = run(
                 *workload,
                 PredictorConfig(p_stable=p_stable),
-                SkipConfig(kind=kind, eta=eta, tau=tau),
+                SkipConfig(kind=kind, eta=eta),
                 oracle_outputs=ref.surrogates,
             )
         assert len(calls) == len(result.records) == steps
@@ -608,13 +608,12 @@ class TestScoreGroups:
         replayed=st.booleans(),
         kind=st.sampled_from(list(SkipKind)),
         predictor=st.sampled_from([PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING]),
-        eta=st.floats(0.0, 1.0),
-        tau=st.floats(0.0, 100.0),  # input-guided caches at large tau
+        eta=st.floats(0.0, 100.0),  # input-guided caches at large eta
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
     def test_rel_only_scoring_leaves_every_other_field_alone(
-        self, n, d, steps, preset, replayed, kind, predictor, eta, tau, seed
+        self, n, d, steps, preset, replayed, kind, predictor, eta, seed
     ):
         workload = _setup(preset, seed=seed, steps=steps, n_tokens=n, dims=d)
         if replayed and steps:
@@ -622,7 +621,7 @@ class TestScoreGroups:
         ref = oracle_run(*workload)
         cfgs = (
             PredictorConfig(kind=predictor, rng_seed=seed),
-            SkipConfig(kind=kind, eta=eta, tau=tau),
+            SkipConfig(kind=kind, eta=eta),
         )
         full, lean = (
             run(*workload, *cfgs, oracle_outputs=ref.surrogates, full_records=flag)
@@ -655,7 +654,7 @@ class TestScoreGroups:
 
         monkeypatch.setattr(pipeline, "cache_score", counted)
         monkeypatch.setattr(skipper, "drift_score", lambda *a: drift.append(a) or 0.0)
-        cfgs = (PredictorConfig(), SkipConfig(kind=kind, tau=50.0))  # every kind caches
+        cfgs = (PredictorConfig(), SkipConfig(kind=kind, eta=50.0))  # every kind caches
         full = run(backbone, sched, z0, *cfgs, oracle_outputs=ref.surrogates)
         assert full.cache_count and len(calls) == full.cache_count
         # input-guided scores the latent's change, not the drift

@@ -225,11 +225,11 @@ class TestShouldFull:
         uncapped = SkipConfig(eta=math.inf, enforce_streak_cap=False)
         assert should_full(uncapped, 6, 0.0, 3, n_max=6) is False
         # Only CAS caps: fixed-interval keeps its interval and input-guided
-        # caches while its total stays below tau, whatever n_max is.
+        # caches while its total stays below eta, whatever n_max is.
         fixed = SkipConfig(kind=SkipKind.FIXED_INTERVAL, interval=10)
         assert should_full(fixed, 6, math.nan, 3, n_max=6) is False
         for kind in (SkipKind.INPUT_GUIDED,):
-            guided = SkipConfig(kind=kind, tau=0.5)
+            guided = SkipConfig(kind=kind, eta=0.5)
             assert should_full(guided, 6, 0.1, 3, n_max=6) is False
 
     def test_fixed_interval_schedule(self):
@@ -244,17 +244,17 @@ class TestShouldFull:
         # streaks of exactly `interval` cached steps between FULLs
         assert decisions == [False, False, True] * 3
 
-    def test_input_guided_compares_the_total_with_tau(self):
-        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.5, eta=0.0)
-        assert should_full(cfg, 1, 0.5, 3) is True  # inclusive, like eta
+    def test_input_guided_compares_the_total_with_eta(self):
+        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.5)
+        assert should_full(cfg, 1, 0.5, 3) is True  # inclusive, as under CAS
         assert should_full(cfg, 1, 0.4, 3) is False
 
-    def test_input_guided_at_tau_zero_is_always_full(self):
-        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=0.0)
+    def test_input_guided_at_eta_zero_is_always_full(self):
+        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.0)
         assert should_full(cfg, 0, 0.0, 3) is True
 
     def test_input_guided_keeps_its_warmup(self):
-        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, tau=1e9, warmup_fulls=4)
+        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=1e9, warmup_fulls=4)
         assert should_full(cfg, 1, 0.0, 3) is True
         assert should_full(cfg, 1, 0.0, 4) is False
 
