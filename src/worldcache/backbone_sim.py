@@ -242,12 +242,13 @@ class SyntheticBackbone:
                 * ((1.0 + chi) * t.value - chi * t_sq / (2.0 * _CHIRP_REF))
                 + self._orbit_phase
             )
-            orbit = self._orbit_radius[:, None] * (
-                np.cos(theta)[:, None] * self._orbit_u
-                + np.sin(theta)[:, None] * self._orbit_w
-            )
-            center = (self._orbit_speed * t.value)[:, None] * self._orbit_drift_dir
-            out[sc] += center + orbit
+            # base + (center + radius * (cos u + sin w)) in place, the same bits
+            o = out[sc]
+            np.multiply(np.cos(theta)[:, None], self._orbit_u, out=o)
+            o += np.sin(theta)[:, None] * self._orbit_w
+            o *= self._orbit_radius[:, None]
+            o += (self._orbit_speed * t.value)[:, None] * self._orbit_drift_dir
+            o += self._base[sc]
         elif spec.preset is Preset.SMOOTH:
             out[sc] += self._cslope * t.value
         else:  # TURNPOINT: zigzag in step index, reversal every turn_step steps
@@ -263,7 +264,7 @@ class SyntheticBackbone:
                 f"latent shape {z.shape} does not match workload {self._base.shape}"
             )
         # A timestep past the range the preset can take leaves non-finite
-        # rows, silently; TokenMatrix's scan below rejects them.
+        # rows, silently; TokenMatrix.adopt's scan below rejects them.
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._drift(t)
         spec = self.spec
@@ -272,7 +273,7 @@ class SyntheticBackbone:
             out += rng.normal(0.0, spec.noise_sigma, out.shape)
         if spec.coupling > 0.0:
             out += spec.coupling * COUPLING_DECAY * (z.data - self._base)
-        return TokenMatrix(out)
+        return TokenMatrix.adopt(out)
 
 
 # ---------------------------------------------------------------------------

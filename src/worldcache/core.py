@@ -57,20 +57,29 @@ class finite_math(np.errstate):
 class TokenMatrix:
     """Immutable N x d float64 matrix of per-token feature rows.
 
-    Data is checked and copied where it enters the package: `TokenMatrix(data)`
-    copies it to a C-contiguous float64 array, which must be 2-D and all
-    finite; NaN/Inf are rejected at construction. Arrays the package computes
-    from checked data (Euler updates, forecasts, history velocities, trace
-    blocks) are wrapped with `_wrap`, without a copy or a scan. Either way the
-    array is frozen. Its Frobenius norm is taken on first read and kept for the
-    matrix's lifetime, so the outputs of a reference run, which every cell of a
-    sweep is scored against, are normed once.
+    Data is checked where it enters the package: it must be 2-D and finite.
+    `TokenMatrix(data)` checks a C-contiguous float64 copy of data, and
+    `TokenMatrix.adopt(arr)` arr itself, just made by its producer (a
+    backbone). Arrays computed from checked data (Euler updates, forecasts,
+    velocities, trace blocks) are wrapped by `_wrap`, unscanned and uncopied.
+    Every array is frozen. Its Frobenius norm is taken on first read and kept
+    for the matrix's lifetime, so a reference run's outputs, which every cell
+    of a sweep is scored against, are normed once.
     """
 
     __slots__ = ("_data", "_fro")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        self._take(np.array(data, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> TokenMatrix:
+        """arr itself, checked as TokenMatrix(arr) would be and frozen: no copy."""
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ParameterError(f"adopt needs a C-contiguous float64 array, got {arr.dtype}")
+        return cls.__new__(cls)._take(arr)
+
+    def _take(self, arr: np.ndarray) -> TokenMatrix:
         if arr.ndim != 2:
             raise DimensionError(
                 f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
@@ -78,8 +87,8 @@ class TokenMatrix:
         if arr.size and not np.isfinite(arr).all():
             raise ParameterError(_NON_FINITE)
         arr.setflags(write=False)
-        self._data = arr
-        self._fro = None
+        self._data, self._fro = arr, None
+        return self
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> TokenMatrix:
@@ -88,8 +97,7 @@ class TokenMatrix:
         written by nothing else: frozen, but neither copied nor scanned."""
         arr.setflags(write=False)
         m = cls.__new__(cls)
-        m._data = arr
-        m._fro = None
+        m._data, m._fro = arr, None
         return m
 
     @property

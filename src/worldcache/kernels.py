@@ -74,7 +74,8 @@ def _out_of_range(sums: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
 
 def curvature_rows(v_latest, v_prev, dt, eps):
     """kappa_i = ||a_i|| / (||v_i||^2 + eps); 0/0 is 0 and x/0 is inf."""
-    acc = (v_latest - v_prev) / dt
+    acc = np.subtract(v_latest, v_prev)
+    acc /= dt
     a_sq, v_sq = _sumsq(acc), _sumsq(v_latest)
     a_norm, denom = np.sqrt(a_sq), v_sq + eps
     bad = _out_of_range(a_sq, acc, eps) | _out_of_range(v_sq, v_latest, eps)

@@ -39,7 +39,11 @@ from .skipper import SkipConfig, SkipKind, cache_score, should_full
 
 
 class Backbone(Protocol):
-    """One denoising-network evaluation: latent + timestep -> token outputs."""
+    """One denoising-network evaluation: latent + timestep -> token outputs.
+
+    evaluate hands over a frozen matrix that the backbone never writes again,
+    so the loop may hold it to the end of the run: a fresh array through
+    TokenMatrix.adopt, or a stored trace block. The backbone may keep z."""
 
     def evaluate(self, z: TokenMatrix, t: Timestep) -> TokenMatrix: ...
 
@@ -240,6 +244,7 @@ def run(
     for i in range(n_steps):
         t = grid[i]
         if should_full(skip_cfg, k, e_acc, full_count, n_max=predictor_cfg.n_max):
+            y_t = y_prev = None  # a FULL step reads neither: free a forecast
             y_t = backbone.evaluate(z, t)
             full_count += 1
             history = push_full(history, t, y_t)

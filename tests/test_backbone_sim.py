@@ -151,6 +151,22 @@ class TestSyntheticBackbone:
         z1 = TokenMatrix(z0.data + 1.0)
         assert backbone.evaluate(z0, t) == backbone.evaluate(z1, t)
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.5], ids=["open", "coupled"])
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("preset", list(Preset), ids=lambda p: p.value)
+    def test_each_output_is_a_fresh_frozen_matrix(self, preset, noise, coupling):
+        spec = SyntheticSpec(preset=preset, noise_sigma=noise, coupling=coupling, seed=3)
+        backbone = SyntheticBackbone(spec)
+        z, t = backbone.initial_latent(), _ts(17.0, 5)
+        a, b = backbone.evaluate(z, t), backbone.evaluate(z, t)
+        assert a == b
+        assert not a.data.flags.writeable and not b.data.flags.writeable
+        own = [v for v in vars(backbone).values() if isinstance(v, np.ndarray)]
+        for other in [b.data, z.data, *own]:
+            assert not np.shares_memory(a.data, other)
+        for other in [z.data, *own]:
+            assert not np.shares_memory(b.data, other)
+
     def test_mixed_stable_tokens_classify_stable(self):
         spec = SyntheticSpec(preset=Preset.MIXED, noise_sigma=0.0, seed=13)
         backbone = SyntheticBackbone(spec)

@@ -46,6 +46,31 @@ class TestTokenMatrix:
         src[0, 0] = 9.0
         assert m.data[0, 0] == 1.0
 
+    def test_adopt_freezes_the_array_without_a_copy(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = TokenMatrix.adopt(arr)
+        assert m.data is arr
+        assert not arr.flags.writeable
+        assert m == TokenMatrix([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "arr, error",
+        [
+            (np.ones((2, 3), dtype=np.float32), ParameterError),
+            (np.ones((3, 2)).T, ParameterError),
+            (np.ones((4, 4))[:, ::2], ParameterError),
+            (np.ones(3), DimensionError),
+            (np.ones((2, 2, 2)), DimensionError),
+            (np.array([[1.0, np.nan]]), ParameterError),
+            (np.array([[np.inf, 0.0]]), ParameterError),
+        ],
+        ids=["float32", "fortran", "strided", "1-d", "3-d", "nan", "inf"],
+    )
+    def test_adopt_rejects_what_it_cannot_take_as_is(self, arr, error):
+        with pytest.raises(error):
+            TokenMatrix.adopt(arr)
+        assert arr.flags.writeable
+
 
 class TestTimestep:
     def test_holds_index_and_value(self):
