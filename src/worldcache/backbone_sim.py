@@ -35,14 +35,17 @@ optionally followed by n_tokens label bytes. Canonical extension: .wct.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .core import Modality, Timestep, TokenMatrix
 from .errors import DimensionError, OrderingError, ParameterError, TraceFormatError
 
@@ -283,8 +286,11 @@ class SyntheticBackbone:
 
 @dataclass(frozen=True)
 class TraceData:
+    """A trace's timesteps, outputs and modality labels. outputs is any
+    sequence of TokenMatrix; read_trace's is a TraceOutputs."""
+
     timesteps: tuple[float, ...]
-    outputs: tuple[TokenMatrix, ...]  # widened to float64 on read
+    outputs: Sequence[TokenMatrix]
     modality: np.ndarray | None = None  # uint8 labels, one per token
 
     @property
@@ -300,20 +306,69 @@ class TraceData:
         return len(self.outputs)
 
 
+class TraceOutputs(Sequence):
+    """A trace's outputs as the file stores them: `blocks`, one frozen float32
+    (n_steps, n_tokens, dims) array, and `norms`, the Frobenius norm of each
+    block's exact float64 widening. Reading output i widens block i into a
+    frozen TokenMatrix and keeps the last one widened. `references[i]`, what
+    a run over the trace is scored against at step i, is that kept matrix if
+    it is block i (a replayed FULL step's output), else (block i, norm i)."""
+
+    def __init__(self, blocks: np.ndarray, norms: tuple[float, ...]):
+        self.blocks, self.norms, self._last = blocks, norms, (None, None)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i) -> TokenMatrix:
+        i = range(len(self.blocks))[operator.index(i)]
+        if i != self._last[0]:
+            self._last = i, TokenMatrix._wrap(self.blocks[i].astype(np.float64))
+        return self._last[1]
+
+    @property
+    def references(self) -> Sequence:
+        return _References(self)
+
+
+class _References(Sequence):
+    def __init__(self, outputs: TraceOutputs):
+        self.outputs = outputs
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    def __getitem__(self, i):
+        kept_i, kept = self.outputs._last
+        return kept if i == kept_i else (self.outputs.blocks[i], self.outputs.norms[i])
+
+
 def _block(m) -> np.ndarray:
     """An output block as write_trace casts it: float32 kept, else float64."""
     arr = np.asarray(m.data if isinstance(m, TokenMatrix) else m)
     return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
+def cast_block(i: int, out: np.ndarray, m: np.ndarray) -> None:
+    """Cast output block i into out, a float32 array, as write_trace stores
+    it. A value that does not fit in float32 raises ParameterError."""
+    with np.errstate(over="ignore"):
+        np.copyto(out, m, casting="same_kind")
+    if not np.isfinite(out).all():
+        peak = np.maximum(m.max(), -m.min())  # NaN if the block holds one
+        raise ParameterError(
+            f"output block {i} does not fit in float32: max |value| is {float(peak):g}"
+        )
+
+
 def write_trace(path, timesteps, outputs, modality=None) -> None:
     """Serialize decision timesteps plus their outputs to a trace file.
 
     timesteps may be Timestep objects or plain floats; outputs are stored as
-    float32, so reading back reproduces them to 32-bit rounding. Each block
-    is cast once, as it is written: a float32 block as is, any other through
-    float64. A block with a value that is not finite in float32 raises
-    ParameterError before the file is opened. The parent directory is made
+    float32, so reading back reproduces them to 32-bit rounding: a float32
+    block as is, any other through float64. cast_block checks each block
+    into one reused buffer before the file is opened, so a value past the
+    float32 range raises ParameterError first. The parent directory is made
     only once every check has passed, so a rejected trace leaves nothing.
     """
     values = [t.value if isinstance(t, Timestep) else float(t) for t in timesteps]
@@ -337,14 +392,9 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
             )
     if any(not math.isfinite(v) for v in values):
         raise ParameterError("trace timesteps must be finite")
+    buf = np.empty(shape, dtype=np.float32)
     for i, m in enumerate(outs):
-        peak = np.maximum(m.max(), -m.min())  # NaN if the block holds one
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.float32(peak)):
-                raise ParameterError(
-                    f"output block {i} does not fit in float32: "
-                    f"max |value| is {float(peak):g}"
-                )
+        cast_block(i, buf, m)
     n_tokens, dims = shape
     labels = None
     if modality is not None:
@@ -365,7 +415,7 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
         f.write(_HEADER.pack(n_tokens, dims, len(outs)))
         f.write(np.asarray(values, dtype="<f8").tobytes())
         for m in outs:
-            f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(m, dtype="<f4"))
         if labels is None:
             f.write(b"\x00")
         else:
@@ -385,17 +435,17 @@ def _read(f, n: int, size: int, message: str) -> bytes:
 
 
 def _parse_trace(
-    path, widen: bool
+    path, keep: bool
 ) -> tuple[np.ndarray, tuple[int, int, int], np.ndarray | None, np.ndarray | None]:
     """Check a trace file, reading its samples one float32 block at a time.
 
     Returns the timesteps, the (n_steps, n_tokens, dims) shape, the samples
-    widened into one (n_steps, n_tokens, dims) float64 array if widen is set
-    (else None), and the labels. The file's size is checked against the
-    payload its header declares before anything is read or allocated for the
+    as one (n_steps, n_tokens, dims) float32 array if keep is set (else
+    None), and the labels. The file's size is checked against the payload
+    its header declares before anything is read or allocated for the
     samples, so a damaged header ends in TraceFormatError, not MemoryError.
-    The samples pass through one reused block buffer, checked for finiteness
-    as each block arrives, so no reader holds the file's bytes.
+    Each block is read into its slice of that array, or with keep unset into
+    one reused block buffer, and checked for finiteness as it arrives.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -456,9 +506,9 @@ def _parse_trace(
 
         if size - off < payload:
             raise truncated(size - off)
-        wide = np.empty((n_steps, n_tokens, dims)) if widen else None
-        buf = np.empty((n_tokens, dims), dtype="<f4")
+        blocks = np.empty((n_steps if keep else 1, n_tokens, dims), dtype="<f4")
         for i in range(n_steps):
+            buf = blocks[i if keep else 0]
             got = f.readinto(buf)
             if got < buf.nbytes:  # the file shrank after it was opened
                 raise truncated(i * buf.nbytes + got)
@@ -467,8 +517,6 @@ def _parse_trace(
                 raise TraceFormatError(
                     f"non-finite sample at flat index {bad}", byte_offset=off + bad * 4
                 )
-            if widen:
-                wide[i] = buf  # exact, so still finite
         off += payload
 
         modality = None
@@ -490,20 +538,21 @@ def _parse_trace(
                     f"{size - off} trailing bytes after trace content",
                     byte_offset=off,
                 )
-    return timesteps, (n_steps, n_tokens, dims), wide, modality
+    return timesteps, (n_steps, n_tokens, dims), blocks if keep else None, modality
 
 
 def read_trace(path) -> TraceData:
     """Parse a trace file, rejecting malformed containers with byte offsets.
 
-    Each float32 block is widened into its slice of one float64 array,
-    allocated once the file's size has been checked; the array is frozen,
-    and each output is a view of it."""
-    timesteps, _, wide, modality = _parse_trace(path, widen=True)
-    wide.setflags(write=False)
+    Each checked block is read straight into its slice of one frozen float32
+    array, allocated once the file's size has been checked, and its norm is
+    taken once (TraceOutputs, which widens a block only when it is read)."""
+    timesteps, _, blocks, modality = _parse_trace(path, keep=True)
+    blocks.setflags(write=False)
+    norms = tuple(kernels.fro_norm(b.astype(np.float64)) for b in blocks)
     return TraceData(
         timesteps=tuple(float(v) for v in timesteps),
-        outputs=tuple(TokenMatrix._wrap(m) for m in wide),
+        outputs=TraceOutputs(blocks, norms),
         modality=modality,
     )
 
@@ -513,7 +562,7 @@ def validate_trace(path) -> dict:
     The samples are checked as read_trace checks them, one block at a time,
     and none is kept: the summary reads only the header, the timesteps and
     the labels."""
-    timesteps, (n_steps, n_tokens, dims), _, modality = _parse_trace(path, widen=False)
+    timesteps, (n_steps, n_tokens, dims), _, modality = _parse_trace(path, keep=False)
     mods = None
     if modality is not None:
         names = {int(m): m.name for m in Modality}
@@ -533,7 +582,8 @@ def validate_trace(path) -> dict:
 
 
 class TraceBackbone:
-    """Replay backbone: evaluate() returns the stored block for a timestep.
+    """Replay backbone: evaluate() returns the trace's output for a timestep
+    (from read_trace, a block widened for the call; see TraceOutputs).
 
     Replay is open-loop by construction; the latent argument is ignored
     beyond a shape check.
@@ -542,10 +592,7 @@ class TraceBackbone:
     def __init__(self, trace: TraceData):
         self.trace = trace
         self._by_value = {v: i for i, v in enumerate(trace.timesteps)}
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.trace.outputs[0].shape
+        self.shape = trace.outputs[0].shape
 
     def initial_latent(self) -> TokenMatrix:
         return self.trace.outputs[0]

@@ -23,13 +23,16 @@ import functools
 import hashlib
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import __version__, kernels
 from .backbone_sim import (
     SyntheticBackbone,
     TRACE_EXTENSION,
     TraceBackbone,
+    cast_block,
     read_trace,
     validate_trace,
     write_trace,
@@ -207,27 +210,32 @@ def _write_manifest(path: Path, cfg: ResolvedConfig, command: str, run_id: str) 
 
 
 class _Reference(NamedTuple):
-    """A workload and its no-cache run, which every cached run on it is scored
-    against."""
+    """A workload, its no-cache run and the outputs every cached run on it is
+    scored against: the oracle's, or a trace's own float32 blocks."""
 
     backbone: Backbone
     scheduler: EulerScheduler
     z_init: TokenMatrix
     oracle: RunResult
+    outputs: Sequence | None
 
 
-def _reference(cfg: ResolvedConfig) -> _Reference:
+def _reference(cfg: ResolvedConfig, sink=None) -> _Reference:
     """Builds the workload of cfg's [workload] and [scheduler] sections (they
-    are all it reads) and runs its oracle."""
+    are all it reads) and runs its oracle, handing each output to sink."""
     w = cfg.values["workload"]
     if w["kind"] == "trace":
-        backbone = TraceBackbone(read_trace(w["trace_path"]))
+        trace = read_trace(w["trace_path"])
+        backbone, outputs = TraceBackbone(trace), trace.outputs.references
         scheduler = EulerScheduler(backbone.replay_grid())
     else:
-        backbone = SyntheticBackbone(cfg.synthetic_spec())
+        backbone, outputs = SyntheticBackbone(cfg.synthetic_spec()), None
         scheduler = cfg.synthetic_scheduler()
     z_init = backbone.initial_latent()
-    return _Reference(backbone, scheduler, z_init, oracle_run(backbone, scheduler, z_init))
+    keep = outputs is None and sink is None
+    oracle = oracle_run(backbone, scheduler, z_init, record_outputs=keep, sink=sink)
+    outputs = oracle.surrogates if keep else outputs
+    return _Reference(backbone, scheduler, z_init, oracle, outputs)
 
 
 def _execute(
@@ -239,7 +247,7 @@ def _execute(
         ref.z_init,
         cfg.predictor_config(),
         cfg.skip_config(),
-        oracle_outputs=ref.oracle.surrogates,
+        oracle_outputs=ref.outputs,
         full_records=full_records,
     )
     metrics = compare_runs(cached, ref.oracle, cfg.values["output"]["c_cache"])
@@ -391,10 +399,13 @@ def cmd_record(args) -> int:
     if trace_path.suffix != TRACE_EXTENSION:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)
 
-    ref = _reference(cfg)
-    outputs = ref.oracle.surrogates
-    write_trace(trace_path, ref.scheduler.timesteps[: len(outputs)], outputs)
-    del ref, outputs  # free the oracle before validate_trace re-reads the file
+    # cast each output as it is made: no float64 outputs are held together
+    spec, steps = cfg.synthetic_spec(), cfg.values["scheduler"]["steps"]
+    blocks = np.empty((steps, spec.n_tokens, spec.dims), dtype=np.float32)
+    slots = enumerate(blocks)
+    ref = _reference(cfg, sink=lambda y: cast_block(*next(slots), y.data))
+    write_trace(trace_path, ref.scheduler.timesteps[:steps], blocks)
+    del ref, blocks  # free them before validate_trace re-reads the file
 
     run_id = _run_identifier(cfg)
     manifest_path = trace_path.with_name(trace_path.stem + ".manifest.ini")

@@ -113,12 +113,15 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
     The blend runs under the FPU's overflow and invalid flags, which its
     finite operands set only past the float range; the result is scanned only
     when one fires. A forecast row past the range raises FloatingPointError,
-    and nothing is warned about. The stable and chaotic rows take the linear
-    rule first and are then overwritten, so an overflow there is discarded."""
+    and nothing is warned about. While any row is linear, the stable and
+    chaotic rows take the linear rule first and are then overwritten, so an
+    overflow there is discarded."""
     fired = []
+    out = np.empty_like(y_star)
     with np.errstate(over="call", invalid="call", call=lambda err, flag: fired.append(err)):
-        out = horizon * v_latest
-        out += y_star
+        if stable.size + chaotic.size < len(out):
+            np.multiply(horizon, v_latest, out=out)
+            out += y_star
         out[stable] = y_star.take(stable, axis=0)
         vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
         vel += alpha * v_prev.take(chaotic, axis=0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -43,7 +43,8 @@ class Backbone(Protocol):
 
     evaluate hands over a frozen matrix that the backbone never writes again,
     so the loop may hold it to the end of the run: a fresh array through
-    TokenMatrix.adopt, or a stored trace block. The backbone may keep z."""
+    TokenMatrix.adopt, or a trace block widened for the call (TraceOutputs).
+    The backbone may keep z."""
 
     def evaluate(self, z: TokenMatrix, t: Timestep) -> TokenMatrix: ...
 
@@ -136,7 +137,9 @@ def _group_means(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> list[float
 
 
 def step_errors(
-    y: TokenMatrix, oracle_y: TokenMatrix, g: GroupAssignment | None
+    y: TokenMatrix,
+    oracle_y: TokenMatrix | tuple[np.ndarray, float],
+    g: GroupAssignment | None,
 ) -> tuple[float, float, float, float]:
     """Relative error of y against oracle_y, then the mean row error per group.
 
@@ -144,11 +147,14 @@ def step_errors(
     a group's error is the mean L2 norm of its rows' differences, NaN when g
     is None or the group is empty. The norms are the scale-safe kernels, and
     ||y_o||_F is oracle_y's kept norm, so a reference output scored by many
-    runs is normed once. Where the difference, a norm or a group's sum passes
-    the float range, the values that overflowed are taken again at an exact
-    power-of-two scale, so an error is inf only if it lies past the float
-    range itself; the others keep their bits. With g None and every sum in
-    the normal range, rel takes one difference and one dot and nothing else.
+    runs is normed once. oracle_y may also be a float32 trace block with the
+    norm of its widening (TraceOutputs.references): y - block widens each
+    entry exactly, so the errors have the widened matrix's bits. Where the
+    difference, a norm or a group's sum passes the float range, the values
+    that overflowed are taken again at an exact power-of-two scale, so an
+    error is inf only if it lies past the float range itself; the others
+    keep their bits. With g None and every sum in the normal range, rel
+    takes one difference and one dot and nothing else.
 
     When y is oracle_y itself (a replayed FULL step emits the reference's own
     output), nothing is computed: every difference is 0, so rel and each
@@ -159,16 +165,21 @@ def step_errors(
             return 0.0, math.nan, math.nan, math.nan
         return (0.0, *(0.0 if rows.size else math.nan for rows in g.members))
     groups = () if g is None else g.members
+    if isinstance(oracle_y, TokenMatrix):
+        oracle_y = oracle_y.data, oracle_y.fro_norm()
+    ref, den = oracle_y
     with np.errstate(over="ignore"):  # what overflows is taken again below
-        diff = y.data - oracle_y.data
-        num, den = kernels.fro_norm(diff), oracle_y.fro_norm()
+        diff = y.data - ref
+        num = kernels.fro_norm(diff)
         per_group = _group_means(diff, groups)
         if math.inf in (num, den, *per_group):
             # Norms and means scale exactly with y and y_o, so take them at
             # 2**-k, k putting the largest entry of y and y_o in [0.5, 1),
-            # where y - y_o cannot overflow, and scale the means back.
-            k = int(np.frexp(max(np.abs(y.data).max(), np.abs(oracle_y.data).max()))[1])
-            y_s, o_s = np.ldexp(y.data, -k), np.ldexp(oracle_y.data, -k)
+            # where y - y_o cannot overflow, and scale the means back. A
+            # float32 block is widened first, which ldexp would not do.
+            ref = ref.astype(np.float64, copy=False)
+            k = int(np.frexp(max(np.abs(y.data).max(), np.abs(ref).max()))[1])
+            y_s, o_s = np.ldexp(y.data, -k), np.ldexp(ref, -k)
             diff_s = y_s - o_s
             if math.inf in (num, den):
                 num, den = kernels.fro_norm(diff_s), kernels.fro_norm(o_s)
@@ -203,15 +214,17 @@ def run(
     skip_cfg: SkipConfig | None = None,
     *,
     record_outputs: bool = False,
-    oracle_outputs: Sequence[TokenMatrix] | None = None,
+    sink: Callable[[TokenMatrix], None] | None = None,
+    oracle_outputs: Sequence | None = None,
     full_records: bool = True,
 ) -> RunResult:
     """Execute the cached denoising loop over the scheduler's grid.
 
     The grid has steps+1 nodes; decisions happen at the first `steps` nodes
     and the final node only terminates the last scheduler update. When
-    oracle_outputs is given (one reference output per decision step), each
-    record carries rel/per-group errors against it.
+    oracle_outputs is given (one reference per decision step, in either form
+    step_errors takes), each record carries rel/per-group errors against it.
+    record_outputs keeps each step's output in surrogates; sink takes it.
 
     full_records=False is for a caller that reads only the FULL/CACHE counts
     and rel_err, as a sweep cell does. The per-group errors then read NaN,
@@ -278,6 +291,8 @@ def run(
         records.append(StepRecord(i, t.value, decision, k, e_t, e_acc, *errors))
         if surrogates is not None:
             surrogates.append(y_t)
+        if sink is not None:
+            sink(y_t)
 
         y_prev = y_t
         z = scheduler.step(z, y_t, t, grid[i + 1])
@@ -297,8 +312,9 @@ def oracle_run(
     z_init: TokenMatrix,
     *,
     record_outputs: bool = True,
+    sink: Callable[[TokenMatrix], None] | None = None,
 ) -> RunResult:
-    """No-cache reference: every step FULL.
+    """No-cache reference: every step FULL. Outputs go as in run().
 
     Implemented as run() with a zero drift budget, so equality with an
     eta = 0 run is definitional.
@@ -310,4 +326,5 @@ def oracle_run(
         PredictorConfig(kind=PredictorKind.UNIFORM_REUSE),
         SkipConfig(kind=SkipKind.CAS, eta=0.0),
         record_outputs=record_outputs,
+        sink=sink,
     )

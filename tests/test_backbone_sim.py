@@ -199,14 +199,21 @@ class TestTraceRoundTrip:
             )
 
     def test_blocks_are_frozen_float64_matrices(self, tmp_path):
+        # the payload is kept frozen at float32, and each block read is
+        # widened into a frozen float64 matrix of its own
         path, _, blocks = self._random_trace(tmp_path)
-        for stored, original in zip(read_trace(path).outputs, blocks):
+        outputs = read_trace(path).outputs
+        payload = outputs.blocks
+        assert payload.dtype == np.float32 and np.array_equal(payload, blocks)
+        with pytest.raises(ValueError):
+            payload[...] = 0.0
+        for stored, original in zip(outputs, blocks):
             data = stored.data
             assert data.dtype == np.float64 and data.flags.c_contiguous
             assert data.tolist() == original.astype(np.float64).tolist()
-            for arr in (data, data.base):  # nothing writes through the payload
-                with pytest.raises(ValueError):
-                    arr[...] = 0.0
+            assert not np.shares_memory(data, payload)
+            with pytest.raises(ValueError):
+                data[...] = 0.0
 
     def test_modality_round_trip(self, tmp_path):
         labels = [Modality.RGB, Modality.RGB, Modality.DEPTH, Modality.OTHER]

@@ -4,12 +4,13 @@ trace readers, under tracemalloc.
 A cached run keeps the newest FULL output and two velocities, not the three
 outputs they were taken from, and lets go of its last forecast before a FULL
 step calls the backbone; the backbone's output enters the package without a
-copy (`TokenMatrix.adopt`). `record` writes the oracle's outputs without a
-stacked float64 or float32 copy of them. The loop's and the backbone's
-bounds are in output-sized matrices (n_tokens x dims float64), with at least
-a tenth of a matrix of headroom. The trace readers read one float32 block at
-a time, so neither holds the file's bytes: `read_trace` peaks at its float64
-payload plus a block, `validate_trace` at a few blocks.
+copy (`TokenMatrix.adopt`). `record` casts each oracle output into one
+float32 array as it is made, so it holds the trace's float32 payload and no
+float64 outputs. The loop's, the backbone's and the trace sweep's bounds are
+in output-sized matrices (n_tokens x dims float64), with at least a tenth of
+a matrix of headroom. The trace readers read one float32 block at a time, so
+neither holds the file's bytes: `read_trace` keeps its float32 payload and
+widens one block at a time, `validate_trace` peaks at a few blocks.
 """
 
 import contextlib
@@ -115,30 +116,52 @@ def test_evaluate_peak_is_its_output_and_one_block(preset):
     assert peak / MATRIX <= _EVALUATE_BOUND[preset]
 
 
-def test_record_peak_is_below_its_outputs_plus_the_file(tmp_path):
-    n_tokens, dims, steps = 256, 32, 40
+_N, _D, _STEPS = 256, 32, 40
+_PAYLOAD, _MATRIX = _STEPS * _N * _D * 4, _N * _D * 8  # float32 trace, float64 output
+
+
+def test_record_peak_is_its_float32_payload_plus_a_few_matrices(tmp_path):
+    # 12.9 matrices over the payload: the mixed backbone's own arrays (about
+    # 5) and the oracle loop's working set; 31.1 when it kept every output.
+    # A first call in a fresh process also counts modules imported lazily.
     path = tmp_path / "t.wct"
-    argv = ["record", str(path), "--n-tokens", str(n_tokens), "--dims", str(dims),
-            "--steps", str(steps), "--seed", "1", "--out", str(tmp_path)]
+    argv = ["record", str(path), "--n-tokens", str(_N), "--dims", str(_D),
+            "--steps", str(_STEPS), "--seed", "1", "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
         peak = _traced_peak(main, argv)
     assert path.exists()
-    outputs = steps * n_tokens * dims * 8  # the oracle's float64 outputs
-    assert peak < outputs + path.stat().st_size
+    assert peak < _PAYLOAD + 13.5 * _MATRIX
 
 
-def _trace(tmp_path, n_tokens=256, dims=32, steps=40):
-    blocks = np.random.default_rng(2).normal(size=(steps, n_tokens, dims)).astype(np.float32)
+def test_trace_sweep_peak_is_its_float32_payload_and_a_cells_loop(tmp_path):
+    # the replayed trace stays float32; what remains is the reference's
+    # latents and one widened block, and a cell's loop: 11.8-12.0 matrices
+    # over the payload, against 29.1 when the trace was widened on read
     path = tmp_path / "t.wct"
-    write_trace(path, [float(steps - i) for i in range(steps)], blocks)
-    return path, blocks[0].nbytes, blocks.size * 8
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["record", str(path), "--preset", "turnpoint", "--n-tokens", str(_N),
+                     "--dims", str(_D), "--steps", str(_STEPS), "--seed", "1"]) == 0
+        argv = ["sweep", "--set", "workload.kind=trace", "--set", f"workload.trace_path={path}",
+                "--set", "sweep.eta=0.05,0.2,0.8", "--set", "sweep.skipper=cas,fixed-interval",
+                "--seeds", "1", "--out", str(tmp_path), "--run-id", "sw"]
+        assert main(argv) == 0  # imports what a sweep imports lazily
+        peak = _traced_peak(main, argv)
+    assert peak <= _PAYLOAD + 12.25 * _MATRIX
 
 
-def test_read_trace_peak_is_its_float64_payload_plus_an_eighth(tmp_path):
-    path, _, payload = _trace(tmp_path)
-    assert _traced_peak(read_trace, path) <= payload * 9 / 8
+def _trace(tmp_path):
+    blocks = np.random.default_rng(2).normal(size=(_STEPS, _N, _D)).astype(np.float32)
+    path = tmp_path / "t.wct"
+    write_trace(path, [float(_STEPS - i) for i in range(_STEPS)], blocks)
+    return path, blocks[0].nbytes
+
+
+def test_read_trace_peak_is_its_float32_payload_plus_an_eighth(tmp_path):
+    path, _ = _trace(tmp_path)
+    assert _traced_peak(read_trace, path) <= _PAYLOAD * 9 / 8
 
 
 def test_validate_trace_peak_is_a_few_blocks(tmp_path):
-    path, block, _ = _trace(tmp_path)
+    path, block = _trace(tmp_path)
     assert _traced_peak(validate_trace, path) <= 4 * block

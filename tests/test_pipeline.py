@@ -99,6 +99,14 @@ class TestOracleRun:
         result = oracle_run(backbone, sched, z0, record_outputs=True)
         assert len(result.surrogates) == 10
 
+    def test_sink_takes_each_output_in_turn(self):
+        backbone, sched, z0 = _setup(steps=10)
+        taken = []
+        result = oracle_run(backbone, sched, z0, record_outputs=False, sink=taken.append)
+        assert result.surrogates is None
+        kept = oracle_run(backbone, sched, z0).surrogates
+        assert len(taken) == 10 and all(a == b for a, b in zip(taken, kept))
+
 
 class TestRunDegenerateThresholds:
     def test_eta_zero_equals_oracle_bitwise(self):
@@ -224,6 +232,17 @@ class TestRunStructure:
             for eta in etas
         ]
         assert counts == sorted(counts)
+
+    def test_cas_full_count_is_not_monotone_in_eta_on_turnpoint(self):
+        # A FULL placed elsewhere changes later groupings and drift scores,
+        # so a larger budget can end with more FULL steps. This pins one
+        # such pair (96x8, 50 steps, seed 0), so a change to it shows up.
+        backbone, sched, z0 = _setup(Preset.TURNPOINT, seed=0)
+        counts = [
+            run(backbone, sched, z0, PredictorConfig(), SkipConfig(eta=eta)).full_count
+            for eta in (1.0, 1.122)
+        ]
+        assert counts == [11, 13]
 
 
 class TestLoopInvariants:
@@ -555,6 +574,66 @@ class TestStepErrorsShortcut:
         full = [r for r in result.records if r.decision is Decision.FULL]
         assert 3 <= len(full) < 30
         assert all(r.rel_err == 0.0 for r in full)
+
+
+class TestFloat32Reference:
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 5),
+        split=st.sampled_from([None, (0.0, 0.7), (0.3, 0.7), (0.0, 1.0), (0.3, 0.3)]),
+        y_exp=st.sampled_from([0, -600, 120, 1000]),
+        o_exp=st.sampled_from([0, -140, -30, 100]),
+        huge=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_and_norm_score_as_the_widened_matrix(
+        self, n, d, split, y_exp, o_exp, huge, seed
+    ):
+        # y - block widens each entry exactly; two forecast entries near
+        # 1e308 make the norm overflow, which takes the rescaled path
+        rng = np.random.default_rng(seed)
+        y = np.ldexp(rng.normal(size=(n, d)), y_exp)
+        if huge:
+            y.flat[rng.permutation(y.size)[:2]] = 1.5e308
+        block = np.ldexp(rng.normal(size=(n, d)), o_exp).astype(np.float32)
+        g = None if split is None else group_tokens(rng.random(n), *split)
+        wide = TokenMatrix(block)
+        pair = (block, kernels.fro_norm(block.astype(np.float64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step_errors(TokenMatrix(y), pair, g)
+        assert _bits(got) == _bits(step_errors(TokenMatrix(y), wide, g))
+
+    def test_a_replay_scores_against_the_trace_as_against_its_oracle(self, tmp_path):
+        backbone, sched, z0 = _setup(Preset.TURNPOINT, steps=30)
+        path = tmp_path / "ref.wct"
+        write_trace(path, sched.timesteps[:30], oracle_run(backbone, sched, z0).surrogates)
+        trace = read_trace(path)
+        replay = TraceBackbone(trace)
+        replay_sched = EulerScheduler(replay.replay_grid())
+        oracle = oracle_run(replay, replay_sched, replay.initial_latent())
+        records = []
+        for outputs in (oracle.surrogates, trace.outputs.references):
+            calls = []
+
+            def spy(y, oracle_y, g):
+                calls.append((y, oracle_y))
+                return step_errors(y, oracle_y, g)
+
+            with mock.patch.object(pipeline, "step_errors", spy):
+                result = run(replay, replay_sched, replay.initial_latent(),
+                             PredictorConfig(), SkipConfig(eta=0.3), oracle_outputs=outputs)
+            records.append(_bits([
+                (r.rel_err, r.stable_err, r.linear_err, r.chaotic_err) for r in result.records
+            ]))
+        full = [r.step for r in result.records if r.decision is Decision.FULL]
+        assert 3 <= len(full) < 30
+        # every replayed FULL step is scored against the matrix it emitted
+        assert all(calls[i][0] is calls[i][1] for i in full)
+        cached = [i for i in range(30) if i not in full]
+        assert all(isinstance(calls[i][1], tuple) for i in cached)
+        assert records[1] == records[0]
 
 
 class TestRecordsMatchFreshErrors:
