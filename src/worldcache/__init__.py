@@ -13,7 +13,6 @@ from .backbone_sim import (
     SyntheticBackbone,
     SyntheticSpec,
     TraceBackbone,
-    TraceData,
     read_trace,
     validate_trace,
     write_trace,
@@ -104,7 +103,6 @@ __all__ = [
     "TokenGroup",
     "TokenMatrix",
     "TraceBackbone",
-    "TraceData",
     "TraceFormatError",
     "uniform_grid",
     "validate_trace",

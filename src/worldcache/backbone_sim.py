@@ -284,38 +284,18 @@ class SyntheticBackbone:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """A trace's timesteps, outputs and modality labels. outputs is any
-    sequence of TokenMatrix; read_trace's is a TraceOutputs."""
-
-    timesteps: tuple[float, ...]
-    outputs: Sequence[TokenMatrix]
-    modality: np.ndarray | None = None  # uint8 labels, one per token
-
-    @property
-    def n_tokens(self) -> int:
-        return self.outputs[0].n_tokens
-
-    @property
-    def dims(self) -> int:
-        return self.outputs[0].dims
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.outputs)
-
-
 class TraceOutputs(Sequence):
     """A trace's outputs as the file stores them: `blocks`, one frozen float32
     (n_steps, n_tokens, dims) array, and `norms`, the Frobenius norm of each
-    block's exact float64 widening. Reading output i widens block i into a
-    frozen TokenMatrix and keeps the last one widened. `references[i]`, what
-    a run over the trace is scored against at step i, is that kept matrix if
-    it is block i (a replayed FULL step's output), else (block i, norm i)."""
+    block's exact float64 widening, taken here once. Reading output i widens
+    block i into a frozen TokenMatrix and keeps the last one widened.
+    `references[i]`, what a run over the trace is scored against at step i,
+    is that kept matrix if it is block i (a replayed FULL step's output), else
+    (block i, norm i)."""
 
-    def __init__(self, blocks: np.ndarray, norms: tuple[float, ...]):
-        self.blocks, self.norms, self._last = blocks, norms, (None, None)
+    def __init__(self, blocks: np.ndarray):
+        self.blocks, self._last = blocks, (None, None)
+        self.norms = tuple(kernels.fro_norm(b.astype(np.float64)) for b in blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -371,7 +351,7 @@ def write_trace(path, timesteps, outputs, modality=None) -> None:
     float32 range raises ParameterError first. The parent directory is made
     only once every check has passed, so a rejected trace leaves nothing.
     """
-    values = [t.value if isinstance(t, Timestep) else float(t) for t in timesteps]
+    values = [float(t) for t in timesteps]
     outs = [_block(m) for m in outputs]
     if len(values) != len(outs):
         raise DimensionError(
@@ -541,20 +521,13 @@ def _parse_trace(
     return timesteps, (n_steps, n_tokens, dims), blocks if keep else None, modality
 
 
-def read_trace(path) -> TraceData:
-    """Parse a trace file, rejecting malformed containers with byte offsets.
-
-    Each checked block is read straight into its slice of one frozen float32
-    array, allocated once the file's size has been checked, and its norm is
-    taken once (TraceOutputs, which widens a block only when it is read)."""
+def read_trace(path) -> TraceBackbone:
+    """Parse a trace file into its replay backbone, rejecting malformed
+    containers with byte offsets. Each checked block is read straight into
+    its slice of one float32 array, allocated once the file's size has been
+    checked, and is widened only when it is read (TraceOutputs)."""
     timesteps, _, blocks, modality = _parse_trace(path, keep=True)
-    blocks.setflags(write=False)
-    norms = tuple(kernels.fro_norm(b.astype(np.float64)) for b in blocks)
-    return TraceData(
-        timesteps=tuple(float(v) for v in timesteps),
-        outputs=TraceOutputs(blocks, norms),
-        modality=modality,
-    )
+    return TraceBackbone(timesteps, blocks, modality)
 
 
 def validate_trace(path) -> dict:
@@ -582,40 +555,38 @@ def validate_trace(path) -> dict:
 
 
 class TraceBackbone:
-    """Replay backbone: evaluate() returns the trace's output for a timestep
-    (from read_trace, a block widened for the call; see TraceOutputs).
+    """A trace and its replay backbone: the strictly decreasing decision
+    `timesteps` as floats, `outputs` over blocks, the float32 (n_steps,
+    n_tokens, dims) array, frozen without a copy, and the uint8 `modality`
+    labels, one per token, or None. evaluate() returns the output stored at
+    the timestep's value. Replay is open-loop by construction; the latent
+    argument is ignored beyond a shape check."""
 
-    Replay is open-loop by construction; the latent argument is ignored
-    beyond a shape check.
-    """
-
-    def __init__(self, trace: TraceData):
-        self.trace = trace
-        self._by_value = {v: i for i, v in enumerate(trace.timesteps)}
-        self.shape = trace.outputs[0].shape
+    def __init__(self, timesteps, blocks: np.ndarray, modality: np.ndarray | None = None):
+        self.timesteps = tuple(map(float, timesteps))
+        if blocks.ndim != 3 or len(blocks) != len(self.timesteps):
+            raise DimensionError(f"blocks {blocks.shape} for {len(self.timesteps)} timesteps")
+        blocks.setflags(write=False)
+        self.outputs = TraceOutputs(blocks)
+        self.modality = modality
+        self.shape = blocks.shape[1:]
+        self._by_value = {v: i for i, v in enumerate(self.timesteps)}
 
     def initial_latent(self) -> TokenMatrix:
-        return self.trace.outputs[0]
+        return self.outputs[0]
 
     def evaluate(self, z: TokenMatrix, t: Timestep) -> TokenMatrix:
         if z.shape != self.shape:
             raise DimensionError(
                 f"latent shape {z.shape} does not match trace {self.shape}"
             )
-        idx = t.index
-        if 0 <= idx < len(self.trace.timesteps) and self.trace.timesteps[idx] == t.value:
-            return self.trace.outputs[idx]
-        hit = self._by_value.get(t.value)
-        if hit is None:
+        i = self._by_value.get(t.value)
+        if i is None:
             raise ParameterError(f"timestep {t.value!r} not present in trace")
-        return self.trace.outputs[hit]
+        return self.outputs[i]
 
     def replay_grid(self) -> tuple[Timestep, ...]:
         """Decision timesteps plus one extrapolated terminal node."""
-        ts = self.trace.timesteps
-        if len(ts) >= 2:
-            t_end = ts[-1] - (ts[-2] - ts[-1])
-        else:
-            t_end = ts[-1] - 1.0
-        nodes = list(ts) + [t_end]
-        return tuple(Timestep(v, i) for i, v in enumerate(nodes))
+        ts = self.timesteps
+        step = ts[-2] - ts[-1] if len(ts) >= 2 else 1.0
+        return tuple(Timestep(v, i) for i, v in enumerate(ts + (ts[-1] - step,)))

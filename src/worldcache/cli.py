@@ -31,7 +31,6 @@ from . import __version__, kernels
 from .backbone_sim import (
     SyntheticBackbone,
     TRACE_EXTENSION,
-    TraceBackbone,
     cast_block,
     read_trace,
     validate_trace,
@@ -220,21 +219,19 @@ class _Reference(NamedTuple):
     outputs: Sequence | None
 
 
-def _reference(cfg: ResolvedConfig, sink=None) -> _Reference:
+def _reference(cfg: ResolvedConfig) -> _Reference:
     """Builds the workload of cfg's [workload] and [scheduler] sections (they
-    are all it reads) and runs its oracle, handing each output to sink."""
+    are all it reads) and runs its oracle."""
     w = cfg.values["workload"]
     if w["kind"] == "trace":
-        trace = read_trace(w["trace_path"])
-        backbone, outputs = TraceBackbone(trace), trace.outputs.references
-        scheduler = EulerScheduler(backbone.replay_grid())
+        backbone = read_trace(w["trace_path"])
+        scheduler, outputs = EulerScheduler(backbone.replay_grid()), backbone.outputs.references
     else:
         backbone, outputs = SyntheticBackbone(cfg.synthetic_spec()), None
         scheduler = cfg.synthetic_scheduler()
     z_init = backbone.initial_latent()
-    keep = outputs is None and sink is None
-    oracle = oracle_run(backbone, scheduler, z_init, record_outputs=keep, sink=sink)
-    outputs = oracle.surrogates if keep else outputs
+    oracle = oracle_run(backbone, scheduler, z_init, record_outputs=outputs is None)
+    outputs = oracle.surrogates if outputs is None else outputs
     return _Reference(backbone, scheduler, z_init, oracle, outputs)
 
 
@@ -400,12 +397,14 @@ def cmd_record(args) -> int:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)
 
     # cast each output as it is made: no float64 outputs are held together
-    spec, steps = cfg.synthetic_spec(), cfg.values["scheduler"]["steps"]
+    spec, scheduler = cfg.synthetic_spec(), cfg.synthetic_scheduler()
+    steps, backbone = cfg.values["scheduler"]["steps"], SyntheticBackbone(spec)
     blocks = np.empty((steps, spec.n_tokens, spec.dims), dtype=np.float32)
     slots = enumerate(blocks)
-    ref = _reference(cfg, sink=lambda y: cast_block(*next(slots), y.data))
-    write_trace(trace_path, ref.scheduler.timesteps[:steps], blocks)
-    del ref, blocks  # free them before validate_trace re-reads the file
+    oracle_run(backbone, scheduler, backbone.initial_latent(), record_outputs=False,
+               sink=lambda y: cast_block(*next(slots), y.data))
+    write_trace(trace_path, scheduler.timesteps[:steps], blocks)
+    del backbone, blocks  # free them before validate_trace re-reads the file
 
     run_id = _run_identifier(cfg)
     manifest_path = trace_path.with_name(trace_path.stem + ".manifest.ini")

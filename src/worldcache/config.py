@@ -295,7 +295,9 @@ def format_value(val: Any) -> str:
 
 
 def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
-    """Serialize the fully-resolved configuration as canonical INI text."""
+    """Serialize the fully-resolved configuration as canonical INI text. A
+    trace workload replays the trace's own grid, so its [scheduler] values,
+    which nothing reads, are left out."""
     lines: list[str] = []
     if meta:
         lines.append("[meta]")
@@ -303,6 +305,8 @@ def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
             lines.append(f"{key} = {val}")
         lines.append("")
     for section in SCHEMA:
+        if section == "scheduler" and cfg.values["workload"]["kind"] == "trace":
+            continue
         lines.append(f"[{section}]")
         for key in SCHEMA[section]:
             lines.append(f"{key} = {format_value(cfg.values[section][key])}")

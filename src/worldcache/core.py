@@ -150,6 +150,9 @@ class Timestep:
         if self.index < 0:
             raise ParameterError(f"timestep index must be >= 0, got {self.index}")
 
+    def __float__(self) -> float:
+        return self.value
+
 
 def axpy_rows(a: TokenMatrix, b: TokenMatrix, s: float) -> TokenMatrix:
     """Rowwise a + s * b. Shapes must match exactly; an update past the float

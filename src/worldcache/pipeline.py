@@ -172,6 +172,7 @@ def step_errors(
         diff = y.data - ref
         num = kernels.fro_norm(diff)
         per_group = _group_means(diff, groups)
+        rel = num / (den + _TINY)
         if math.inf in (num, den, *per_group):
             # Norms and means scale exactly with y and y_o, so take them at
             # 2**-k, k putting the largest entry of y and y_o in [0.5, 1),
@@ -181,13 +182,15 @@ def step_errors(
             k = int(np.frexp(max(np.abs(y.data).max(), np.abs(ref).max()))[1])
             y_s, o_s = np.ldexp(y.data, -k), np.ldexp(ref, -k)
             diff_s = y_s - o_s
-            if math.inf in (num, den):
-                num, den = kernels.fro_norm(diff_s), kernels.fro_norm(o_s)
+            if den == math.inf:  # so ||o_s|| is about 1 or more: rel at 2**-k
+                rel = kernels.fro_norm(diff_s) / kernels.fro_norm(o_s)
+            elif num == math.inf:  # ||o_s|| may underflow: scale rel back
+                rel = float(np.ldexp(kernels.fro_norm(diff_s) / (den + _TINY), k))
             per_group = [
                 float(np.ldexp(s, k)) if m == math.inf else m
                 for m, s in zip(per_group, _group_means(diff_s, groups))
             ]
-    return num / (den + _TINY), per_group[0], per_group[1], per_group[2]
+    return rel, per_group[0], per_group[1], per_group[2]
 
 
 def check_policy(predictor_cfg: PredictorConfig, skip_cfg: SkipConfig) -> None:

@@ -26,7 +26,6 @@ from worldcache import (
     SyntheticSpec,
     Timestep,
     TokenMatrix,
-    TraceBackbone,
     TraceFormatError,
     compare_runs,
     compute_curvature,
@@ -451,7 +450,7 @@ def test_criterion_11_trace_format(criterion_report, tmp_path):
         rec = tmp_path / "rec.wct"
         stack = np.stack([m.data for m in ref.surrogates]).astype(np.float32)
         write_trace(rec, [t.value for t in scheduler.timesteps][:12], stack)
-        replay_backbone = TraceBackbone(read_trace(rec))
+        replay_backbone = read_trace(rec)
         replay = oracle_run(
             replay_backbone, EulerScheduler(replay_backbone.replay_grid()), z0)
         surrogates_match = all(

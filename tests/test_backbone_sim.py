@@ -467,10 +467,10 @@ class TestTraceFuzz:
         except TraceFormatError:
             return
         ts = np.array(trace.timesteps)
-        assert trace.n_steps == ts.size >= 1
+        assert len(trace.outputs) == ts.size >= 1
         assert np.isfinite(ts).all() and (np.diff(ts) < 0).all()
         for m in trace.outputs:
-            assert m.shape == (trace.n_tokens, trace.dims)
+            assert m.shape == trace.shape
             assert np.isfinite(m.data).all()
 
 
@@ -480,19 +480,16 @@ class TestNonDyadicGrid:
         blocks = np.random.default_rng(4).normal(size=(37, 3, 2)).astype(np.float32)
         path = tmp_path / "grid.wct"
         write_trace(path, grid, blocks)
-        trace = read_trace(path)
-        assert trace.timesteps == tuple(t.value for t in grid)
-        for stored, original in zip(trace.outputs, blocks):
+        replay = read_trace(path)
+        assert replay.timesteps == tuple(t.value for t in grid)
+        for stored, original in zip(replay.outputs, blocks):
             assert np.array_equal(stored.data, original.astype(np.float64))
-        replay = TraceBackbone(trace)
         assert replay.replay_grid()[:37] == grid
         z = replay.initial_latent()
         for i, t in enumerate(grid):
-            by_index = replay.evaluate(z, t)
-            # a wrong index misses the index lookup and falls back to the value
-            by_value = replay.evaluate(z, Timestep(t.value, (i + 1) % 37))
-            assert by_index is trace.outputs[i]
-            assert by_value is trace.outputs[i]
+            # the output is found by the timestep's value; its index is not read
+            assert replay.evaluate(z, t) is replay.outputs[i]
+            assert replay.evaluate(z, Timestep(t.value, (i + 1) % 37)) is replay.outputs[i]
 
 
 class TestTraceBackbone:
@@ -504,7 +501,7 @@ class TestTraceBackbone:
                          record_outputs=True)
         path = tmp_path / "replay.wct"
         write_trace(path, sched.timesteps[:10], ref.surrogates)
-        replay = TraceBackbone(read_trace(path))
+        replay = read_trace(path)
         assert replay.shape == backbone.shape
         for t, expected in zip(sched.timesteps[:10], ref.surrogates):
             got = replay.evaluate(replay.initial_latent(), t)
@@ -516,7 +513,7 @@ class TestTraceBackbone:
         blocks = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
         path = tmp_path / "open.wct"
         write_trace(path, [3.0, 2.0, 1.0], blocks)
-        replay = TraceBackbone(read_trace(path))
+        replay = read_trace(path)
         t = _ts(2.0, 1)
         a = replay.evaluate(TokenMatrix(np.zeros((2, 2))), t)
         b = replay.evaluate(TokenMatrix(np.ones((2, 2))), t)
@@ -526,15 +523,22 @@ class TestTraceBackbone:
         blocks = np.zeros((2, 1, 1), dtype=np.float32)
         path = tmp_path / "grid.wct"
         write_trace(path, [2.0, 1.0], blocks)
-        replay = TraceBackbone(read_trace(path))
+        replay = read_trace(path)
         with pytest.raises(ParameterError):
             replay.evaluate(replay.initial_latent(), _ts(1.5, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1)])
+    def test_blocks_must_match_the_timesteps(self, shape):
+        blocks = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(DimensionError, match="for 3 timesteps"):
+            TraceBackbone([3.0, 2.0, 1.0], blocks)
+        assert blocks.flags.writeable  # a rejected array is not frozen
 
     def test_replay_grid_matches_stored_timesteps(self, tmp_path):
         blocks = np.zeros((3, 1, 1), dtype=np.float32)
         path = tmp_path / "grid2.wct"
         write_trace(path, [9.0, 5.0, 2.0], blocks)
-        replay = TraceBackbone(read_trace(path))
+        replay = read_trace(path)
         grid = replay.replay_grid()
         assert [t.value for t in grid[:3]] == [9.0, 5.0, 2.0]
         assert len(grid) == 4  # one terminal node past the decisions

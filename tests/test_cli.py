@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from worldcache import (
-    SkipKind, bench, cli, kernels, pipeline, read_trace, skipper, write_trace,
+    EulerScheduler, SkipKind, TraceBackbone, bench, cli, kernels, pipeline, read_trace, run,
+    skipper, write_trace,
 )
 from worldcache.cli import (
     METRIC_COLUMNS,
@@ -339,6 +340,49 @@ class TestRecordValidateReplay:
         assert "CACHE" in decisions
         _, metrics = _read_rows(out_dir / "rep.metrics.csv")
         assert int(metrics[0][2]) == decisions.count("FULL")
+
+    def test_a_replay_manifest_leaves_out_the_scheduler_it_ignores(self, tmp_path):
+        # a trace replays its own grid: --steps changes neither the manifest
+        # nor the default run id, and the manifest reproduces the replay
+        main(["record", str(tmp_path / "t"), "--seed", "5", *FAST])
+        out_dir, written = tmp_path / "out", []
+        for steps in ("12", "99"):
+            assert main(["replay", str(tmp_path / "t.wct"), "--steps", steps,
+                         "--out", str(out_dir)]) == 0
+            written.append({p.name: p.read_bytes() for p in out_dir.glob("*.manifest.ini")})
+        assert len(written[0]) == 1 and written[1] == written[0]
+        (name, text), = written[0].items()
+        assert b"[scheduler]" not in text and b"steps" not in text
+        again = tmp_path / "again"
+        assert main(["replay", str(tmp_path / "t.wct"), "--config", str(out_dir / name),
+                     "--out", str(again)]) == 0
+        steps_csv = name.replace(".manifest.ini", ".steps.csv")
+        assert (again / steps_csv).read_bytes() == (out_dir / steps_csv).read_bytes()
+
+    def test_a_trace_built_from_records_blocks_replays_as_its_file(
+        self, tmp_path, monkeypatch
+    ):
+        cast, real = [], cli.write_trace
+
+        def kept(path, timesteps, blocks):
+            cast.append((timesteps, blocks))
+            real(path, timesteps, blocks)
+
+        monkeypatch.setattr(cli, "write_trace", kept)
+        assert main(["record", str(tmp_path / "t.wct"), "--seed", "5", *FAST]) == 0
+        (timesteps, blocks), = cast
+        built, read = TraceBackbone(timesteps, blocks), read_trace(tmp_path / "t.wct")
+        assert built.timesteps == read.timesteps
+        results = []
+        for replay in (built, read):
+            grid, z = replay.replay_grid(), replay.initial_latent()
+            assert all(replay.evaluate(z, t) is replay.outputs[i]
+                       for i, t in enumerate(grid[:-1]))
+            results.append(run(replay, EulerScheduler(grid), replay.initial_latent(),
+                               oracle_outputs=replay.outputs.references))
+        a, b = results
+        assert a.cache_count and repr(a.records) == repr(b.records)
+        assert a.final_latent.data.tobytes() == b.final_latent.data.tobytes()
 
     def test_record_past_the_float32_range_writes_no_file(self, tmp_path, capsys):
         args = ["record", str(tmp_path / "rec" / "t.wct"), "--n-tokens", "8",

@@ -1,7 +1,9 @@
 """The benchmark's traced run rebinds package functions by name
-(perfbench/spans.py), so renaming one of them breaks `--trace 1`. This test
-runs the smallest traced workload and checks that every per-layer metric
-BENCHMARK.json declares is still reported."""
+(perfbench/spans.py), so renaming one of them breaks `--trace 1`. These tests
+run the smallest traced workload and check that every per-layer metric
+BENCHMARK.json declares is still reported, and run policy-bound, whose calls
+(`run`, `oracle_run(record_outputs=False)`, `cache_count`, `final_latent`)
+the trace workload does not make, and check that it is correct."""
 
 import json
 import subprocess
@@ -11,15 +13,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
+def _bench(*args) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "trace-sweep",
-         "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", *args, "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
+    result = _bench("--workload", "trace-sweep", "--trace", "1")
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     missing = {m["name"] for m in declared["per_layer"]} - result["metrics"].keys()
     assert not missing
+
+
+def test_policy_bound_is_correct():
+    assert _bench("--workload", "policy-bound")["correct"] is True

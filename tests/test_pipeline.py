@@ -22,7 +22,6 @@ from worldcache import (
     Timestep,
     TokenMatrix,
     TraceBackbone,
-    TraceData,
     compare_runs,
     oracle_run,
     read_trace,
@@ -522,11 +521,19 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
+def _wide(oracle_y) -> np.ndarray:
+    """A reference in either form step_errors takes, as float64 values."""
+    if isinstance(oracle_y, TokenMatrix):
+        return oracle_y.data
+    return oracle_y[0].astype(np.float64)
+
+
 def _fresh_errors(y, oracle_y, g):
     """step_errors computed in full at every call: a fresh difference, both
     Frobenius norms, and each group's .mean() of the row norms."""
-    diff = y.data - oracle_y.data
-    rel = kernels.fro_norm(diff) / (kernels.fro_norm(oracle_y.data) + 1e-30)
+    wide = _wide(oracle_y)
+    diff = y.data - wide
+    rel = kernels.fro_norm(diff) / (kernels.fro_norm(wide) + 1e-30)
     if g is None:
         return rel, math.nan, math.nan, math.nan
     row_err = kernels.row_norms(diff)
@@ -535,15 +542,21 @@ def _fresh_errors(y, oracle_y, g):
 
 
 def _replayed(backbone, sched, z0):
-    """backbone's oracle stored as a float32 trace, as `record` writes it,
-    and the replay backbone, grid and latent built from it."""
+    """backbone's oracle cast to one float32 stack, as `record` casts it, and
+    the replay backbone, grid and latent built from it."""
     ref = oracle_run(backbone, sched, z0)
-    trace = TraceData(
-        tuple(t.value for t in sched.timesteps[: len(ref.surrogates)]),
-        tuple(TokenMatrix(y.data.astype(np.float32)) for y in ref.surrogates),
-    )
-    replay = TraceBackbone(trace)
+    blocks = np.stack([y.data for y in ref.surrogates]).astype(np.float32)
+    replay = TraceBackbone(sched.timesteps[: len(blocks)], blocks)
     return replay, EulerScheduler(replay.replay_grid()), replay.initial_latent()
+
+
+def _references(workload, ref):
+    """What a run over workload is scored against, as the CLI scores it: a
+    replay's own float32 blocks, else the outputs of ref, its oracle."""
+    backbone = workload[0]
+    if isinstance(backbone, TraceBackbone):
+        return backbone.outputs.references
+    return ref.surrogates
 
 
 class TestStepErrorsShortcut:
@@ -564,7 +577,7 @@ class TestStepErrorsShortcut:
         ref = oracle_run(backbone, sched, z0)
         path = tmp_path / "ref.wct"
         write_trace(path, sched.timesteps[:30], np.stack([y.data for y in ref.surrogates]))
-        replay = TraceBackbone(read_trace(path))
+        replay = read_trace(path)
         replay_sched = EulerScheduler(replay.replay_grid())
         oracle = oracle_run(replay, replay_sched, replay.initial_latent())
         result = run(
@@ -609,12 +622,11 @@ class TestFloat32Reference:
         backbone, sched, z0 = _setup(Preset.TURNPOINT, steps=30)
         path = tmp_path / "ref.wct"
         write_trace(path, sched.timesteps[:30], oracle_run(backbone, sched, z0).surrogates)
-        trace = read_trace(path)
-        replay = TraceBackbone(trace)
+        replay = read_trace(path)
         replay_sched = EulerScheduler(replay.replay_grid())
         oracle = oracle_run(replay, replay_sched, replay.initial_latent())
         records = []
-        for outputs in (oracle.surrogates, trace.outputs.references):
+        for outputs in (oracle.surrogates, replay.outputs.references):
             calls = []
 
             def spy(y, oracle_y, g):
@@ -634,6 +646,30 @@ class TestFloat32Reference:
         cached = [i for i in range(30) if i not in full]
         assert all(isinstance(calls[i][1], tuple) for i in cached)
         assert records[1] == records[0]
+
+
+class TestStepErrorsPastTheFloatRange:
+    @staticmethod
+    def _rel(y, reference):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return step_errors(TokenMatrix(y), TokenMatrix(reference), None)[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e10, 1e200, 1e290])
+    def test_a_huge_error_against_a_normal_reference_keeps_its_value(self, scale):
+        # ||y - y_o|| overflows and ||y_o|| does not; taken at y's scale,
+        # ||y_o|| underflows, so rel must not be divided out there
+        y = np.zeros((4, 3))
+        y.flat[[0, 5]] = 1.5e308
+        rel = self._rel(y, np.full((4, 3), scale))
+        assert rel == pytest.approx(1.5e308 / math.sqrt(6) / scale, rel=1e-12)
+        assert self._rel(y, np.zeros((4, 3))) == math.inf  # past the float range
+
+    def test_both_norms_past_the_float_range_give_their_ratio(self):
+        y = np.zeros((4, 3))
+        y.flat[[0, 5]] = 1.5e308
+        rel = self._rel(y, np.full((4, 3), 1e308))
+        assert rel == pytest.approx(math.sqrt(10.5 / 12), rel=1e-12)
 
 
 class TestRecordsMatchFreshErrors:
@@ -667,11 +703,12 @@ class TestRecordsMatchFreshErrors:
                 *workload,
                 PredictorConfig(p_stable=p_stable),
                 SkipConfig(kind=kind, eta=eta),
-                oracle_outputs=ref.surrogates,
+                oracle_outputs=_references(workload, ref),
             )
         assert len(calls) == len(result.records) == steps
         for r, (y, oracle_y, g), want in zip(result.records, calls, ref.surrogates):
-            assert oracle_y is want
+            # the oracle's output, or the float32 block it was widened from
+            assert oracle_y is want or _wide(oracle_y).tobytes() == want.data.tobytes()
             got = (r.rel_err, r.stable_err, r.linear_err, r.chaotic_err)
             assert _bits(got) == _bits(_fresh_errors(y, oracle_y, g))
 
@@ -703,7 +740,8 @@ class TestScoreGroups:
             SkipConfig(kind=kind, eta=eta),
         )
         full, lean = (
-            run(*workload, *cfgs, oracle_outputs=ref.surrogates, full_records=flag)
+            run(*workload, *cfgs, oracle_outputs=_references(workload, ref),
+                full_records=flag)
             for flag in (True, False)
         )
         for a, b in zip(full.records, lean.records, strict=True):
