@@ -34,6 +34,7 @@ optionally followed by n_tokens label bytes. Canonical extension: .wct.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -287,15 +288,18 @@ class SyntheticBackbone:
 class TraceOutputs(Sequence):
     """A trace's outputs as the file stores them: `blocks`, one frozen float32
     (n_steps, n_tokens, dims) array, and `norms`, the Frobenius norm of each
-    block's exact float64 widening, taken here once. Reading output i widens
-    block i into a frozen TokenMatrix and keeps the last one widened.
+    block's exact float64 widening, taken once, on first read. Reading output
+    i widens block i into a frozen TokenMatrix and keeps the last one widened.
     `references[i]`, what a run over the trace is scored against at step i,
     is that kept matrix if it is block i (a replayed FULL step's output), else
     (block i, norm i)."""
 
     def __init__(self, blocks: np.ndarray):
         self.blocks, self._last = blocks, (None, None)
-        self.norms = tuple(kernels.fro_norm(b.astype(np.float64)) for b in blocks)
+
+    @functools.cached_property
+    def norms(self) -> tuple[float, ...]:
+        return tuple(kernels.fro_norm(b.astype(np.float64)) for b in self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -323,15 +327,9 @@ class _References(Sequence):
         return kept if i == kept_i else (self.outputs.blocks[i], self.outputs.norms[i])
 
 
-def _block(m) -> np.ndarray:
-    """An output block as write_trace casts it: float32 kept, else float64."""
-    arr = np.asarray(m.data if isinstance(m, TokenMatrix) else m)
-    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
-
-
 def cast_block(i: int, out: np.ndarray, m: np.ndarray) -> None:
-    """Cast output block i into out, a float32 array, as write_trace stores
-    it. A value that does not fit in float32 raises ParameterError."""
+    """Cast output block i into out, a float32 array, as a trace stores it.
+    A value that does not fit in float32 raises ParameterError."""
     with np.errstate(over="ignore"):
         np.copyto(out, m, casting="same_kind")
     if not np.isfinite(out).all():
@@ -341,66 +339,18 @@ def cast_block(i: int, out: np.ndarray, m: np.ndarray) -> None:
         )
 
 
-def write_trace(path, timesteps, outputs, modality=None) -> None:
-    """Serialize decision timesteps plus their outputs to a trace file.
-
-    timesteps may be Timestep objects or plain floats; outputs are stored as
-    float32, so reading back reproduces them to 32-bit rounding: a float32
-    block as is, any other through float64. cast_block checks each block
-    into one reused buffer before the file is opened, so a value past the
-    float32 range raises ParameterError first. The parent directory is made
-    only once every check has passed, so a rejected trace leaves nothing.
-    """
-    values = [float(t) for t in timesteps]
-    outs = [_block(m) for m in outputs]
-    if len(values) != len(outs):
-        raise DimensionError(
-            f"{len(values)} timesteps for {len(outs)} output blocks"
-        )
-    if not outs:
-        raise ParameterError("cannot write an empty trace")
-    shape = outs[0].shape
-    for m in outs:
-        if m.shape != shape or m.ndim != 2:
-            raise DimensionError(f"inconsistent block shapes: {m.shape} vs {shape}")
-    if 0 in shape:  # read_trace rejects a trace with no tokens or no dims
-        raise DimensionError(f"output blocks must not be empty, got shape {shape}")
-    for a, b in zip(values, values[1:]):
-        if not (b < a):
-            raise OrderingError(
-                f"trace timesteps must be strictly decreasing: {b} after {a}"
-            )
-    if any(not math.isfinite(v) for v in values):
-        raise ParameterError("trace timesteps must be finite")
-    buf = np.empty(shape, dtype=np.float32)
-    for i, m in enumerate(outs):
-        cast_block(i, buf, m)
-    n_tokens, dims = shape
-    labels = None
-    if modality is not None:
-        labels = np.asarray(
-            [int(m) for m in modality] if not isinstance(modality, np.ndarray) else modality
-        )
-        if labels.shape != (n_tokens,):
-            raise DimensionError(
-                f"modality labels must have shape ({n_tokens},), got {labels.shape}"
-            )
-        if labels.min() < 0 or labels.max() > 255:
-            raise ParameterError("modality labels must fit in one byte")
-        labels = labels.astype(np.uint8)
-
+def write_trace(path, trace: TraceBackbone) -> None:
+    """Serialize a trace, the inverse of read_trace. TraceBackbone has
+    checked everything the format requires, so this checks nothing, and the
+    parent directory is made only for a trace that passed those checks."""
+    blocks, labels = trace.outputs.blocks, trace.modality
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
-        f.write(_HEADER.pack(n_tokens, dims, len(outs)))
-        f.write(np.asarray(values, dtype="<f8").tobytes())
-        for m in outs:
-            f.write(np.ascontiguousarray(m, dtype="<f4"))
-        if labels is None:
-            f.write(b"\x00")
-        else:
-            f.write(b"\x01")
-            f.write(labels.tobytes())
+        f.write(_HEADER.pack(*trace.shape, len(blocks)))
+        f.write(np.asarray(trace.timesteps, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(blocks, dtype="<f4"))
+        f.write(b"\x00" if labels is None else b"\x01" + labels.tobytes())
 
 
 def _read(f, n: int, size: int, message: str) -> bytes:
@@ -558,19 +508,46 @@ class TraceBackbone:
     """A trace and its replay backbone: the strictly decreasing decision
     `timesteps` as floats, `outputs` over blocks, the float32 (n_steps,
     n_tokens, dims) array, frozen without a copy, and the uint8 `modality`
-    labels, one per token, or None. evaluate() returns the output stored at
-    the timestep's value. Replay is open-loop by construction; the latent
-    argument is ignored beyond a shape check."""
+    labels, one per token, or None. The constructor holds every rule a trace
+    file keeps, so whatever it accepts write_trace can store. evaluate()
+    returns the output stored at the timestep's value. Replay is open-loop by
+    construction; the latent argument is ignored beyond a shape check."""
 
-    def __init__(self, timesteps, blocks: np.ndarray, modality: np.ndarray | None = None):
-        self.timesteps = tuple(map(float, timesteps))
-        if blocks.ndim != 3 or len(blocks) != len(self.timesteps):
-            raise DimensionError(f"blocks {blocks.shape} for {len(self.timesteps)} timesteps")
+    def __init__(self, timesteps, blocks: np.ndarray, modality=None):
+        self.timesteps = ts = tuple(map(float, timesteps))
+        if not isinstance(blocks, np.ndarray) or blocks.dtype != np.float32:
+            raise ParameterError(
+                "trace blocks must be a float32 array, got "
+                f"{getattr(blocks, 'dtype', type(blocks).__name__)}"
+            )
+        if blocks.ndim != 3 or len(blocks) != len(ts):
+            raise DimensionError(f"blocks {blocks.shape} for {len(ts)} timesteps")
+        if 0 in blocks.shape:  # read_trace rejects such a trace as degenerate
+            raise DimensionError(f"output blocks must not be empty, got shape {blocks.shape}")
+        if not all(map(math.isfinite, ts)):
+            raise ParameterError("trace timesteps must be finite")
+        for a, b in zip(ts, ts[1:]):
+            if not b < a:
+                raise OrderingError(f"trace timesteps must be strictly decreasing: {b} after {a}")
+        # min and max carry a NaN through, and allocate nothing payload-sized
+        if not math.isfinite(blocks.min()) or not math.isfinite(blocks.max()):
+            bad = next(i for i, b in enumerate(blocks) if not np.isfinite(b).all())
+            raise ParameterError(f"output block {bad} holds a non-finite value")
+        self.shape = blocks.shape[1:]
+        if modality is not None:
+            labels = np.asarray(modality)
+            if labels.shape != self.shape[:1]:
+                raise DimensionError(
+                    f"modality labels must have shape ({self.shape[0]},), got {labels.shape}"
+                )
+            if labels.min() < 0 or labels.max() > 255:
+                raise ParameterError("modality labels must fit in one byte")
+            modality = labels.astype(np.uint8, copy=False)
+            modality.setflags(write=False)
         blocks.setflags(write=False)
         self.outputs = TraceOutputs(blocks)
         self.modality = modality
-        self.shape = blocks.shape[1:]
-        self._by_value = {v: i for i, v in enumerate(self.timesteps)}
+        self._by_value = {v: i for i, v in enumerate(ts)}
 
     def initial_latent(self) -> TokenMatrix:
         return self.outputs[0]

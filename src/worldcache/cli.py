@@ -31,6 +31,7 @@ from . import __version__, kernels
 from .backbone_sim import (
     SyntheticBackbone,
     TRACE_EXTENSION,
+    TraceBackbone,
     cast_block,
     read_trace,
     validate_trace,
@@ -403,18 +404,16 @@ def cmd_record(args) -> int:
     slots = enumerate(blocks)
     oracle_run(backbone, scheduler, backbone.initial_latent(), record_outputs=False,
                sink=lambda y: cast_block(*next(slots), y.data))
-    write_trace(trace_path, scheduler.timesteps[:steps], blocks)
-    del backbone, blocks  # free them before validate_trace re-reads the file
+    grid = scheduler.timesteps[:steps]
+    write_trace(trace_path, TraceBackbone(grid, blocks))
 
     run_id = _run_identifier(cfg)
     manifest_path = trace_path.with_name(trace_path.stem + ".manifest.ini")
     _write_manifest(manifest_path, cfg, "record", run_id)
 
-    summary = validate_trace(trace_path)
     print(
-        f"recorded {trace_path}: {summary['n_steps']} steps, "
-        f"{summary['n_tokens']}x{summary['dims']} tokens, "
-        f"t in [{summary['t_last']:g}, {summary['t_first']:g}]"
+        f"recorded {trace_path}: {steps} steps, {spec.n_tokens}x{spec.dims} tokens, "
+        f"t in [{grid[-1].value:g}, {grid[0].value:g}]"
     )
     print(f"wrote {manifest_path}")
     return 0

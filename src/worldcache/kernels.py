@@ -50,13 +50,13 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm, as np.linalg.norm sums it (one dot of the flattened
-    array) while that sum is in the normal range; row_norms' rule otherwise."""
-    flat = a.ravel(order="K")
-    with np.errstate(over="ignore"):
-        sq = float(flat.dot(flat))
+    """Frobenius norm: one einsum sum of squares of the flattened array, not
+    BLAS's dot, whose summation order follows its thread count, while that
+    sum is in the normal range; row_norms' rule otherwise."""
+    flat = a.ravel(order="K")[None, :]
+    sq = float(_sumsq(flat)[0])
     if sq == math.inf or 0.0 < sq < _TINY:
-        return float(row_norms(flat[None, :])[0])
+        return float(row_norms(flat)[0])
     return math.sqrt(sq)
 
 

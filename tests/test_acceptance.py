@@ -26,6 +26,7 @@ from worldcache import (
     SyntheticSpec,
     Timestep,
     TokenMatrix,
+    TraceBackbone,
     TraceFormatError,
     compare_runs,
     compute_curvature,
@@ -410,7 +411,7 @@ def test_criterion_11_trace_format(criterion_report, tmp_path):
         blocks = rng.normal(size=(5, 6, 3)).astype(np.float32)
         ts = [5.0, 4.0, 3.0, 2.0, 1.0]
         path = tmp_path / "rt.wct"
-        write_trace(path, ts, blocks)
+        write_trace(path, TraceBackbone(ts, blocks))
         loaded = read_trace(path)
         round_trip = (
             list(map(float, loaded.timesteps)) == ts
@@ -449,7 +450,7 @@ def test_criterion_11_trace_format(criterion_report, tmp_path):
         ref = oracle_run(backbone, scheduler, z0)
         rec = tmp_path / "rec.wct"
         stack = np.stack([m.data for m in ref.surrogates]).astype(np.float32)
-        write_trace(rec, [t.value for t in scheduler.timesteps][:12], stack)
+        write_trace(rec, TraceBackbone(scheduler.timesteps[:12], stack))
         replay_backbone = read_trace(rec)
         replay = oracle_run(
             replay_backbone, EulerScheduler(replay_backbone.replay_grid()), z0)

@@ -28,6 +28,8 @@ from worldcache import (
     validate_trace,
     write_trace,
 )
+from worldcache.backbone_sim import cast_block
+from worldcache.cli import main
 from worldcache.errors import OrderingError
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -186,7 +188,7 @@ class TestTraceRoundTrip:
         blocks = rng.normal(size=(steps, n, d)).astype(np.float32)
         timesteps = [float(steps - i) for i in range(steps)]
         path = tmp_path / "t.wct"
-        write_trace(path, timesteps, blocks, modality=modality)
+        write_trace(path, TraceBackbone(timesteps, blocks, modality))
         return path, timesteps, blocks
 
     def test_round_trip_bit_identical(self, tmp_path):
@@ -197,6 +199,18 @@ class TestTraceRoundTrip:
             assert np.array_equal(
                 stored.data.astype(np.float32), original
             )
+
+    @pytest.mark.parametrize("labels", [None, [2, 0, 1, 1]], ids=["record", "labelled"])
+    def test_writing_what_was_read_reproduces_the_file(self, tmp_path, labels):
+        # write_trace is read_trace's inverse: the first trace is record's
+        src, copy = tmp_path / "src.wct", tmp_path / "copy.wct"
+        if labels is None:
+            assert main(["record", str(src), "--seed", "3", "--n-tokens", "4",
+                         "--dims", "3", "--steps", "9", "--out", str(tmp_path)]) == 0
+        else:
+            src, _, _ = self._random_trace(tmp_path, modality=labels)
+        write_trace(copy, read_trace(src))
+        assert copy.read_bytes() == src.read_bytes()
 
     def test_blocks_are_frozen_float64_matrices(self, tmp_path):
         # the payload is kept frozen at float32, and each block read is
@@ -225,71 +239,40 @@ class TestTraceRoundTrip:
         path, _, _ = self._random_trace(tmp_path)
         assert read_trace(path).modality is None
 
-    def test_write_accepts_token_matrices(self, tmp_path):
-        path = tmp_path / "m.wct"
-        mats = [TokenMatrix([[1.0, 2.0]]), TokenMatrix([[3.0, 4.0]])]
-        write_trace(path, [2.0, 1.0], mats)
-        trace = read_trace(path)
-        assert trace.outputs[0].data.tolist() == [[1.0, 2.0]]
-
-    def test_write_rejects_ascending_timesteps(self, tmp_path):
-        blocks = np.zeros((2, 1, 1), dtype=np.float32)
-        with pytest.raises(OrderingError):
-            write_trace(tmp_path / "x.wct", [1.0, 2.0], blocks)
-
-    def test_write_rejects_ragged_blocks(self, tmp_path):
-        blocks = [np.zeros((2, 2)), np.zeros((3, 2))]
-        with pytest.raises(DimensionError):
-            write_trace(tmp_path / "x.wct", [2.0, 1.0], blocks)
-
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
-    def test_write_rejects_empty_blocks(self, tmp_path, shape):
-        # read_trace rejects such a trace as degenerate, so none is written
-        path = tmp_path / "x.wct"
-        with pytest.raises(DimensionError, match="must not be empty"):
-            write_trace(path, [1.0], [np.zeros(shape)])
-        assert not path.exists()
-
-    def test_write_rejects_empty(self, tmp_path):
-        with pytest.raises(ParameterError):
-            write_trace(tmp_path / "x.wct", [], [])
-
     @pytest.mark.parametrize("value", [F32_MAX + 2.0**103, -1e39, np.inf, np.nan])
-    def test_write_rejects_a_block_past_the_float32_range(self, tmp_path, value):
+    def test_cast_rejects_a_block_past_the_float32_range(self, value):
         # F32_MAX + 2**103 is the half-way point that rounds to inf
-        blocks = np.zeros((3, 2, 2))
-        blocks[1, 1, 0] = value
-        path = tmp_path / "x.wct"
+        block = np.zeros((2, 2))
+        block[1, 0] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="output block 1 does not fit in float32"):
-                write_trace(path, [3.0, 2.0, 1.0], blocks)
-        assert not path.exists()
+                cast_block(1, np.empty((2, 2), dtype=np.float32), block)
 
-    def test_write_takes_values_that_round_into_the_float32_range(self, tmp_path):
+    def test_cast_takes_values_that_round_into_the_float32_range(self):
         # just below the half-way point, the cast rounds down to F32_MAX
-        blocks = np.array([[[F32_MAX + 2.0**102, -F32_MAX]]])
-        path = tmp_path / "x.wct"
+        out = np.empty((1, 2), dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            write_trace(path, [1.0], blocks)
-        assert read_trace(path).outputs[0].data.tolist() == [[F32_MAX, -F32_MAX]]
+            cast_block(0, out, np.array([[F32_MAX + 2.0**102, -F32_MAX]]))
+        assert out.tolist() == [[F32_MAX, -F32_MAX]]
 
     def test_float32_blocks_are_not_widened_on_write(self, tmp_path):
         blocks = np.random.default_rng(4).normal(size=(4, 256, 64)).astype(np.float32)
+        trace = TraceBackbone([4.0, 3.0, 2.0, 1.0], blocks)
         tracemalloc.start()
         try:
-            write_trace(tmp_path / "x.wct", [4.0, 3.0, 2.0, 1.0], blocks)
+            write_trace(tmp_path / "x.wct", trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block's bytes are made to write it; a float64 copy would double that
+        # the frozen payload is written as it is; a float64 copy would be 8 blocks
         assert peak < 1.5 * blocks[0].nbytes
 
     def test_labels_do_not_keep_the_file_buffer_alive(self, tmp_path):
         blocks = np.zeros((4, 64, 256), dtype=np.float32)  # a 256 KiB payload
         path = tmp_path / "x.wct"
-        write_trace(path, [4.0, 3.0, 2.0, 1.0], blocks, modality=[1] * 64)
+        write_trace(path, TraceBackbone([4.0, 3.0, 2.0, 1.0], blocks, [1] * 64))
         tracemalloc.start()
         try:
             labels = read_trace(path).modality
@@ -305,7 +288,7 @@ class TestTraceFormatErrors:
         rng = np.random.default_rng(1)
         blocks = rng.normal(size=(3, 2, 2)).astype(np.float32)
         path = tmp_path / "ok.wct"
-        write_trace(path, [3.0, 2.0, 1.0], blocks)
+        write_trace(path, TraceBackbone([3.0, 2.0, 1.0], blocks))
         return bytearray(path.read_bytes())
 
     def test_unsupported_version_magic(self, tmp_path):
@@ -414,7 +397,7 @@ class TestTraceFormatErrors:
         # 3 steps of 2x2: timesteps at byte 20, payload at 44, flag at 92
         blocks = np.random.default_rng(1).normal(size=(3, 2, 2)).astype(np.float32)
         path = tmp_path / "bad.wct"
-        write_trace(path, [3.0, 2.0, 1.0], blocks, modality=labels)
+        write_trace(path, TraceBackbone([3.0, 2.0, 1.0], blocks, labels))
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(TraceFormatError) as exc_info:
             parse(path)
@@ -425,7 +408,7 @@ class TestTraceFormatErrors:
         rng = np.random.default_rng(2)
         blocks = rng.normal(size=(4, 5, 3)).astype(np.float32)
         path = tmp_path / "v.wct"
-        write_trace(path, [8.0, 6.0, 4.0, 2.0], blocks)
+        write_trace(path, TraceBackbone([8.0, 6.0, 4.0, 2.0], blocks))
         summary = validate_trace(path)
         assert summary["n_tokens"] == 5
         assert summary["dims"] == 3
@@ -453,7 +436,7 @@ class TestTraceFuzz:
         blocks = np.random.default_rng(3).normal(size=(3, 4, 2)).astype(np.float32)
         raws = []
         for modality in (None, [0, 1, 2, 1]):
-            write_trace(tmp_dir / "valid.wct", [3.0, 2.0, 1.0], blocks, modality=modality)
+            write_trace(tmp_dir / "valid.wct", TraceBackbone([3.0, 2.0, 1.0], blocks, modality))
             raws.append((tmp_dir / "valid.wct").read_bytes())
         return tmp_dir / "damaged.wct", raws
 
@@ -479,7 +462,7 @@ class TestNonDyadicGrid:
         grid = uniform_grid(37, 1000.0)[:37]  # steps of 1000/37: no exact binary form
         blocks = np.random.default_rng(4).normal(size=(37, 3, 2)).astype(np.float32)
         path = tmp_path / "grid.wct"
-        write_trace(path, grid, blocks)
+        write_trace(path, TraceBackbone(grid, blocks))
         replay = read_trace(path)
         assert replay.timesteps == tuple(t.value for t in grid)
         for stored, original in zip(replay.outputs, blocks):
@@ -500,7 +483,8 @@ class TestTraceBackbone:
         ref = oracle_run(backbone, sched, backbone.initial_latent(),
                          record_outputs=True)
         path = tmp_path / "replay.wct"
-        write_trace(path, sched.timesteps[:10], ref.surrogates)
+        blocks = np.stack([y.data for y in ref.surrogates]).astype(np.float32)
+        write_trace(path, TraceBackbone(sched.timesteps[:10], blocks))
         replay = read_trace(path)
         assert replay.shape == backbone.shape
         for t, expected in zip(sched.timesteps[:10], ref.surrogates):
@@ -512,7 +496,7 @@ class TestTraceBackbone:
     def test_replay_ignores_latent(self, tmp_path):
         blocks = np.arange(12, dtype=np.float32).reshape(3, 2, 2)
         path = tmp_path / "open.wct"
-        write_trace(path, [3.0, 2.0, 1.0], blocks)
+        write_trace(path, TraceBackbone([3.0, 2.0, 1.0], blocks))
         replay = read_trace(path)
         t = _ts(2.0, 1)
         a = replay.evaluate(TokenMatrix(np.zeros((2, 2))), t)
@@ -522,7 +506,7 @@ class TestTraceBackbone:
     def test_unknown_timestep_rejected(self, tmp_path):
         blocks = np.zeros((2, 1, 1), dtype=np.float32)
         path = tmp_path / "grid.wct"
-        write_trace(path, [2.0, 1.0], blocks)
+        write_trace(path, TraceBackbone([2.0, 1.0], blocks))
         replay = read_trace(path)
         with pytest.raises(ParameterError):
             replay.evaluate(replay.initial_latent(), _ts(1.5, 0))
@@ -534,10 +518,55 @@ class TestTraceBackbone:
             TraceBackbone([3.0, 2.0, 1.0], blocks)
         assert blocks.flags.writeable  # a rejected array is not frozen
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_sample_is_rejected_when_built(self, value):
+        blocks = np.zeros((3, 2, 2), dtype=np.float32)
+        blocks[2, 1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="output block 2 holds a non-finite value"):
+                TraceBackbone([3.0, 2.0, 1.0], blocks)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2), (1, 2, 0)])
+    def test_empty_blocks_are_rejected(self, shape):
+        # read_trace rejects such a trace as degenerate, so none is built
+        with pytest.raises(DimensionError, match="must not be empty"):
+            TraceBackbone([1.0] * shape[0], np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("blocks", [np.zeros((2, 1, 1)), [[[0.0]], [[0.0]]]])
+    def test_blocks_must_be_a_float32_array(self, blocks):
+        with pytest.raises(ParameterError, match="must be a float32 array"):
+            TraceBackbone([2.0, 1.0], blocks)
+
+    def test_ascending_timesteps_are_rejected(self):
+        with pytest.raises(OrderingError, match="strictly decreasing: 2.0 after 1.0"):
+            TraceBackbone([1.0, 2.0], np.zeros((2, 1, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_timesteps_are_rejected(self, value):
+        with pytest.raises(ParameterError, match="timesteps must be finite"):
+            TraceBackbone([value, 1.0], np.zeros((2, 1, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]])
+    def test_labels_must_name_each_token_once(self, labels):
+        with pytest.raises(DimensionError, match=r"must have shape \(3,\)"):
+            TraceBackbone([1.0], np.zeros((1, 3, 2), dtype=np.float32), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 256, 1], [-1, 0, 0]])
+    def test_labels_must_fit_in_a_byte(self, labels):
+        with pytest.raises(ParameterError, match="fit in one byte"):
+            TraceBackbone([1.0], np.zeros((1, 3, 2), dtype=np.float32), labels)
+
+    def test_labels_are_kept_as_frozen_bytes(self):
+        labels = [Modality.DEPTH, 0, 255]
+        trace = TraceBackbone([1.0], np.zeros((1, 3, 2), dtype=np.float32), labels)
+        assert trace.modality.dtype == np.uint8 and trace.modality.tolist() == [1, 0, 255]
+        assert not trace.modality.flags.writeable
+
     def test_replay_grid_matches_stored_timesteps(self, tmp_path):
         blocks = np.zeros((3, 1, 1), dtype=np.float32)
         path = tmp_path / "grid2.wct"
-        write_trace(path, [9.0, 5.0, 2.0], blocks)
+        write_trace(path, TraceBackbone([9.0, 5.0, 2.0], blocks))
         replay = read_trace(path)
         grid = replay.replay_grid()
         assert [t.value for t in grid[:3]] == [9.0, 5.0, 2.0]

@@ -1,7 +1,10 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,9 +289,10 @@ class TestExitCodes:
         # Token 0 moves over the first interval and then stops, so under
         # eps = 0 its newest velocity of 0 gives it an inf kappa. Reuse
         # forecasts no displacement for it (inf * 0), chtp a nonzero one.
-        outputs = np.zeros((12, 4, 2))
+        outputs = np.zeros((12, 4, 2), dtype=np.float32)
         outputs[0, 0] = [1.0, 0.0]
-        write_trace(tmp_path / "stop.wct", [float(11 - i) for i in range(12)], outputs)
+        grid = [float(11 - i) for i in range(12)]
+        write_trace(tmp_path / "stop.wct", TraceBackbone(grid, outputs))
         args = ["replay", str(tmp_path / "stop.wct"), "--predictor", predictor,
                 "--set", "predictor.eps=0", "--out", str(tmp_path)]
         with warnings.catch_warnings():
@@ -316,6 +320,15 @@ class TestRecordValidateReplay:
         assert (tmp_path / "demo.manifest.ini").exists()
         out = capsys.readouterr().out
         assert "recorded" in out and "12 steps" in out
+
+    def test_record_prints_its_summary_line(self, tmp_path, capsys):
+        # the line comes from the spec and the grid, not from re-reading the file
+        trace = tmp_path / "demo.wct"
+        assert main(["record", str(trace), "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"recorded {trace}: 50 steps, 96x8 tokens, t in [1, 50]\n"
+            f"wrote {tmp_path / 'demo.manifest.ini'}\n"
+        )
 
     def test_validate_prints_summary(self, tmp_path, capsys):
         main(["record", str(tmp_path / "demo"), "--seed", "5", *FAST])
@@ -362,16 +375,15 @@ class TestRecordValidateReplay:
     def test_a_trace_built_from_records_blocks_replays_as_its_file(
         self, tmp_path, monkeypatch
     ):
-        cast, real = [], cli.write_trace
+        written, real = [], cli.write_trace
 
-        def kept(path, timesteps, blocks):
-            cast.append((timesteps, blocks))
-            real(path, timesteps, blocks)
+        def kept(path, trace):
+            written.append(trace)
+            real(path, trace)
 
         monkeypatch.setattr(cli, "write_trace", kept)
         assert main(["record", str(tmp_path / "t.wct"), "--seed", "5", *FAST]) == 0
-        (timesteps, blocks), = cast
-        built, read = TraceBackbone(timesteps, blocks), read_trace(tmp_path / "t.wct")
+        (built,), read = written, read_trace(tmp_path / "t.wct")
         assert built.timesteps == read.timesteps
         results = []
         for replay in (built, read):
@@ -403,6 +415,25 @@ class TestRecordValidateReplay:
                      "--set", f"workload.trace_path={tmp_path / 'demo.wct'}"])
         assert code == 1
         assert "synthetic" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # BLAS's dot sums in an order that follows its thread count, which
+        # moved the error columns' last bits; kernels.fro_norm sums through einsum
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        workload = ["--seed", "0", "--n-tokens", "1024", "--dims", "32"]
+        csvs = []
+        for threads in ("1", "2"):
+            out, env = tmp_path / threads, {**os.environ, "PYTHONPATH": path,
+                                            "OPENBLAS_NUM_THREADS": threads}
+            for argv in (["sweep", "--set", "sweep.eta=0.05,0.2", "--seeds", "0"], ["run"]):
+                subprocess.run([sys.executable, "-m", "worldcache.cli", *argv, *workload,
+                                "--out", str(out), "--run-id", argv[0]],
+                               env=env, check=True, capture_output=True, timeout=300)
+            csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(csvs[0]) == 3 and csvs[1] == csvs[0]
 
 
 class TestSweepCommand:

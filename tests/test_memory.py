@@ -25,6 +25,7 @@ from worldcache import (
     Preset,
     SyntheticBackbone,
     SyntheticSpec,
+    TraceBackbone,
     oracle_run,
     read_trace,
     run,
@@ -153,7 +154,7 @@ def test_trace_sweep_peak_is_its_float32_payload_and_a_cells_loop(tmp_path):
 def _trace(tmp_path):
     blocks = np.random.default_rng(2).normal(size=(_STEPS, _N, _D)).astype(np.float32)
     path = tmp_path / "t.wct"
-    write_trace(path, [float(_STEPS - i) for i in range(_STEPS)], blocks)
+    write_trace(path, TraceBackbone([float(_STEPS - i) for i in range(_STEPS)], blocks))
     return path, blocks[0].nbytes
 
 

@@ -21,6 +21,7 @@ from worldcache import (
     Timestep,
     TokenGroup,
     TokenMatrix,
+    TraceBackbone,
     axpy_rows,
     hermite_alpha,
     oracle_run,
@@ -86,7 +87,8 @@ class TestVelocity:
         # float32 outputs 6e38 apart over steps of 1e-300: a velocity of 6e338
         path = tmp_path / "steep.wct"
         outputs = np.array([3e38, -3e38, 3e38, -3e38], dtype=np.float32)[:, None, None]
-        write_trace(path, [4e-300, 3e-300, 2e-300, 1e-300], np.tile(outputs, (1, 2, 2)))
+        write_trace(path, TraceBackbone([4e-300, 3e-300, 2e-300, 1e-300],
+                                        np.tile(outputs, (1, 2, 2))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["replay", str(path), "--out", str(tmp_path), "--run-id", "r"])

@@ -28,6 +28,12 @@ def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     missing = {m["name"] for m in declared["per_layer"]} - result["metrics"].keys()
     assert not missing
+    # record writes its trace and the sweep reads it, each once, through the
+    # names perfbench rebinds: 3932661 bytes is the 512x32x60 trace
+    metric = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metric["backbone_sim.write_trace_s"] > 0
+    assert metric["backbone_sim.read_trace_calls"] == 1
+    assert metric["backbone_sim.trace_bytes"] == 2 * 3932661
 
 
 def test_policy_bound_is_correct():

@@ -576,7 +576,8 @@ class TestStepErrorsShortcut:
         backbone, sched, z0 = _setup(steps=30)
         ref = oracle_run(backbone, sched, z0)
         path = tmp_path / "ref.wct"
-        write_trace(path, sched.timesteps[:30], np.stack([y.data for y in ref.surrogates]))
+        blocks = np.stack([y.data for y in ref.surrogates]).astype(np.float32)
+        write_trace(path, TraceBackbone(sched.timesteps[:30], blocks))
         replay = read_trace(path)
         replay_sched = EulerScheduler(replay.replay_grid())
         oracle = oracle_run(replay, replay_sched, replay.initial_latent())
@@ -621,7 +622,9 @@ class TestFloat32Reference:
     def test_a_replay_scores_against_the_trace_as_against_its_oracle(self, tmp_path):
         backbone, sched, z0 = _setup(Preset.TURNPOINT, steps=30)
         path = tmp_path / "ref.wct"
-        write_trace(path, sched.timesteps[:30], oracle_run(backbone, sched, z0).surrogates)
+        outputs = oracle_run(backbone, sched, z0).surrogates
+        blocks = np.stack([y.data for y in outputs]).astype(np.float32)
+        write_trace(path, TraceBackbone(sched.timesteps[:30], blocks))
         replay = read_trace(path)
         replay_sched = EulerScheduler(replay.replay_grid())
         oracle = oracle_run(replay, replay_sched, replay.initial_latent())
