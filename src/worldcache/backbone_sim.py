@@ -28,8 +28,8 @@ so cache errors feed back without diverging.
 
 Traces are little-endian binary: 8-byte magic "WCTRACE1", u32 n_tokens, dims,
 n_steps, then n_steps f64 strictly-decreasing timesteps, then n_steps blocks
-of n_tokens*dims f32 row-major samples, then one modality flag byte (0 or 1)
-optionally followed by n_tokens label bytes. Canonical extension: .wct.
+of n_tokens*dims f32 row-major samples, then one required modality flag
+byte: 0, or 1 followed by n_tokens label bytes. Canonical extension: .wct.
 """
 
 from __future__ import annotations
@@ -136,13 +136,6 @@ def _partition(n: int, fractions: tuple[float, float, float]) -> tuple[int, int,
     return tuple(counts)
 
 
-def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    v = rng.normal(size=(n, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return v / norms
-
-
 def _orthonormal_frames(rng: np.random.Generator, n: int, d: int, k: int) -> np.ndarray:
     """n stacks of k orthonormal d-vectors (Gram-Schmidt on gaussian draws)."""
     frames = np.empty((k, n, d))
@@ -212,7 +205,7 @@ class SyntheticBackbone:
             self._orbit_phase = rng.uniform(0.0, 2.0 * math.pi, n_c)
         else:
             self._slope = rng.normal(0.0, _SLOPE_SCALE, (n_l, d))
-            self._cdir = _unit_rows(rng, n_c, d)
+            self._cdir = _orthonormal_frames(rng, n_c, d, 1)[0]
             self._camp = spec.amplitude * rng.uniform(0.7, 1.3, n_c)
             self._cslope = rng.normal(0.0, _SMOOTH_CHAOTIC_SLOPE, (n_c, d))
 
@@ -450,24 +443,22 @@ def _parse_trace(
         off += payload
 
         modality = None
-        flag = f.read(1)
-        if flag:
-            off += 1
-            if flag == b"\x01":
-                labels = _read(
-                    f, n_tokens, size, f"truncated modality labels: need {n_tokens} bytes"
-                )
-                modality = np.frombuffer(labels, np.uint8)  # read-only
-                off += n_tokens
-            elif flag != b"\x00":
-                raise TraceFormatError(
-                    f"bad modality flag byte {flag[0]:#04x}", byte_offset=off - 1
-                )
-            if off != size:
-                raise TraceFormatError(
-                    f"{size - off} trailing bytes after trace content",
-                    byte_offset=off,
-                )
+        flag = _read(f, 1, size, "truncated modality flag: need 1 byte")
+        off += 1
+        if flag == b"\x01":
+            labels = _read(
+                f, n_tokens, size, f"truncated modality labels: need {n_tokens} bytes"
+            )
+            modality = np.frombuffer(labels, np.uint8)  # read-only
+            off += n_tokens
+        elif flag != b"\x00":
+            raise TraceFormatError(
+                f"bad modality flag byte {flag[0]:#04x}", byte_offset=off - 1
+            )
+        if off != size:
+            raise TraceFormatError(
+                f"{size - off} trailing bytes after trace content", byte_offset=off
+            )
     return timesteps, (n_steps, n_tokens, dims), blocks if keep else None, modality
 
 

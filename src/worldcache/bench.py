@@ -41,6 +41,13 @@ class RunMetrics:
         return float(np.mean(self.per_step_rel_error))
 
 
+def check_cost(c_cache: float) -> None:
+    """Raise ParameterError unless a cached step's cost c_cache is finite
+    and >= 0."""
+    if c_cache < 0 or not math.isfinite(c_cache):
+        raise ParameterError(f"c_cache must be finite and >= 0, got {c_cache}")
+
+
 def compare_runs(
     cached: RunResult,
     oracle: RunResult,
@@ -60,8 +67,7 @@ def compare_runs(
             f"latent shape mismatch: {cached.final_latent.shape} vs "
             f"{oracle.final_latent.shape}"
         )
-    if c_cache < 0 or not math.isfinite(c_cache):
-        raise ParameterError(f"c_cache must be finite and >= 0, got {c_cache}")
+    check_cost(c_cache)
 
     per_step = tuple(r.rel_err for r in cached.records)
     if any(math.isnan(e) for e in per_step):

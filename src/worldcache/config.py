@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .backbone_sim import Preset, SyntheticSpec
-from .bench import DEFAULT_CACHE_COST
+from .bench import DEFAULT_CACHE_COST, check_cost
 from .errors import ConfigError
 from .pipeline import EulerScheduler, check_policy, uniform_grid
 from .predictor import PredictorConfig, PredictorKind
@@ -119,9 +119,6 @@ class ResolvedConfig:
     """Fully-typed configuration with every key materialized."""
 
     values: dict[str, dict[str, Any]]
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
 
     def synthetic_spec(self) -> SyntheticSpec:
         w = self.values["workload"]
@@ -257,6 +254,8 @@ def resolve(
 def _validate(cfg: ResolvedConfig) -> None:
     w = cfg.values["workload"]
     if w["kind"] == "synthetic":
+        if w["trace_path"]:
+            raise ConfigError("workload.trace_path is set, but workload.kind is synthetic")
         if w["seed"] is None:
             raise ConfigError(
                 "workload.seed is required for synthetic (stochastic) workloads"
@@ -265,9 +264,8 @@ def _validate(cfg: ResolvedConfig) -> None:
             cfg.synthetic_spec()
         except Exception as exc:
             raise ConfigError(f"invalid workload parameters: {exc}") from exc
-    else:
-        if not w["trace_path"]:
-            raise ConfigError("workload.trace_path is required when kind = trace")
+    elif not w["trace_path"]:
+        raise ConfigError("workload.trace_path is required when kind = trace")
     try:
         check_policy(cfg.predictor_config(), cfg.skip_config())
     except Exception as exc:
@@ -279,8 +277,10 @@ def _validate(cfg: ResolvedConfig) -> None:
             cfg.synthetic_scheduler()
         except Exception as exc:
             raise ConfigError(f"invalid scheduler parameters: {exc}") from exc
-    if cfg.values["output"]["c_cache"] < 0:
-        raise ConfigError("output.c_cache must be >= 0")
+    try:
+        check_cost(cfg.values["output"]["c_cache"])
+    except Exception as exc:
+        raise ConfigError(f"invalid output parameters: {exc}") from exc
 
 
 def format_value(val: Any) -> str:

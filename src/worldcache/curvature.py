@@ -139,10 +139,6 @@ class GroupAssignment:
             rows.setflags(write=False)
         return members
 
-    def indices(self, group: TokenGroup) -> np.ndarray:
-        """Read-only ascending row indices of one group."""
-        return self.members[group]
-
     def counts(self) -> dict[TokenGroup, int]:
         return {g: self.members[g].size for g in TokenGroup}
 

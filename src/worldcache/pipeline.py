@@ -68,18 +68,14 @@ class EulerScheduler:
     y must have z's shape. The one place a grid is checked: its values must
     strictly decrease, and run() trusts them."""
 
-    grid: tuple[Timestep, ...]
+    timesteps: tuple[Timestep, ...]
 
     def __post_init__(self):
-        for a, b in zip(self.grid, self.grid[1:]):
+        for a, b in zip(self.timesteps, self.timesteps[1:]):
             if b.value >= a.value:
                 raise OrderingError(
                     f"scheduler grid must be strictly decreasing: {b.value} after {a.value}"
                 )
-
-    @property
-    def timesteps(self) -> tuple[Timestep, ...]:
-        return self.grid
 
     def step(
         self, z: TokenMatrix, y: TokenMatrix, t_from: Timestep, t_to: Timestep
@@ -154,7 +150,7 @@ def step_errors(
     that overflowed are taken again at an exact power-of-two scale, so an
     error is inf only if it lies past the float range itself; the others
     keep their bits. With g None and every sum in the normal range, rel
-    takes one difference and one dot and nothing else.
+    takes one difference and one einsum and nothing else.
 
     When y is oracle_y itself (a replayed FULL step emits the reference's own
     output), nothing is computed: every difference is 0, so rel and each
@@ -255,7 +251,6 @@ def run(
     surrogates: list[TokenMatrix] | None = [] if record_outputs else None
     full_count = 0
     cache_count = 0
-    refresh_count = 0
 
     for i in range(n_steps):
         t = grid[i]
@@ -268,10 +263,8 @@ def run(
                 kappa = compute_curvature(history, predictor_cfg.eps)
                 group = group_tokens(kappa, predictor_cfg.p_stable, predictor_cfg.p_chaotic)
                 if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING:
-                    group = randomize_groups(
-                        group, predictor_cfg.rng_seed, refresh_count
-                    )
-                refresh_count += 1
+                    refresh = full_count - HISTORY_DEPTH  # 0 at the first refresh
+                    group = randomize_groups(group, predictor_cfg.rng_seed, refresh)
             k, e_acc = 0, 0.0
             decision = Decision.FULL
             e_t = 0.0

@@ -31,7 +31,6 @@ from .curvature import (
     DEFAULT_P_STABLE,
     FullHistory,
     GroupAssignment,
-    TokenGroup,
     check_percentiles,
 )
 from .errors import DimensionError, InsufficientHistoryError, ParameterError
@@ -137,7 +136,7 @@ def predict(
             raise DimensionError(
                 f"assignment covers {g.n_tokens} tokens, history has {y_star.n_tokens}"
             )
-        stable, chaotic = g.indices(TokenGroup.STABLE), g.indices(TokenGroup.CHAOTIC)
+        stable, _, chaotic = g.members
     elif cfg.kind is PredictorKind.UNIFORM_LINEAR:
         stable = chaotic = _NO_ROWS
     else:  # UNIFORM_DAMPED: every row chaotic

@@ -79,7 +79,7 @@ def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> fl
         raise DimensionError(
             f"assignment covers {g.n_tokens} tokens, outputs have {y_t.n_tokens}"
         )
-    chaotic = g.indices(TokenGroup.CHAOTIC)
+    chaotic = g.members[TokenGroup.CHAOTIC]
     e_t = float(kernels.drift_mean(y_t.data, y_prev.data, g.kappa, chaotic))
     if not 0.0 <= e_t < math.inf:  # NaN fails both comparisons
         raise DomainError(f"drift increment must be finite and >= 0, got {e_t}")

@@ -177,7 +177,7 @@ class TestSyntheticBackbone:
         for i, t in enumerate([50.0, 49.0, 48.0]):
             h = push_full(h, _ts(t, i), backbone.evaluate(z, _ts(t, i)))
         g = group_tokens(compute_curvature(h))
-        stable_idx = set(g.indices(TokenGroup.STABLE).tolist())
+        stable_idx = set(g.members[TokenGroup.STABLE].tolist())
         true_stable = set(np.flatnonzero(backbone.regimes == 0).tolist())
         assert stable_idx <= true_stable
 
@@ -385,6 +385,8 @@ class TestTraceFormatErrors:
             # flat index 10 lies in the last of the three 2x2 blocks
             (None, lambda raw: _patch(raw, 44 + 4 * 10, np.array([-np.inf], "<f4").tobytes()),
              "non-finite sample at flat index 10", 84),
+            (None, lambda raw: raw[:-1], "truncated modality flag: need 1 byte", 92),
+            ([0, 1], lambda raw: raw[:-3], "truncated modality flag: need 1 byte", 92),
             (None, lambda raw: _patch(raw, 92, b"\x02"), "bad modality flag byte 0x02", 92),
             ([0, 1], lambda raw: raw[:-1], "truncated modality labels: need 2 bytes", 94),
             (None, lambda raw: raw + b"xx", "2 trailing bytes after trace content", 93),
@@ -455,6 +457,15 @@ class TestTraceFuzz:
         for m in trace.outputs:
             assert m.shape == trace.shape
             assert np.isfinite(m.data).all()
+
+    def test_every_strict_prefix_is_a_format_error(self, traces):
+        path, raws = traces
+        for raw in raws:  # unlabelled, then labelled
+            for n in range(len(raw)):
+                path.write_bytes(raw[:n])
+                for parse in (read_trace, validate_trace):
+                    with pytest.raises(TraceFormatError):
+                        parse(path)
 
 
 class TestNonDyadicGrid:

@@ -89,7 +89,7 @@ class TestCompareRuns:
         base = step_errors(TokenMatrix(y), TokenMatrix(o), g)
         row_err = kernels.row_norms(y - o)
         for grp in TokenGroup:  # in range: the bits of .mean()
-            assert base[1 + grp] == row_err[g.indices(grp)].mean()
+            assert base[1 + grp] == row_err[g.members[grp]].mean()
         # at 2**1020 the Frobenius norm of y - o and each group's sum of row
         # errors pass the float range; the errors must not
         big = step_errors(TokenMatrix(np.ldexp(y, 1020)), TokenMatrix(np.ldexp(o, 1020)), g)

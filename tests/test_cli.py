@@ -248,12 +248,18 @@ class TestExitCodes:
             (["sweep", "--seed", "1", "--set", "sweep.tau=0.1,0.2"],
              "unknown key sweep.tau in overrides"),
             (["run", "--seed", "1", "--config"], "unknown key skipper.tau in {}"),
+            # c_cache has one rule, checked before any work
+            (["run", "--seed", "1", "--c-cache", "inf"],
+             "invalid output parameters: c_cache must be finite and >= 0, got inf"),
+            # a trace path names a trace workload; synthetic would ignore it
+            (["run", "--seed", "1", "--set", "workload.trace_path=x.wct"],
+             "workload.trace_path is set, but workload.kind is synthetic"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
              "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "removed-skipper",
              "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
-             "removed-tau-axis", "removed-tau-key"],
+             "removed-tau-axis", "removed-tau-key", "c-cache-inf", "synthetic-trace-path"],
     )
     def test_a_negative_seed_is_a_usage_error(
         self, tmp_path, tmp_path_factory, capsys, argv, err
@@ -310,6 +316,18 @@ class TestExitCodes:
         code = main(["replay", str(tmp_path / "short.wct"), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_a_trace_cut_before_its_flag_byte_fails_replay(self, tmp_path, capsys):
+        assert main(["record", str(tmp_path / "t.wct"), "--seed", "3", *FAST]) == 0
+        capsys.readouterr()
+        raw = (tmp_path / "t.wct").read_bytes()
+        (tmp_path / "cut.wct").write_bytes(raw[:-1])
+        out = tmp_path / "out"
+        assert main(["replay", str(tmp_path / "cut.wct"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: truncated modality flag: need 1 byte (byte offset {len(raw) - 1})\n"
+        )
+        assert not out.exists()
 
 
 class TestRecordValidateReplay:
@@ -814,7 +832,7 @@ class TestFlagTable:
             overrides = _collect_overrides(args)
             assert overrides == {section: {key: text}}, dest
             overrides.setdefault("workload", {}).setdefault("seed", "1")
-            got = resolve(None, overrides).get(section, key)
+            got = resolve(None, overrides).values[section][key]
             assert got == value and type(got) is type(value), dest
 
 

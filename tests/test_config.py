@@ -33,13 +33,13 @@ def _resolve(file_raw=None, **overrides_by_section):
 class TestDefaults:
     def test_paper_scale_defaults(self):
         cfg = _resolve(workload={"seed": 7})
-        assert cfg.get("predictor", "p_stable") == 0.3
-        assert cfg.get("predictor", "p_chaotic") == 0.7
-        assert cfg.get("predictor", "n_max") == 6
-        assert cfg.get("predictor", "eps") == 1e-8
-        assert cfg.get("skipper", "eta") == 0.2
-        assert cfg.get("skipper", "warmup_fulls") == 3
-        assert cfg.get("scheduler", "steps") == 50
+        assert cfg.values["predictor"]["p_stable"] == 0.3
+        assert cfg.values["predictor"]["p_chaotic"] == 0.7
+        assert cfg.values["predictor"]["n_max"] == 6
+        assert cfg.values["predictor"]["eps"] == 1e-8
+        assert cfg.values["skipper"]["eta"] == 0.2
+        assert cfg.values["skipper"]["warmup_fulls"] == 3
+        assert cfg.values["scheduler"]["steps"] == 50
 
     def test_typed_views_construct(self):
         cfg = _resolve(workload={"seed": 7})
@@ -108,7 +108,7 @@ class TestValidation:
 
     def test_inf_eta_accepted(self):
         cfg = _resolve(workload={"seed": 1}, skipper={"eta": "inf"})
-        assert cfg.get("skipper", "eta") == float("inf")
+        assert cfg.values["skipper"]["eta"] == float("inf")
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,10 +124,10 @@ class TestFilePrecedence:
         )
         raw = read_config_file(ini)
         cfg = resolve(raw, {"skipper": {"eta": "0.1"}})
-        assert cfg.get("workload", "seed") == 3         # from file
-        assert cfg.get("workload", "n_tokens") == 32    # from file
-        assert cfg.get("skipper", "eta") == 0.1         # flag wins
-        assert cfg.get("predictor", "n_max") == 6       # default
+        assert cfg.values["workload"]["seed"] == 3         # from file
+        assert cfg.values["workload"]["n_tokens"] == 32    # from file
+        assert cfg.values["skipper"]["eta"] == 0.1         # flag wins
+        assert cfg.values["predictor"]["n_max"] == 6       # default
 
     def test_unknown_file_key_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -195,7 +195,7 @@ class TestSweepConfig:
         assert sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: text})) == {axis: [text]}
         overrides = {"workload": {"seed": "1"}}
         apply_axis_override(overrides, axis, text)
-        got = resolve(None, overrides).get(section, key)
+        got = resolve(None, overrides).values[section][key]
         assert got == default and type(got) is type(default)
         with pytest.raises(ConfigError, match=f"sweep.{axis}"):
             sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: "banana"}))

@@ -207,21 +207,21 @@ class TestComputeCurvature:
 class TestGroupTokens:
     def test_ten_token_example(self):
         g = group_tokens(np.arange(10.0), p_stable=0.3, p_chaotic=0.7)
-        assert g.indices(TokenGroup.STABLE).tolist() == [0, 1, 2]
-        assert g.indices(TokenGroup.CHAOTIC).tolist() == [7, 8, 9]
-        assert g.indices(TokenGroup.LINEAR).tolist() == [3, 4, 5, 6]
+        assert g.members[TokenGroup.STABLE].tolist() == [0, 1, 2]
+        assert g.members[TokenGroup.CHAOTIC].tolist() == [7, 8, 9]
+        assert g.members[TokenGroup.LINEAR].tolist() == [3, 4, 5, 6]
 
     def test_ties_break_by_ascending_index(self):
         g = group_tokens(np.zeros(4), p_stable=0.25, p_chaotic=0.75)
-        assert g.indices(TokenGroup.STABLE).tolist() == [0]
-        assert g.indices(TokenGroup.CHAOTIC).tolist() == [3]
-        assert g.indices(TokenGroup.LINEAR).tolist() == [1, 2]
+        assert g.members[TokenGroup.STABLE].tolist() == [0]
+        assert g.members[TokenGroup.CHAOTIC].tolist() == [3]
+        assert g.members[TokenGroup.LINEAR].tolist() == [1, 2]
 
     def test_single_token_is_chaotic(self):
         g = group_tokens(np.array([0.42]), p_stable=0.3, p_chaotic=0.7)
-        assert g.indices(TokenGroup.STABLE).size == 0
-        assert g.indices(TokenGroup.CHAOTIC).tolist() == [0]
-        assert g.indices(TokenGroup.LINEAR).size == 0
+        assert g.members[TokenGroup.STABLE].size == 0
+        assert g.members[TokenGroup.CHAOTIC].tolist() == [0]
+        assert g.members[TokenGroup.LINEAR].size == 0
 
     def test_rejects_crossed_percentiles(self):
         with pytest.raises(ParameterError):
@@ -243,7 +243,7 @@ class TestGroupTokens:
         g = group_tokens(np.arange(10.0))
         counts = g.counts()
         for grp in TokenGroup:
-            assert counts[grp] == g.indices(grp).size
+            assert counts[grp] == g.members[grp].size
 
     # dyadic percentiles (multiples of 1/64) make p*n exact in floats, so the
     # naive floor/ceil below is a true independent oracle for the counts
@@ -265,7 +265,7 @@ class TestGroupTokens:
         assert counts[TokenGroup.STABLE] == int(np.floor(p_s * n))
         assert counts[TokenGroup.CHAOTIC] == int(np.ceil((1 - p_c) * n))
         assert sum(counts.values()) == n
-        all_idx = np.concatenate([g.indices(grp) for grp in TokenGroup])
+        all_idx = np.concatenate([g.members[grp] for grp in TokenGroup])
         assert np.array_equal(np.sort(all_idx), np.arange(n))
 
     @given(
@@ -285,7 +285,7 @@ class TestGroupTokens:
         counts = g.counts()
         n = kappa.shape[0]
         assert sum(counts.values()) == n
-        all_idx = np.concatenate([g.indices(grp) for grp in TokenGroup])
+        all_idx = np.concatenate([g.members[grp] for grp in TokenGroup])
         assert np.array_equal(np.sort(all_idx), np.arange(n))
 
     @given(
@@ -308,8 +308,8 @@ class TestGroupTokens:
         rng = np.random.default_rng(0)
         kappa = rng.uniform(size=50)
         g = group_tokens(kappa)
-        s_max = kappa[g.indices(TokenGroup.STABLE)].max()
-        l_vals = kappa[g.indices(TokenGroup.LINEAR)]
-        c_min = kappa[g.indices(TokenGroup.CHAOTIC)].min()
+        s_max = kappa[g.members[TokenGroup.STABLE]].max()
+        l_vals = kappa[g.members[TokenGroup.LINEAR]]
+        c_min = kappa[g.members[TokenGroup.CHAOTIC]].min()
         assert s_max <= l_vals.min()
         assert l_vals.max() <= c_min

@@ -330,15 +330,15 @@ class TestConstantTrajectories:
         assert len(groups) == per_refresh * (result.full_count - 2)
         for g in groups:
             assert g.counts() == sizes
-            rows = [g.indices(grp) for grp in TokenGroup]
+            rows = [g.members[grp] for grp in TokenGroup]
             assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n))
             for grp, idx in zip(TokenGroup, rows):
                 assert np.all(np.diff(idx) > 0)
                 assert np.all(g.labels[idx] == grp)
-                assert g.indices(grp) is idx  # built once per refresh
+                assert g.members[grp] is idx  # built once per refresh
                 assert not idx.flags.writeable
         if kind is PredictorKind.CHTP:  # all-zero kappa: ties go by token index
-            stable = groups[0].indices(TokenGroup.STABLE)
+            stable = groups[0].members[TokenGroup.STABLE]
             assert stable.tolist() == list(range(sizes[TokenGroup.STABLE]))
 
 
@@ -481,7 +481,7 @@ class TestBaselinePolicies:
                      record_outputs=True)
         z = z0
         for r, y_t, t, t_next in zip(result.records, result.surrogates,
-                                     sched.grid, sched.grid[1:]):
+                                     sched.timesteps, sched.timesteps[1:]):
             z_next = sched.step(z, y_t, t, t_next)
             if r.decision is Decision.CACHE:
                 change = np.abs(z_next.data - z.data).sum() / np.abs(z.data).sum()
@@ -537,7 +537,7 @@ def _fresh_errors(y, oracle_y, g):
     if g is None:
         return rel, math.nan, math.nan, math.nan
     row_err = kernels.row_norms(diff)
-    groups = [g.indices(grp) for grp in TokenGroup]
+    groups = [g.members[grp] for grp in TokenGroup]
     return (rel, *(float(row_err[rows].mean()) if rows.size else math.nan for rows in groups))
 
 
