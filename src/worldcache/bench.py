@@ -1,10 +1,10 @@
 """Run comparison metrics and parameter sweeps.
 
 compare_runs() reduces a cached run and its no-cache reference to the
-numbers reported everywhere else: per-step relative error, final-latent
+numbers reported everywhere else: mean per-step relative error, final-latent
 relative error, FULL ratio, and an estimated speedup under a simple cost
 model (FULL costs 1, a cached step costs c_cache of that). The per-step
-numbers are the cached run's records, which run(oracle_outputs=...) fills
+errors are the cached run's records, which run(oracle_outputs=...) fills
 in as it goes, so neither run has to keep its outputs for it.
 """
 
@@ -26,19 +26,13 @@ DEFAULT_CACHE_COST = 0.01
 
 @dataclass(frozen=True)
 class RunMetrics:
-    per_step_rel_error: tuple[float, ...]
+    mean_rel_error: float  # NaN for a run of zero steps
     final_latent_rel_error: float
     full_ratio: float
     est_speedup: float
     steps: int
     full_count: int
     cache_count: int
-
-    @property
-    def mean_rel_error(self) -> float:
-        if not self.per_step_rel_error:
-            return math.nan
-        return float(np.mean(self.per_step_rel_error))
 
 
 def check_cost(c_cache: float) -> None:
@@ -85,7 +79,7 @@ def compare_runs(
         full_ratio = 1.0
         est_speedup = 1.0
     return RunMetrics(
-        per_step_rel_error=per_step,
+        mean_rel_error=float(np.mean(per_step)) if per_step else math.nan,
         final_latent_rel_error=final_rel,
         full_ratio=full_ratio,
         est_speedup=est_speedup,
@@ -104,19 +98,19 @@ class SweepRow:
 
 
 def sweep(
-    run_fn: Callable[[Mapping, int], RunMetrics],
+    cells_for: Callable[[int], Callable[[Mapping], RunMetrics]],
     grid: Mapping[str, Sequence],
     seeds: Sequence[int],
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate run_fn over the cartesian grid x seeds.
-
-    Rows come back in deterministic order (grid point major, seed minor,
-    axes expanded in the mapping's key order). They run seed major, so the
-    cells of one seed, which share a workload, run back to back. A row that
-    raises is reported in-place via its error field; the sweep never aborts.
-    With jobs > 1 each task of _split_tasks (a run of one seed's cells) goes
-    to a process pool; run_fn must then be picklable (module-level).
+    """Evaluate the cartesian grid x seeds. cells_for(seed) does the work a
+    seed's cells share and returns cell(point) -> RunMetrics; it is called
+    once per task of _split_tasks (a run of one seed's cells), and if it
+    raises, every row of that task fails with its error. Rows come back in
+    deterministic order (grid point major, seed minor, axes in the mapping's
+    key order); a row that raises is reported in-place via its error field,
+    and the sweep never aborts. With jobs > 1 the tasks go to a process
+    pool, so cells_for must be picklable (module-level).
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -131,10 +125,10 @@ def sweep(
     tasks = _split_tasks(points, seeds, jobs)
 
     if jobs == 1:
-        done = [row for task in tasks for row in _run_task(run_fn, *task)]
+        done = [row for task in tasks for row in _run_task(cells_for, *task)]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_run_task, run_fn, *task) for task in tasks]
+            futures = [pool.submit(_run_task, cells_for, *task) for task in tasks]
         done = []
         for (chunk, seed), fut in zip(tasks, futures):
             err = fut.exception()  # only when the pool itself failed the task
@@ -156,13 +150,17 @@ def _split_tasks(points, seeds, jobs) -> list[tuple[list, int]]:
     return [(points[a:b], seed) for seed in seeds for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_task(run_fn, points, seed) -> list[SweepRow]:
-    return [_run_row(run_fn, point, seed) for point in points]
-
-
-def _run_row(run_fn, point, seed) -> SweepRow:
+def _run_task(cells_for, points, seed) -> list[SweepRow]:
     try:
-        return SweepRow(point, seed, run_fn(point, seed))
+        cell = cells_for(seed)
+    except Exception as exc:  # noqa: BLE001 - per-row isolation is the point
+        return [_failed_row(point, seed, exc) for point in points]
+    return [_run_row(cell, point, seed) for point in points]
+
+
+def _run_row(cell, point, seed) -> SweepRow:
+    try:
+        return SweepRow(point, seed, cell(point))
     except Exception as exc:  # noqa: BLE001 - per-row isolation is the point
         return _failed_row(point, seed, exc)
 

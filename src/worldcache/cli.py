@@ -43,6 +43,7 @@ from .config import (
     apply_axis_override,
     echo_config,
     format_value,
+    merge,
     read_config_file,
     resolve,
     sweep_axes,
@@ -305,32 +306,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-# The reference of the last sweep cell run in this process, under its oracle
-# key (the resolved [workload] and [scheduler] sections). Sweep axes set only
-# [predictor] and [skipper] keys, so the cells of one seed share it. cmd_sweep
-# empties it when it returns; each pool worker keeps its own.
-_shared: dict[tuple, _Reference] = {}
-
-
-def _shared_reference(cfg: ResolvedConfig) -> _Reference:
-    key = tuple(tuple(cfg.values[s].items()) for s in ("workload", "scheduler"))
-    if key not in _shared:
-        _shared.clear()  # drop the old reference before building the next
-        _shared[key] = _reference(cfg)
-    return _shared[key]
-
-
-def _sweep_worker(file_raw, base_overrides, point, seed) -> RunMetrics:
-    """One sweep cell; module level so process pools can pickle it. The
-    sweep CSV reads only the counts and the relative errors, so the run keeps
-    no full records: no per-group error is scored, and outside CAS no
-    drift."""
+def _sweep_cells(file_raw, base_overrides, seed):
+    """One seed's cells, sharing the reference of the seed's base config (sweep
+    axes set only [predictor] and [skipper] keys); module level so process
+    pools can pickle it."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
+    overrides.setdefault("workload", {})["seed"] = str(seed)
+    ref = _reference(resolve(file_raw, overrides))
+    return functools.partial(_sweep_worker, file_raw, overrides, ref)
+
+
+def _sweep_worker(file_raw, seed_overrides, ref, point) -> RunMetrics:
+    """One sweep cell, scored against its seed's reference. The sweep CSV
+    reads only the counts and the relative errors, so the run keeps no full
+    records: no per-group error is scored, and outside CAS no drift."""
+    overrides = {sec: dict(kv) for sec, kv in seed_overrides.items()}
     for axis, value in point.items():
         apply_axis_override(overrides, axis, value)
-    overrides.setdefault("workload", {})["seed"] = str(seed)
-    cfg = resolve(file_raw, overrides)
-    return _execute(cfg, _shared_reference(cfg), full_records=False)[1]
+    return _execute(resolve(file_raw, overrides), ref, full_records=False)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -338,6 +331,9 @@ def cmd_sweep(args) -> int:
         args.assignments.append(f"sweep.seeds={args.seeds}")
     file_raw = read_config_file(args.config) if args.config else None
     overrides = _collect_overrides(args)
+    unchecked = merge(file_raw, overrides)
+    if unchecked.values["workload"]["seed"] is None:  # each cell sets its own
+        overrides.setdefault("workload", {})["seed"] = str(sweep_seeds(unchecked)[0])
     cfg = resolve(file_raw, overrides)
     axes = sweep_axes(cfg)
     if not axes:
@@ -350,11 +346,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(cfg.values["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    worker = functools.partial(_sweep_worker, file_raw, overrides)
-    try:
-        rows = sweep(worker, axes, seeds, jobs=args.jobs)
-    finally:
-        _shared.clear()  # a later call may face a rewritten trace
+    rows = sweep(functools.partial(_sweep_cells, file_raw, overrides), axes, seeds,
+                 jobs=args.jobs)
 
     axis_names = list(axes.keys())
     header = axis_names + ["seed"] + list(METRIC_COLUMNS[1:])

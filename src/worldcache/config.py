@@ -219,7 +219,18 @@ def resolve(
     file_raw: dict[str, dict[str, str]] | None = None,
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> ResolvedConfig:
-    """Merge defaults < file < overrides and parse to typed values.
+    """merge(file_raw, overrides), then check the result as a run's config."""
+    cfg = merge(file_raw, overrides)
+    _validate(cfg)
+    return cfg
+
+
+def merge(
+    file_raw: dict[str, dict[str, str]] | None = None,
+    overrides: dict[str, dict[str, str]] | None = None,
+) -> ResolvedConfig:
+    """Merge defaults < file < overrides and parse to typed values, without
+    the cross-key checks of resolve().
 
     Unknown sections or keys in either source are hard errors: a typoed knob
     must never silently fall back to its default.
@@ -246,9 +257,7 @@ def resolve(
                 continue
             where = f"{section}.{key}"
             values[section][key] = _parse(section, key, type_name, raw, where)
-    cfg = ResolvedConfig(values)
-    _validate(cfg)
-    return cfg
+    return ResolvedConfig(values)
 
 
 def _validate(cfg: ResolvedConfig) -> None:
@@ -270,8 +279,6 @@ def _validate(cfg: ResolvedConfig) -> None:
         check_policy(cfg.predictor_config(), cfg.skip_config())
     except Exception as exc:
         raise ConfigError(f"invalid policy parameters: {exc}") from exc
-    if cfg.values["scheduler"]["steps"] < 0:
-        raise ConfigError("scheduler.steps must be >= 0")
     if w["kind"] == "synthetic":
         try:
             cfg.synthetic_scheduler()

@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -50,7 +52,8 @@ class TestCompareRuns:
         # eta = 0 is the oracle by construction, so nothing may differ
         cached, ref = _pair(eta=0.0)
         m = compare_runs(cached, ref)
-        assert all(e == 0.0 for e in m.per_step_rel_error)
+        assert all(r.rel_err == 0.0 for r in cached.records)
+        assert m.mean_rel_error == 0.0
         assert all(
             e == 0.0 or math.isnan(e)  # NaN before the first grouping
             for r in cached.records
@@ -67,10 +70,8 @@ class TestCompareRuns:
         assert m.full_ratio == cached.full_count / 30
         assert m.steps == 30
         assert m.est_speedup > 1.0
-        assert len(m.per_step_rel_error) == 30
-        assert m.mean_rel_error == pytest.approx(
-            float(np.mean(m.per_step_rel_error))
-        )
+        assert len(cached.records) == 30
+        assert m.mean_rel_error == float(np.mean([r.rel_err for r in cached.records]))
 
     def test_known_offset_gives_exact_relative_error(self):
         # a surrogate off by delta on a unit-norm oracle row: the relative
@@ -137,7 +138,7 @@ class TestCompareRuns:
         monkeypatch.setattr(bench, "step_errors", counted)
         m = compare_runs(cached, ref)
         assert len(calls) == 1  # the final latent only
-        assert m.per_step_rel_error == tuple(r.rel_err for r in cached.records)
+        assert m.mean_rel_error == float(np.mean(tuple(r.rel_err for r in cached.records)))
 
     def test_per_group_errors_present_after_refresh(self):
         cached, _ = _pair()
@@ -182,14 +183,41 @@ class TestCompareRuns:
             compare_runs(cached, ref, c_cache=-0.5)
 
 
-def _square(point, seed):
+def _square(seed):
+    return functools.partial(_square_cell, seed)
+
+
+def _square_cell(seed, point):
     return point["x"] * point["x"] + seed
 
 
-def _fails_on_two(point, seed):
+def _fails_on_two(seed):
+    return _fails_on_two_cell
+
+
+def _fails_on_two_cell(point):
     if point["x"] == 2:
         raise ValueError("boom")
     return point["x"]
+
+
+def _no_workload(seed):
+    raise FileNotFoundError(f"no workload for seed {seed}")
+
+
+def _xy(seed):
+    return functools.partial(_xy_cell, seed)
+
+
+def _xy_cell(seed, point):
+    return point["x"] * 100 + point["y"] * 10 + seed
+
+
+def _logging(log, seed):
+    """A factory that appends "seed pid" to the file log at each call."""
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(f"{seed} {os.getpid()}\n")
+    return _xy(seed)
 
 
 class TestSweep:
@@ -203,12 +231,15 @@ class TestSweep:
     def test_cells_of_one_seed_run_back_to_back(self):
         calls = []
 
-        def record(point, seed):
-            calls.append((point["x"], seed))
-            return seed
+        def cells_for(seed):
+            calls.append(("seed", seed))
+            return lambda point: calls.append((point["x"], seed)) or seed
 
-        sweep(record, {"x": [1, 2, 3]}, seeds=[10, 20])
-        assert calls == [(1, 10), (2, 10), (3, 10), (1, 20), (2, 20), (3, 20)]
+        sweep(cells_for, {"x": [1, 2, 3]}, seeds=[10, 20])
+        assert calls == [
+            ("seed", 10), (1, 10), (2, 10), (3, 10),
+            ("seed", 20), (1, 20), (2, 20), (3, 20),
+        ]
 
     def test_row_failures_reported_not_raised(self):
         rows = sweep(_fails_on_two, {"x": [1, 2, 3]}, seeds=[0])
@@ -216,6 +247,14 @@ class TestSweep:
         assert rows[1].metrics is None
         assert "boom" in rows[1].error
         assert rows[2].error is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_factory_fails_each_row_of_its_seed_alike(self, jobs):
+        rows = sweep(_no_workload, {"x": [1, 2, 3]}, seeds=[4, 5], jobs=jobs)
+        assert [(r.seed, r.metrics, r.error) for r in rows] == [
+            (seed, None, f"FileNotFoundError: no workload for seed {seed}")
+            for _ in range(3) for seed in (4, 5)
+        ]
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ParameterError):
@@ -245,7 +284,6 @@ class TestSweep:
             (r.point, r.seed, r.metrics) for r in parallel
         ]
 
-
     def test_fewer_seeds_than_jobs_split_into_contiguous_runs(self):
         grid = {"x": [1, 2, 3, 4, 5], "y": [5]}
         serial = sweep(_xy, grid, seeds=[7], jobs=1)
@@ -253,6 +291,19 @@ class TestSweep:
         assert [(r.point, r.seed, r.metrics) for r in serial] == [
             (r.point, r.seed, r.metrics) for r in parallel
         ]
+
+    @pytest.mark.parametrize("jobs, seeds, built", [
+        (1, [3, 4], ["3", "4"]),  # one task per seed, in this process
+        (2, [7], ["7", "7"]),  # the seed's cells cut into two tasks, one per worker
+    ])
+    def test_the_factory_runs_once_per_task(self, tmp_path, jobs, seeds, built):
+        log = tmp_path / "calls.log"
+        grid = {"x": [1, 2, 3, 4], "y": [5]}
+        rows = sweep(functools.partial(_logging, log), grid, seeds=seeds, jobs=jobs)
+        assert [r.metrics for r in rows] == [r.metrics for r in sweep(_xy, grid, seeds=seeds)]
+        logged = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert sorted(seed for seed, _ in logged) == built
+        assert {pid == str(os.getpid()) for _, pid in logged} == {jobs == 1}
 
     @pytest.mark.parametrize("jobs, seeds, n_points, sizes", [
         (1, [1, 2], 3, [3, 3]),
@@ -269,7 +320,3 @@ class TestSweep:
         for seed in seeds:  # each seed's chunks cover its points in order
             assert [p for chunk, s in tasks if s == seed for p in chunk] == points
         assert [s for _, s in tasks] == sorted(s for _, s in tasks)
-
-
-def _xy(point, seed):
-    return point["x"] * 100 + point["y"] * 10 + seed

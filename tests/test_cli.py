@@ -1,17 +1,20 @@
+import gc
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from worldcache import (
-    EulerScheduler, SkipKind, TraceBackbone, bench, cli, kernels, pipeline, read_trace, run,
-    skipper, write_trace,
+    EulerScheduler, SkipKind, TraceBackbone, cli, kernels, read_trace, run, skipper,
+    write_trace,
 )
 from worldcache.cli import (
     METRIC_COLUMNS,
@@ -32,6 +35,15 @@ def _run_args(tmp_path, *extra, run_id="rid"):
         args += ["--run-id", run_id]
     args += list(extra)
     return args
+
+
+def _written(argv, out):
+    """{name: bytes} of what main(argv) writes to out, which it then empties,
+    so a second call with the same output directory has the same manifest."""
+    assert main([*argv, "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    return files
 
 
 def _read_rows(path):
@@ -233,6 +245,9 @@ class TestExitCodes:
             (["record", "t.wct", "--seed", "1", "--t-max", "0"],
              "invalid scheduler parameters: scheduler grid must be strictly decreasing: "
              "0.0 after 0.0"),
+            # uniform_grid is the one home of the step-count rule
+            (["run", "--seed", "1", "--steps", "-1"],
+             "invalid scheduler parameters: steps must be >= 0, got -1"),
             # a skip kind the harness does not provide is an unknown value
             (["run", "--seed", "1", "--skipper", "difference-guided"],
              "bad value for skipper.kind: 'difference-guided' "
@@ -257,7 +272,8 @@ class TestExitCodes:
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
-             "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "removed-skipper",
+             "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "run-steps-negative",
+             "removed-skipper",
              "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
              "removed-tau-axis", "removed-tau-key", "c-cache-inf", "synthetic-trace-path"],
     )
@@ -389,6 +405,19 @@ class TestRecordValidateReplay:
                      "--out", str(again)]) == 0
         steps_csv = name.replace(".manifest.ini", ".steps.csv")
         assert (again / steps_csv).read_bytes() == (out_dir / steps_csv).read_bytes()
+
+    @pytest.mark.parametrize("command", ["replay", "sweep"])
+    def test_a_negative_steps_that_a_trace_ignores_is_accepted(self, tmp_path, command):
+        trace = tmp_path / "t.wct"
+        assert main(["record", str(trace), "--seed", "5", *FAST]) == 0
+        argv = ["replay", str(trace)]
+        if command == "sweep":
+            argv = ["sweep", "--set", "workload.kind=trace", "--set",
+                    f"workload.trace_path={trace}", "--set", "sweep.eta=0.1,0.3",
+                    "--seeds", "5"]
+        plain = _written(argv, tmp_path / "out")
+        assert len(plain) == (3 if command == "replay" else 2)
+        assert _written([*argv, "--steps", "-1"], tmp_path / "out") == plain
 
     def test_a_trace_built_from_records_blocks_replays_as_its_file(
         self, tmp_path, monkeypatch
@@ -534,6 +563,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"config error: {err}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["1", "3,1"])
+    def test_a_sweep_without_a_seed_is_checked_at_its_first_sweep_seed(
+        self, tmp_path, seeds
+    ):
+        # every cell takes its seed from sweep.seeds; the base config is
+        # checked at the first, which the manifest echoes (and the run id hashes)
+        argv = ["sweep", "--n-tokens", "16", "--dims", "4", "--steps", "8",
+                "--set", "sweep.eta=0.1", "--seeds", seeds]
+        first = seeds.split(",")[0]
+        unseeded = _written(argv, tmp_path / "out")
+        assert _written([*argv, "--seed", first], tmp_path / "out") == unseeded
+        (manifest,) = [text for name, text in unseeded.items() if name.endswith(".ini")]
+        assert f"\nseed = {first}\n".encode() in manifest
+
     def test_jobs_default_to_one_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("WORLDCACHE_JOBS", "3")
         assert build_parser().parse_args(["sweep"]).jobs == 1
@@ -551,13 +594,16 @@ class TestSweepCommand:
 
 
 def _count_oracles(monkeypatch):
-    """Records, per oracle run, how many references the sweep memo holds."""
-    calls = []
+    """Records, per oracle run, how many workloads of earlier oracle runs are
+    still alive."""
+    calls, workloads = [], []
     real = cli.oracle_run
 
-    def counted(*args, **kwargs):
-        calls.append(len(cli._shared))
-        return real(*args, **kwargs)
+    def counted(backbone, *args, **kwargs):
+        gc.collect()
+        calls.append(sum(w() is not None for w in workloads))
+        workloads.append(weakref.ref(backbone))
+        return real(backbone, *args, **kwargs)
 
     monkeypatch.setattr(cli, "oracle_run", counted)
     return calls
@@ -602,17 +648,6 @@ class TestSharedOracle:
         assert len(calls) == 4
         assert (tmp_path / "a" / "sw.sweep.csv").read_bytes() == \
             (tmp_path / "b" / "sw.sweep.csv").read_bytes()
-
-    def test_memo_emptied_when_the_sweep_raises(self, tmp_path, monkeypatch):
-        def sweep_then_fail(*args, **kwargs):
-            bench.sweep(*args, **kwargs)
-            assert cli._shared  # the cells did fill it
-            raise RuntimeError("interrupted")
-
-        monkeypatch.setattr(cli, "sweep", sweep_then_fail)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            main(["sweep", *_GRID, "--out", str(tmp_path)])
-        assert cli._shared == {}
 
     def test_parallel_csv_byte_identical_to_serial(self, tmp_path):
         for jobs in ("1", "2"):
@@ -680,6 +715,27 @@ class TestSharedOracle:
         assert len(refs) == 2 and refs[0].oracle is not refs[1].oracle
         assert 0 < len(normed[0]) == len(set(normed[0])) <= 60
         assert normed[1] == normed[0]
+
+    def test_a_rewritten_trace_is_swept_afresh(self, tmp_path):
+        # a second sweep in the same process reads the trace as it is now
+        trace = tmp_path / "ref.wct"
+        argv = ["sweep", "--set", "workload.kind=trace",
+                "--set", f"workload.trace_path={trace}",
+                "--set", "sweep.eta=0.05,0.2", "--seeds", "3", "--run-id", "sw"]
+        csvs = []
+        for seed in ("3", "4"):
+            assert main(["record", str(trace), "--seed", seed, *FAST]) == 0
+            out = tmp_path / seed
+            assert main([*argv, "--out", str(out)]) == 0
+            csvs.append((out / "sw.sweep.csv").read_bytes())
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-m", "worldcache.cli", *argv, "--out", str(fresh)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        assert csvs[1] == (fresh / "sw.sweep.csv").read_bytes()
+        assert csvs[1] != csvs[0]
 
     def test_missing_trace_fails_every_cell_alike(self, tmp_path, capsys):
         code = main(["sweep", "--set", "workload.kind=trace",

@@ -15,6 +15,7 @@ from worldcache.config import (
     apply_axis_override,
     echo_config,
     format_value,
+    merge,
     read_config_file,
     resolve,
     sweep_axes,
@@ -111,8 +112,13 @@ class TestValidation:
         assert cfg.values["skipper"]["eta"] == float("inf")
 
     def test_negative_steps_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="invalid scheduler parameters: steps must be"):
             _resolve(workload={"seed": 1}, scheduler={"steps": -5})
+
+    def test_merge_parses_without_the_run_checks(self):
+        assert merge().values["workload"]["seed"] is None
+        with pytest.raises(ConfigError, match="n_tokens"):
+            merge(None, {"workload": {"n_tokens": "many"}})
 
 
 class TestFilePrecedence:
@@ -186,6 +192,16 @@ class TestSweepConfig:
         assert SWEEP_AXES == tuple(_AXIS_TARGET)
         assert list(SCHEMA["sweep"]) == [*SWEEP_AXES, "seeds"]
         assert all(SCHEMA["sweep"][name] == ("str", "") for name in SCHEMA["sweep"])
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_every_axis_sets_a_policy_key(self, axis):
+        section, key = _AXIS_TARGET[axis]
+        assert section in ("predictor", "skipper"), (
+            f"sweep axis {axis!r} sets {section}.{key}, but a sweep builds each seed's "
+            "workload and no-cache reference once, from the base config, and scores "
+            "every cell of the seed against it: this axis's cells would be scored "
+            "against a reference they did not run on"
+        )
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_axis_value_reaches_its_schema_key_with_its_type(self, axis):

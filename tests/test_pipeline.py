@@ -759,7 +759,7 @@ class TestScoreGroups:
         assert lean.final_latent.data.tobytes() == full.final_latent.data.tobytes()
         if steps:
             m_full, m_lean = compare_runs(full, ref), compare_runs(lean, ref)
-            assert _bits(m_lean.per_step_rel_error) == _bits(m_full.per_step_rel_error)
+            assert _bits(m_lean.mean_rel_error) == _bits(m_full.mean_rel_error)
             assert _bits(m_lean.final_latent_rel_error) == _bits(m_full.final_latent_rel_error)
 
     @pytest.mark.parametrize("kind", list(SkipKind))
