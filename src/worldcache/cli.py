@@ -332,7 +332,8 @@ def cmd_sweep(args) -> int:
     file_raw = read_config_file(args.config) if args.config else None
     overrides = _collect_overrides(args)
     unchecked = merge(file_raw, overrides)
-    if unchecked.values["workload"]["seed"] is None:  # each cell sets its own
+    if unchecked.values["workload"]["seed"] is None or unchecked.values["sweep"]["seeds"]:
+        # each cell sets its own seed: check, echo and hash the sweep at its first
         overrides.setdefault("workload", {})["seed"] = str(sweep_seeds(unchecked)[0])
     cfg = resolve(file_raw, overrides)
     axes = sweep_axes(cfg)

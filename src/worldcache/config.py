@@ -340,7 +340,7 @@ def sweep_axes(cfg: ResolvedConfig) -> dict[str, list[str]]:
 
 
 def sweep_seeds(cfg: ResolvedConfig) -> list[int]:
-    raw = cfg.values["sweep"].get("seeds", "")
+    raw = cfg.values["sweep"]["seeds"]
     if not raw:
         raise ConfigError("sweep.seeds is required for sweeps")
     try:

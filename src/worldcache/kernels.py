@@ -2,19 +2,20 @@
 
 Row norms, curvature, the prediction blend and the drift score run on every
 step. The blend takes one (stable, chaotic) row split; the uniform baselines
-are that split with every token in one group. Row sums of squares come from
-einsum and the drift score adds its rows strictly left to right, so a run is
-bit-reproducible. row_norms, fro_norm and curvature_rows are scale-safe: a
-row whose sum of squares is inf or subnormal is rescaled by an exact power of
-two first; all other rows are computed as is.
+are that split with every token in one group. Every norm squares its input
+once, by einsum into row sums (sumsq); a Frobenius norm adds those pairwise
+(np.add.reduce), and the drift score adds its rows strictly left to right, so
+a run is bit-reproducible. row_norms, fro_norm and curvature_rows are
+scale-safe: a sum of squares past the normal range is redone at a power of 2.
 """
 
+import contextlib
 import math
 
 import numpy as np
 
 __all__ = [
-    "BACKEND", "row_norms", "fro_norm", "curvature_rows", "blend_rows", "drift_mean",
+    "BACKEND", "sumsq", "row_norms", "fro_norm", "curvature_rows", "blend_rows", "drift_mean",
 ]
 
 BACKEND = "numpy"  # recorded in manifests and benchmark environments
@@ -26,7 +27,7 @@ _TINY = np.finfo(np.float64).tiny
 _NOISE_EXP = -1042
 
 
-def _sumsq(a: np.ndarray) -> np.ndarray:
+def sumsq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
@@ -36,27 +37,28 @@ def _off_normal(sums):
     return (sums == math.inf) | ((sums < _TINY) & (sums != 0.0))
 
 
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """Row L2 norms. Rows whose squares all underflow to 0 (every entry below
-    2**-537) read 0."""
-    sums = _sumsq(a)
+def row_norms(a: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """Row L2 norms, the roots of the row sums `sums` (sumsq(a) if None). Rows
+    whose squares all underflow to 0 (every entry below 2**-537) read 0."""
+    sums = sumsq(a) if sums is None else sums
     norms = np.sqrt(sums)
     bad = np.flatnonzero(_off_normal(sums))
     if bad.size:  # ||a|| = 2**k ||2**-k a||, k putting max |entry| in [0.5, 1)
         k = np.frexp(np.abs(a[bad]).max(1))[1]
         with np.errstate(over="ignore"):  # a norm past the float range is inf
-            norms[bad] = np.ldexp(np.sqrt(_sumsq(np.ldexp(a[bad], -k[:, None]))), k)
+            norms[bad] = np.ldexp(np.sqrt(sumsq(np.ldexp(a[bad], -k[:, None]))), k)
     return norms
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm: one einsum sum of squares of the flattened array, not
-    BLAS's dot, whose summation order follows its thread count, while that
-    sum is in the normal range; row_norms' rule otherwise."""
-    flat = a.ravel(order="K")[None, :]
-    sq = float(_sumsq(flat)[0])
-    if sq == math.inf or 0.0 < sq < _TINY:
-        return float(row_norms(flat)[0])
+def fro_norm(a: np.ndarray, sums: np.ndarray | None = None) -> float:
+    """Frobenius norm, the root of the pairwise sum of the row sums (sumsq(a)
+    unless given: a caller that gives them ignores overflow, as step_errors does)."""
+    quiet = np.errstate(over="ignore") if sums is None else contextlib.nullcontext()
+    with quiet:  # a norm past the float range is inf
+        sq = float(np.add.reduce(sumsq(a) if sums is None else sums))
+        if sq == math.inf or 0.0 < sq < _TINY:  # ||a|| = 2**k ||2**-k a||, as in row_norms
+            k = int(np.frexp(np.abs(a).max())[1])
+            return float(np.ldexp(math.sqrt(np.add.reduce(sumsq(np.ldexp(a, -k)))), k))
     return math.sqrt(sq)
 
 
@@ -76,7 +78,7 @@ def curvature_rows(v_latest, v_prev, dt, eps):
     """kappa_i = ||a_i|| / (||v_i||^2 + eps); 0/0 is 0 and x/0 is inf."""
     acc = np.subtract(v_latest, v_prev)
     acc /= dt
-    a_sq, v_sq = _sumsq(acc), _sumsq(v_latest)
+    a_sq, v_sq = sumsq(acc), sumsq(v_latest)
     a_norm, denom = np.sqrt(a_sq), v_sq + eps
     bad = _out_of_range(a_sq, acc, eps) | _out_of_range(v_sq, v_latest, eps)
     bad = np.flatnonzero(bad)
@@ -88,7 +90,7 @@ def curvature_rows(v_latest, v_prev, dt, eps):
             ka, kv = (np.frexp(np.abs(m[bad]).max(1))[1] for m in (acc, v_latest))
             a_norm[bad] = row_norms(np.ldexp(acc[bad], -ka[:, None]))
             a_norm[bad[ka <= _NOISE_EXP]] = 0.0
-            v_s = _sumsq(np.ldexp(v_latest[bad], -kv[:, None]))
+            v_s = sumsq(np.ldexp(v_latest[bad], -kv[:, None]))
             eps_s = np.ldexp(eps, -2 * kv)
             small = eps_s > 2.0**512
             denom[bad] = np.where(small, np.ldexp(v_s, 2 * kv) + eps, v_s + eps_s)
@@ -142,6 +144,6 @@ def drift_mean(y_t, y_prev, kappa, chaotic):
         y_t, y_prev = y_t.take(chaotic, axis=0), y_prev.take(chaotic, axis=0)
         kappa = kappa.take(chaotic)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff_norm = np.sqrt(_sumsq(y_t - y_prev))
+        diff_norm = np.sqrt(sumsq(y_t - y_prev))
         # cumsum adds strictly left to right, unlike sum's pairwise tree
         return np.cumsum(kappa * diff_norm)[-1] / kappa.size

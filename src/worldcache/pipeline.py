@@ -120,13 +120,14 @@ class RunResult:
 _TINY = 1e-30
 
 
-def _group_means(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> list[float]:
-    """Mean row norm of diff over each array of row indices, as .mean() rounds
-    it; NaN for an empty array or when there are no groups."""
+def _diff_norms(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> tuple[float, list[float]]:
+    """||diff||_F and its mean row norm per group (as .mean() rounds it), from one sumsq."""
+    sums = kernels.sumsq(diff)
+    num = kernels.fro_norm(diff, sums)
     if not groups:
-        return [math.nan] * len(TokenGroup)
-    row_err = kernels.row_norms(diff)
-    return [
+        return num, [math.nan] * len(TokenGroup)
+    row_err = kernels.row_norms(diff, sums)
+    return num, [
         float(np.add.reduce(row_err.take(rows)) / rows.size) if rows.size else math.nan
         for rows in groups
     ]
@@ -141,16 +142,16 @@ def step_errors(
 
     Returns (rel, stable, linear, chaotic). rel is ||y - y_o||_F / ||y_o||_F;
     a group's error is the mean L2 norm of its rows' differences, NaN when g
-    is None or the group is empty. The norms are the scale-safe kernels, and
-    ||y_o||_F is oracle_y's kept norm, so a reference output scored by many
-    runs is normed once. oracle_y may also be a float32 trace block with the
-    norm of its widening (TraceOutputs.references): y - block widens each
-    entry exactly, so the errors have the widened matrix's bits. Where the
-    difference, a norm or a group's sum passes the float range, the values
-    that overflowed are taken again at an exact power-of-two scale, so an
-    error is inf only if it lies past the float range itself; the others
-    keep their bits. With g None and every sum in the normal range, rel
-    takes one difference and one einsum and nothing else.
+    is None or the group is empty. The difference is squared once, into the
+    row sums that give rel's numerator (kernels.fro_norm) and the row errors
+    (kernels.row_norms). ||y_o||_F is oracle_y's kept norm, so a reference
+    output scored by many runs is normed once. oracle_y may also be a float32
+    trace block with the norm of its widening (TraceOutputs.references):
+    y - block widens each entry exactly, so the errors have the widened
+    matrix's bits. Where the difference, a norm or a group's sum passes the
+    float range, the values that overflowed are taken again at an exact
+    power-of-two scale, so an error is inf only if it lies past the float
+    range itself; the others keep their bits.
 
     When y is oracle_y itself (a replayed FULL step emits the reference's own
     output), nothing is computed: every difference is 0, so rel and each
@@ -165,9 +166,7 @@ def step_errors(
         oracle_y = oracle_y.data, oracle_y.fro_norm()
     ref, den = oracle_y
     with np.errstate(over="ignore"):  # what overflows is taken again below
-        diff = y.data - ref
-        num = kernels.fro_norm(diff)
-        per_group = _group_means(diff, groups)
+        num, per_group = _diff_norms(y.data - ref, groups)
         rel = num / (den + _TINY)
         if math.inf in (num, den, *per_group):
             # Norms and means scale exactly with y and y_o, so take them at
@@ -176,16 +175,14 @@ def step_errors(
             # float32 block is widened first, which ldexp would not do.
             ref = ref.astype(np.float64, copy=False)
             k = int(np.frexp(max(np.abs(y.data).max(), np.abs(ref).max()))[1])
-            y_s, o_s = np.ldexp(y.data, -k), np.ldexp(ref, -k)
-            diff_s = y_s - o_s
+            o_s = np.ldexp(ref, -k)
+            num_s, means_s = _diff_norms(np.ldexp(y.data, -k) - o_s, groups)
             if den == math.inf:  # so ||o_s|| is about 1 or more: rel at 2**-k
-                rel = kernels.fro_norm(diff_s) / kernels.fro_norm(o_s)
+                rel = num_s / kernels.fro_norm(o_s)
             elif num == math.inf:  # ||o_s|| may underflow: scale rel back
-                rel = float(np.ldexp(kernels.fro_norm(diff_s) / (den + _TINY), k))
-            per_group = [
-                float(np.ldexp(s, k)) if m == math.inf else m
-                for m, s in zip(per_group, _group_means(diff_s, groups))
-            ]
+                rel = float(np.ldexp(num_s / (den + _TINY), k))
+            per_group = [float(np.ldexp(s, k)) if m == math.inf else m
+                         for m, s in zip(per_group, means_s)]
     return rel, per_group[0], per_group[1], per_group[2]
 
 

@@ -12,14 +12,19 @@ Regenerate the data (a change to a check: say so in CHANGES.md) with
 
 It first prints one line per file it adds, removes or changes against the
 committed data (the trace under its own name), so an intended byte change
-can name each file it touches.
+can name each file it touches. A changed CSV's line also names each column
+that changed and the largest relative change in it, for example
+
+    changed run-3-random-grouping-cas.steps.csv: rel_err max rel 8.9e-16
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import math
 import shutil
 import sys
 import tempfile
@@ -141,6 +146,41 @@ def recorded_build() -> str:
     return "unknown"
 
 
+def _relative_change(old: str, new: str) -> float:
+    """|new - old| / |old| for two printed values; inf where that is not a
+    finite number (a text cell, a NaN or inf on either side, or old 0)."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def column_changes(old: bytes, new: bytes) -> str:
+    """What changed in a CSV, by column: each added or removed column, then
+    each column whose cells differ, with the largest relative change among
+    them ('rel_err max rel 8.9e-16'), or the row counts if those differ."""
+    (old_head, *old_rows), (new_head, *new_rows) = (
+        list(csv.reader(io.StringIO(data.decode()))) for data in (old, new)
+    )
+    notes = [f"added {column}" for column in new_head if column not in old_head]
+    notes += [f"removed {column}" for column in old_head if column not in new_head]
+    if len(old_rows) != len(new_rows):
+        return ", ".join(notes + [f"{len(old_rows)} -> {len(new_rows)} rows"])
+    worst: dict[str, float] = {}
+    for old_row, new_row in zip(old_rows, new_rows):
+        new_cells = dict(zip(new_head, new_row))
+        for column, a in zip(old_head, old_row):
+            b = new_cells.get(column, a)
+            if a != b:
+                worst[column] = max(worst.get(column, 0.0), _relative_change(a, b))
+    return ", ".join(notes + [f"{column} max rel {rel:.2g}" for column, rel in worst.items()])
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = generate(Path(tmp))
@@ -152,6 +192,8 @@ def main() -> int:
             print(f"added {name}")
         elif name not in files:
             print(f"removed {name}")
+        elif old[name] != files[name] and name.endswith(".csv"):
+            print(f"changed {name}: {column_changes(old[name], files[name])}")
         elif old[name] != files[name]:
             print(f"changed {name}")
     if DATA.exists():

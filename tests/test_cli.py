@@ -577,6 +577,18 @@ class TestSweepCommand:
         (manifest,) = [text for name, text in unseeded.items() if name.endswith(".ini")]
         assert f"\nseed = {first}\n".encode() in manifest
 
+    @pytest.mark.parametrize("other", ["flag", "set", "config"])
+    def test_a_sweep_ignores_any_other_seed(self, tmp_path, other):
+        # no cell reads workload.seed: a seed other than the first sweep seed,
+        # from --seed, --set or the config file, changes no byte and no run id
+        argv = ["sweep", "--n-tokens", "16", "--dims", "4", "--steps", "8",
+                "--set", "sweep.eta=0.1", "--seeds", "1"]
+        config = tmp_path / "seed.ini"
+        config.write_text("[workload]\nseed = 5\n", encoding="utf-8")
+        extra = {"flag": ["--seed", "5"], "set": ["--set", "workload.seed=5"],
+                 "config": ["--config", str(config)]}[other]
+        assert _written([*argv, *extra], tmp_path / "out") == _written(argv, tmp_path / "out")
+
     def test_jobs_default_to_one_whatever_the_environment(self, monkeypatch):
         monkeypatch.setenv("WORLDCACHE_JOBS", "3")
         assert build_parser().parse_args(["sweep"]).jobs == 1
@@ -699,11 +711,11 @@ class TestSharedOracle:
         normed = []
         real = kernels.fro_norm
 
-        def counted(a):
+        def counted(a, sums=None):
             if a.shape == wide.shape[1:] and a.dtype == np.float64:
                 i = index.get(np.ascontiguousarray(a).tobytes())
                 normed[-1] += [] if i is None else [i]
-            return real(a)
+            return real(a, sums)
 
         monkeypatch.setattr(kernels, "fro_norm", counted)
         argv = ["sweep", "--set", "workload.kind=trace",
@@ -790,9 +802,9 @@ def _count_row_norms(monkeypatch):
     calls = []
     real = kernels.row_norms
 
-    def counted(a):
+    def counted(a, sums=None):
         calls.append(a.shape)
-        return real(a)
+        return real(a, sums)
 
     monkeypatch.setattr(kernels, "row_norms", counted)
     return calls

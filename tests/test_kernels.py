@@ -13,6 +13,7 @@ from worldcache.kernels import (
     drift_mean,
     fro_norm,
     row_norms,
+    sumsq,
 )
 
 LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC = (int(g) for g in TokenGroup)
@@ -125,11 +126,18 @@ class TestFroNorm:
             a = _rng(seed).normal(size=(40, 6)) * 10.0 ** (seed - 2)
             assert fro_norm(a) == pytest.approx(float(np.linalg.norm(a)), rel=1e-15)
 
+    def test_is_the_root_of_the_pairwise_sum_of_the_row_sums(self):
+        a = _rng(4).normal(size=(300, 7))
+        sums = sumsq(a)
+        assert fro_norm(a) == fro_norm(a, sums) == math.sqrt(np.add.reduce(sums))
+
     @pytest.mark.parametrize("exp", [600, -520])
     def test_past_the_normal_range(self, exp):
+        # the same rule at a power of two: every bit of the in-range norm stays
         a = _rng(3).normal(size=(30, 4))
         want = math.ldexp(float(np.linalg.norm(a)), exp)
         assert fro_norm(np.ldexp(a, exp)) == pytest.approx(want, rel=1e-14)
+        assert fro_norm(np.ldexp(a, exp)) == math.ldexp(fro_norm(a), exp)
 
     def test_past_the_float_range_is_inf(self):
         assert fro_norm(np.full((2, 2), 1e308)) == math.inf

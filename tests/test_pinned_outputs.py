@@ -2,7 +2,9 @@
 tests/data/pinned/ (see tests/pinned_outputs.py, which also regenerates it).
 A change to a decision, a value's last bit or a column order fails here."""
 
-from pinned_outputs import REGENERATE, build, expected, generate, recorded_build
+from pinned_outputs import (
+    REGENERATE, build, column_changes, expected, generate, recorded_build,
+)
 
 
 def _first_difference(name: str, want: bytes, got: bytes) -> str:
@@ -28,3 +30,10 @@ def test_cli_matrix_outputs_match_the_pinned_bytes(tmp_path):
                 + f"\n(data made with {recorded_build()}; this is {build()}."
                 f" An intended change regenerates it: {REGENERATE})"
             )
+
+
+def test_a_changed_csv_is_reported_column_by_column():
+    old = b"step,rel_err,decision\n0,0.5,FULL\n1,0.25,CACHE\n"
+    new = b"step,rel_err,decision,reason\n0,0.50000000000000011,FULL,warmup\n1,0.25,FULL,drift\n"
+    assert column_changes(old, new) == "added reason, rel_err max rel 2.2e-16, decision max rel inf"
+    assert column_changes(old, old.rsplit(b"1,", 1)[0]) == "2 -> 1 rows"

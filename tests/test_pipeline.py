@@ -675,6 +675,65 @@ class TestStepErrorsPastTheFloatRange:
         assert rel == pytest.approx(math.sqrt(10.5 / 12), rel=1e-12)
 
 
+class TestOneSummationRule:
+    """step_errors squares the difference once, into row sums of squares:
+    rel's numerator is the root of their pairwise sum, each row error a root."""
+
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 9),
+        split=st.sampled_from([None, (0.0, 0.7), (0.3, 0.7), (0.0, 1.0), (0.3, 0.3)]),
+        exp=st.integers(-400, 400),
+        gap=st.integers(0, 40),
+        block=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_errors_follow_the_row_sums_of_the_difference(
+        self, n, d, split, exp, gap, block, seed
+    ):
+        # scales where every sum of squares is normal; a float32 reference
+        # block is scored with the norm of its widening, as a trace is
+        rng = np.random.default_rng(seed)
+        if block:
+            exp //= 8
+        ref = np.ldexp(rng.normal(size=(n, d)), exp)
+        y = ref + np.ldexp(rng.normal(size=(n, d)), exp - gap)
+        g = None if split is None else group_tokens(rng.random(n), *split)
+        if block:
+            ref = ref.astype(np.float32)
+            oracle_y = ref, kernels.fro_norm(ref.astype(np.float64))
+        else:
+            oracle_y = TokenMatrix(ref)
+        got = step_errors(TokenMatrix(y), oracle_y, g)
+        diff = y - ref
+        den = kernels.fro_norm(ref.astype(np.float64))
+        rel = math.sqrt(np.add.reduce(kernels.sumsq(diff))) / (den + 1e-30)
+        want = [rel, math.nan, math.nan, math.nan]
+        if g is not None:
+            row_err = kernels.row_norms(diff)
+            want[1:] = [row_err[rows].mean() if rows.size else math.nan for rows in g.members]
+        assert _bits(got) == _bits(want)
+
+    def test_one_call_with_groups_squares_the_difference_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        y, ref = rng.normal(size=(2, 64, 8))
+        g = group_tokens(rng.random(64))
+        oracle_y = TokenMatrix(ref)
+        oracle_y.fro_norm()  # kept, as a run's reference norm is
+        want = step_errors(TokenMatrix(y), oracle_y, g)
+        squared, einsum = [], np.einsum
+
+        def counted(subscripts, *operands, **kwargs):
+            squared.append(operands[0].size)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        got = step_errors(TokenMatrix(y), oracle_y, g)
+        assert sum(squared) == y.size
+        assert _bits(got) == _bits(want)
+
+
 class TestRecordsMatchFreshErrors:
     @given(
         n=st.integers(1, 12),
