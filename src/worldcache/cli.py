@@ -292,7 +292,7 @@ def cmd_run(args) -> int:
     manifest_path = out_dir / f"{run_id}.manifest.ini"
     _write_steps_csv(steps_path, cached)
     _write_metrics_csv(metrics_path, run_id, metrics)
-    _write_manifest(manifest_path, cfg, "run", run_id)
+    _write_manifest(manifest_path, cfg, args.command, run_id)
 
     print(
         f"{run_id}: steps={metrics.steps} full={metrics.full_count} "

@@ -3,10 +3,11 @@
 A config document has sections [workload], [predictor], [skipper],
 [scheduler], [output] and, for sweeps, [sweep]. Every key is typed and
 validated; unknown sections or keys are hard errors. Precedence is
-flags > config file > defaults. The resolved configuration can be echoed
-back as a canonical INI document; a [meta] section in an input file (as
-written into run manifests) is accepted and ignored, so any manifest is
-itself a loadable config.
+flags > config file > defaults. _KIND_KEYS names the [workload] keys each
+workload.kind reads; setting another is an error too. The resolved
+configuration can be echoed back as a canonical INI document; a [meta]
+section in an input file (as written into run manifests) is accepted and
+ignored, so any manifest is itself a loadable config.
 """
 
 from __future__ import annotations
@@ -106,8 +107,15 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "sweep": {**{axis: ("str", "") for axis in _AXIS_TARGET}, "seeds": ("str", "")},
 }
 
+# workload.kind -> the [workload] keys it reads besides kind: merge rejects any
+# other set to a value, and echo_config writes only these.
+_KIND_KEYS = {
+    "synthetic": tuple(key for key in SCHEMA["workload"] if key not in ("kind", "trace_path")),
+    "trace": ("seed", "trace_path"),
+}
+
 _ENUMS = {
-    ("workload", "kind"): ("synthetic", "trace"),
+    ("workload", "kind"): tuple(_KIND_KEYS),
     ("workload", "preset"): tuple(p.value for p in Preset),
     ("predictor", "kind"): tuple(k.value for k in PredictorKind),
     ("skipper", "kind"): tuple(k.value for k in SkipKind),
@@ -121,23 +129,9 @@ class ResolvedConfig:
     values: dict[str, dict[str, Any]]
 
     def synthetic_spec(self) -> SyntheticSpec:
-        w = self.values["workload"]
-        return SyntheticSpec(
-            n_tokens=w["n_tokens"],
-            dims=w["dims"],
-            fractions=(
-                w["stable_fraction"],
-                w["linear_fraction"],
-                w["chaotic_fraction"],
-            ),
-            preset=Preset(w["preset"]),
-            turn_step=w["turn_step"],
-            amplitude=w["amplitude"],
-            frequency=w["frequency"],
-            noise_sigma=w["noise_sigma"],
-            coupling=w["coupling"],
-            seed=w["seed"],
-        )
+        w = {key: self.values["workload"][key] for key in _KIND_KEYS["synthetic"]}
+        fractions = tuple(w.pop(f"{part}_fraction") for part in ("stable", "linear", "chaotic"))
+        return SyntheticSpec(fractions=fractions, **w)
 
     def synthetic_scheduler(self) -> EulerScheduler:
         sched = self.values["scheduler"]
@@ -233,7 +227,8 @@ def merge(
     the cross-key checks of resolve().
 
     Unknown sections or keys in either source are hard errors: a typoed knob
-    must never silently fall back to its default.
+    must never silently fall back to its default. So is a non-empty [workload]
+    value that the merged workload.kind does not read, since it would do nothing.
     """
     if file_raw:
         _check_known(file_raw, "config file")
@@ -252,9 +247,14 @@ def merge(
                 values[section][key] = default
                 continue
             raw = str(raw)
-            if raw == "" and default is None:
-                values[section][key] = None
+            kind = values["workload"].get("kind")  # SCHEMA lists workload.kind first
+            unread = section == "workload" and key != "kind" and key not in _KIND_KEYS[kind]
+            if raw == "" and (default is None or unread):
+                values[section][key] = default
                 continue
+            if unread:
+                raise ConfigError(f"workload.{key} is set, but workload.kind = {kind} "
+                                  "does not read it")
             where = f"{section}.{key}"
             values[section][key] = _parse(section, key, type_name, raw, where)
     return ResolvedConfig(values)
@@ -263,8 +263,6 @@ def merge(
 def _validate(cfg: ResolvedConfig) -> None:
     w = cfg.values["workload"]
     if w["kind"] == "synthetic":
-        if w["trace_path"]:
-            raise ConfigError("workload.trace_path is set, but workload.kind is synthetic")
         if w["seed"] is None:
             raise ConfigError(
                 "workload.seed is required for synthetic (stochastic) workloads"
@@ -302,9 +300,10 @@ def format_value(val: Any) -> str:
 
 
 def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
-    """Serialize the fully-resolved configuration as canonical INI text. A
-    trace workload replays the trace's own grid, so its [scheduler] values,
-    which nothing reads, are left out."""
+    """Serialize the fully-resolved configuration as canonical INI text. Of
+    [workload] it writes kind and the keys that kind reads, and for a trace,
+    which replays its own grid, it leaves out [scheduler], which nothing reads."""
+    kind = cfg.values["workload"]["kind"]
     lines: list[str] = []
     if meta:
         lines.append("[meta]")
@@ -312,10 +311,11 @@ def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
             lines.append(f"{key} = {val}")
         lines.append("")
     for section in SCHEMA:
-        if section == "scheduler" and cfg.values["workload"]["kind"] == "trace":
+        if section == "scheduler" and kind == "trace":
             continue
         lines.append(f"[{section}]")
-        for key in SCHEMA[section]:
+        keys = ("kind", *_KIND_KEYS[kind]) if section == "workload" else SCHEMA[section]
+        for key in keys:
             lines.append(f"{key} = {format_value(cfg.values[section][key])}")
         lines.append("")
     return "\n".join(lines)

@@ -1,3 +1,4 @@
+import configparser
 import gc
 import math
 import os
@@ -266,16 +267,19 @@ class TestExitCodes:
             # c_cache has one rule, checked before any work
             (["run", "--seed", "1", "--c-cache", "inf"],
              "invalid output parameters: c_cache must be finite and >= 0, got inf"),
-            # a trace path names a trace workload; synthetic would ignore it
+            # a workload key that the kind does not read is set in vain
             (["run", "--seed", "1", "--set", "workload.trace_path=x.wct"],
-             "workload.trace_path is set, but workload.kind is synthetic"),
+             "workload.trace_path is set, but workload.kind = synthetic does not read it"),
+            (["replay", "t.wct", "--preset", "smooth"],
+             "workload.preset is set, but workload.kind = trace does not read it"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
              "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "run-steps-negative",
              "removed-skipper",
              "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
-             "removed-tau-axis", "removed-tau-key", "c-cache-inf", "synthetic-trace-path"],
+             "removed-tau-axis", "removed-tau-key", "c-cache-inf", "synthetic-trace-path",
+             "trace-preset"],
     )
     def test_a_negative_seed_is_a_usage_error(
         self, tmp_path, tmp_path_factory, capsys, argv, err
@@ -400,11 +404,39 @@ class TestRecordValidateReplay:
         assert len(written[0]) == 1 and written[1] == written[0]
         (name, text), = written[0].items()
         assert b"[scheduler]" not in text and b"steps" not in text
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read_string(text.decode("utf-8"))
+        assert manifest["meta"]["command"] == "replay"
+        assert list(manifest["workload"]) == ["kind", "seed", "trace_path"]
         again = tmp_path / "again"
         assert main(["replay", str(tmp_path / "t.wct"), "--config", str(out_dir / name),
                      "--out", str(again)]) == 0
         steps_csv = name.replace(".manifest.ini", ".steps.csv")
         assert (again / steps_csv).read_bytes() == (out_dir / steps_csv).read_bytes()
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("preset", "smooth"), ("n_tokens", "16"), ("dims", "4"), ("stable_fraction", "0.5"),
+         ("linear_fraction", "0.25"), ("chaotic_fraction", "0.25"), ("turn_step", "3"),
+         ("amplitude", "7"), ("frequency", "0.5"), ("noise_sigma", "0.1"),
+         ("coupling", "0.5")],
+    )
+    def test_a_synthetic_key_under_replay_is_a_usage_error(
+        self, tmp_path, capsys, key, value, source
+    ):
+        argv = ["replay", str(tmp_path / "t.wct"), "--seed", "1", "--out", str(tmp_path / "out")]
+        if source == "set":
+            argv += ["--set", f"workload.{key}={value}"]
+        else:
+            config = tmp_path / "c.ini"
+            config.write_text(f"[workload]\n{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: workload.{key} is set, but workload.kind = trace does not read it\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ([] if source == "set" else ["c.ini"])
 
     @pytest.mark.parametrize("command", ["replay", "sweep"])
     def test_a_negative_steps_that_a_trace_ignores_is_accepted(self, tmp_path, command):
@@ -817,10 +849,11 @@ class TestSweepScoresOnlyWhatItWrites:
     @pytest.mark.parametrize("workload", ["synthetic", "trace"])
     def test_sweep_cells_take_no_row_norms(self, tmp_path, monkeypatch, workload):
         argv = ["sweep", *_GRID]
-        if workload == "trace":
+        if workload == "trace":  # the workload flags are the record's
             trace = tmp_path / "ref.wct"
             assert main(["record", str(trace), "--seed", "3", *FAST]) == 0
-            argv += ["--set", "workload.kind=trace", "--set", f"workload.trace_path={trace}"]
+            argv = ["sweep", *_GRID[:-len(FAST)], "--set", "workload.kind=trace",
+                    "--set", f"workload.trace_path={trace}"]
         calls = _count_row_norms(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / "lean")]) == 0
         assert calls == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from worldcache import (
@@ -12,6 +14,7 @@ from worldcache.config import (
     SCHEMA,
     SWEEP_AXES,
     _AXIS_TARGET,
+    _KIND_KEYS,
     apply_axis_override,
     echo_config,
     format_value,
@@ -115,10 +118,38 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid scheduler parameters: steps must be"):
             _resolve(workload={"seed": 1}, scheduler={"steps": -5})
 
+    @pytest.mark.parametrize(
+        "file_kind, key, value",
+        [("synthetic", "trace_path", "x.wct"), ("trace", "preset", "smooth"),
+         ("trace", "n_tokens", "16")],
+    )
+    def test_a_key_the_file_s_kind_does_not_read_is_an_error(self, file_kind, key, value):
+        with pytest.raises(ConfigError) as exc:
+            merge({"workload": {"kind": file_kind}}, {"workload": {key: value}})
+        assert str(exc.value) == (
+            f"workload.{key} is set, but workload.kind = {file_kind} does not read it"
+        )
+
+    def test_an_empty_unread_key_is_unset(self):
+        # a synthetic manifest written while every manifest echoed trace_path
+        cfg = resolve({"workload": {"seed": "1", "trace_path": ""}}, {})
+        assert cfg.values == _resolve(workload={"seed": 1}).values
+
     def test_merge_parses_without_the_run_checks(self):
         assert merge().values["workload"]["seed"] is None
         with pytest.raises(ConfigError, match="n_tokens"):
             merge(None, {"workload": {"n_tokens": "many"}})
+
+
+class TestKindKeys:
+    def test_every_workload_key_is_read_by_some_kind(self):
+        read = {key for keys in _KIND_KEYS.values() for key in keys}
+        assert read == set(SCHEMA["workload"]) - {"kind"}
+
+    def test_synthetic_spec_fields_are_the_synthetic_keys(self):
+        keys = {"fractions" if key.endswith("_fraction") else key
+                for key in _KIND_KEYS["synthetic"]}
+        assert {field.name for field in dataclasses.fields(SyntheticSpec)} == keys
 
 
 class TestFilePrecedence:
@@ -163,6 +194,16 @@ class TestEcho:
         path.write_text(text, encoding="utf-8")
         again = resolve(read_config_file(path), {})
         assert again.values == cfg.values
+
+    @pytest.mark.parametrize(
+        "workload, keys",
+        [({"seed": 1}, [key for key in SCHEMA["workload"] if key != "trace_path"]),
+         ({"kind": "trace", "trace_path": "t.wct"}, ["kind", "seed", "trace_path"])],
+    )
+    def test_echo_writes_the_keys_the_kind_reads(self, workload, keys):
+        text = echo_config(_resolve(workload=workload))
+        section = text.split("[workload]\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split(" = ")[0] for line in section.splitlines()] == keys
 
     def test_echo_is_deterministic(self):
         a = _resolve(workload={"seed": 1})
