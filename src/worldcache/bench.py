@@ -2,8 +2,8 @@
 
 compare_runs() reduces a cached run and its no-cache reference to the
 numbers reported everywhere else: mean per-step relative error, final-latent
-relative error, FULL ratio, and an estimated speedup under a simple cost
-model (FULL costs 1, a cached step costs c_cache of that). The per-step
+relative error, FULL ratio, and an estimated speedup under a fixed cost
+model (FULL costs 1, a cached step costs CACHE_COST of that). The per-step
 errors are the cached run's records, which run(oracle_outputs=...) fills
 in as it goes, so neither run has to keep its outputs for it.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .pipeline import RunResult, step_errors
 
-DEFAULT_CACHE_COST = 0.01
+CACHE_COST = 0.01
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,7 @@ class RunMetrics:
     cache_count: int
 
 
-def check_cost(c_cache: float) -> None:
-    """Raise ParameterError unless a cached step's cost c_cache is finite
-    and >= 0."""
-    if c_cache < 0 or not math.isfinite(c_cache):
-        raise ParameterError(f"c_cache must be finite and >= 0, got {c_cache}")
-
-
-def compare_runs(
-    cached: RunResult,
-    oracle: RunResult,
-    c_cache: float = DEFAULT_CACHE_COST,
-) -> RunMetrics:
+def compare_runs(cached: RunResult, oracle: RunResult) -> RunMetrics:
     """Reduce a (cached, reference) run pair to scalar quality metrics.
 
     The cached run must have been executed with the reference's outputs as
@@ -61,7 +50,6 @@ def compare_runs(
             f"latent shape mismatch: {cached.final_latent.shape} vs "
             f"{oracle.final_latent.shape}"
         )
-    check_cost(c_cache)
 
     per_step = tuple(r.rel_err for r in cached.records)
     if any(math.isnan(e) for e in per_step):
@@ -74,7 +62,7 @@ def compare_runs(
     steps = cached.steps
     if steps:
         full_ratio = cached.full_count / steps
-        est_speedup = steps / (cached.full_count + c_cache * cached.cache_count)
+        est_speedup = steps / (cached.full_count + CACHE_COST * cached.cache_count)
     else:
         full_ratio = 1.0
         est_speedup = 1.0

@@ -104,12 +104,10 @@ _FLAGS = {
     "skipper": ("skipper", "kind", "skip policy kind"),
     "eta": ("skipper", "eta", "budget of a streak's summed score (cas, input-guided)"),
     "interval": ("skipper", "interval", None),
-    "warmup_fulls": ("skipper", "warmup_fulls", None),
     "steps": ("scheduler", "steps", None),
     "t_max": ("scheduler", "t_max", None),
     "out": ("output", "dir", "output directory"),
     "run_id": ("output", "run_id", None),
-    "c_cache": ("output", "c_cache", None),
 }
 
 
@@ -249,8 +247,7 @@ def _execute(
         oracle_outputs=ref.outputs,
         full_records=full_records,
     )
-    metrics = compare_runs(cached, ref.oracle, cfg.values["output"]["c_cache"])
-    return cached, metrics
+    return cached, compare_runs(cached, ref.oracle)
 
 
 def _write_steps_csv(path: Path, result: RunResult) -> None:
@@ -332,14 +329,13 @@ def cmd_sweep(args) -> int:
     file_raw = read_config_file(args.config) if args.config else None
     overrides = _collect_overrides(args)
     unchecked = merge(file_raw, overrides)
-    if unchecked.values["workload"]["seed"] is None or unchecked.values["sweep"]["seeds"]:
-        # each cell sets its own seed: check, echo and hash the sweep at its first
-        overrides.setdefault("workload", {})["seed"] = str(sweep_seeds(unchecked)[0])
-    cfg = resolve(file_raw, overrides)
-    axes = sweep_axes(cfg)
+    axes = sweep_axes(unchecked)
     if not axes:
         raise ConfigError("sweep needs at least one populated axis in [sweep]")
-    seeds = sweep_seeds(cfg)
+    seeds = sweep_seeds(unchecked)
+    # each cell sets its own seed: check, echo and hash the sweep at its first
+    overrides.setdefault("workload", {})["seed"] = str(seeds[0])
+    cfg = resolve(file_raw, overrides)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 

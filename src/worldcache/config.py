@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .backbone_sim import Preset, SyntheticSpec
-from .bench import DEFAULT_CACHE_COST, check_cost
 from .errors import ConfigError
-from .pipeline import EulerScheduler, check_policy, uniform_grid
+from .pipeline import EulerScheduler, uniform_grid
 from .predictor import PredictorConfig, PredictorKind
 from .skipper import SkipConfig, SkipKind
 
@@ -93,7 +92,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "eta": ("float", SkipConfig.eta),
         "interval": ("int", SkipConfig.interval),
         "enforce_streak_cap": ("bool", SkipConfig.enforce_streak_cap),
-        "warmup_fulls": ("int", SkipConfig.warmup_fulls),
     },
     "scheduler": {
         "steps": ("int", 50),
@@ -102,7 +100,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "output": {
         "dir": ("str", "."),
         "run_id": ("str", ""),
-        "c_cache": ("float", DEFAULT_CACHE_COST),
     },
     "sweep": {**{axis: ("str", "") for axis in _AXIS_TARGET}, "seeds": ("str", "")},
 }
@@ -162,7 +159,6 @@ class ResolvedConfig:
             eta=s["eta"],
             interval=s["interval"],
             enforce_streak_cap=s["enforce_streak_cap"],
-            warmup_fulls=s["warmup_fulls"],
         )
 
 
@@ -274,7 +270,8 @@ def _validate(cfg: ResolvedConfig) -> None:
     elif not w["trace_path"]:
         raise ConfigError("workload.trace_path is required when kind = trace")
     try:
-        check_policy(cfg.predictor_config(), cfg.skip_config())
+        cfg.predictor_config()
+        cfg.skip_config()
     except Exception as exc:
         raise ConfigError(f"invalid policy parameters: {exc}") from exc
     if w["kind"] == "synthetic":
@@ -282,10 +279,6 @@ def _validate(cfg: ResolvedConfig) -> None:
             cfg.synthetic_scheduler()
         except Exception as exc:
             raise ConfigError(f"invalid scheduler parameters: {exc}") from exc
-    try:
-        check_cost(cfg.values["output"]["c_cache"])
-    except Exception as exc:
-        raise ConfigError(f"invalid output parameters: {exc}") from exc
 
 
 def format_value(val: Any) -> str:

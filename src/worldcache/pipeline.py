@@ -28,13 +28,7 @@ from .curvature import (
     group_tokens, push_full,
 )
 from .errors import OrderingError, ParameterError
-from .predictor import (
-    MIN_HISTORY,
-    PredictorConfig,
-    PredictorKind,
-    predict,
-    randomize_groups,
-)
+from .predictor import PredictorConfig, PredictorKind, predict, randomize_groups
 from .skipper import SkipConfig, SkipKind, cache_score, should_full
 
 
@@ -186,22 +180,6 @@ def step_errors(
     return rel, per_group[0], per_group[1], per_group[2]
 
 
-def check_policy(predictor_cfg: PredictorConfig, skip_cfg: SkipConfig) -> None:
-    """Raise ParameterError for a policy run() cannot execute: a warmup below
-    the FULL outputs the forecast (and CAS's drift score, which reads
-    curvature) needs, or random-grouping without rng_seed."""
-    min_hist = MIN_HISTORY[predictor_cfg.kind]
-    if skip_cfg.kind is SkipKind.CAS:
-        min_hist = max(min_hist, HISTORY_DEPTH)
-    if skip_cfg.warmup_fulls < min_hist:
-        raise ParameterError(
-            f"warmup_fulls={skip_cfg.warmup_fulls} is below the {min_hist} FULL "
-            f"outputs required by {predictor_cfg.kind.value}/{skip_cfg.kind.value}"
-        )
-    if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING and predictor_cfg.rng_seed is None:
-        raise ParameterError("random-grouping requires rng_seed")
-
-
 def run(
     backbone: Backbone,
     scheduler: EulerScheduler,
@@ -238,7 +216,6 @@ def run(
         raise ParameterError(
             f"oracle_outputs has {len(oracle_outputs)} entries for {n_steps} steps"
         )
-    check_policy(predictor_cfg, skip_cfg)
 
     z = z_init
     history = FullHistory()

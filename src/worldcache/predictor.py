@@ -79,6 +79,8 @@ class PredictorConfig:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
         if self.rng_seed is not None and self.rng_seed < 0:
             raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.kind is PredictorKind.RANDOM_GROUPING and self.rng_seed is None:
+            raise ParameterError("random-grouping requires rng_seed")
         if self.eps < 0 or not math.isfinite(self.eps):
             raise ParameterError(f"eps must be finite and >= 0, got {self.eps}")
         check_percentiles(self.p_stable, self.p_chaotic)

@@ -6,7 +6,9 @@ the one budget, eta: the adaptive policy (CAS) scores curvature-weighted
 drift of the chaotic tokens (drift_score), and the input-guided baseline
 scores the relative L1 change the step makes to the backbone's input
 (input_score). Fixed interval counts cached steps. should_full reads only
-plain values, so every policy's decision lives in this module.
+plain values, so every policy's decision lives in this module. Every run
+starts with HISTORY_DEPTH FULL steps, the outputs the curvature reads, so a
+cached step always has a grouping to score.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 
 from . import kernels
 from .core import TokenMatrix
-from .curvature import GroupAssignment, TokenGroup
+from .curvature import HISTORY_DEPTH, GroupAssignment, TokenGroup
 from .errors import DimensionError, DomainError, ParameterError
 from .predictor import DEFAULT_N_MAX
 
 DEFAULT_ETA = 0.2
-DEFAULT_WARMUP_FULLS = 3
 
 
 class SkipKind(str, Enum):
@@ -44,24 +45,18 @@ class SkipConfig:
         predictor's n_max (True by default; False reproduces the uncapped
         published loop). No other kind caps: fixed-interval has its interval,
         and input-guided caches while its total stays below eta.
-    warmup_fulls: initial FULL steps before any caching is considered.
     """
 
     kind: SkipKind = SkipKind.CAS
     eta: float = DEFAULT_ETA
     interval: int = 5
     enforce_streak_cap: bool = True
-    warmup_fulls: int = DEFAULT_WARMUP_FULLS
 
     def __post_init__(self):
         if math.isnan(self.eta) or self.eta < 0:
             raise ParameterError(f"eta must be >= 0 (inf allowed), got {self.eta}")
         if self.interval < 1:
             raise ParameterError(f"interval must be >= 1, got {self.interval}")
-        if self.warmup_fulls < 1:
-            raise ParameterError(
-                f"warmup_fulls must be >= 1, got {self.warmup_fulls}"
-            )
 
 
 def drift_score(g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix) -> float:
@@ -113,14 +108,14 @@ def input_score(z: TokenMatrix, y_t: TokenMatrix, dt: float) -> float:
 
 
 def cache_score(
-    kind: SkipKind, g: GroupAssignment | None, y_t: TokenMatrix, y_prev: TokenMatrix,
+    kind: SkipKind, g: GroupAssignment, y_t: TokenMatrix, y_prev: TokenMatrix,
     z: TokenMatrix, dt: float,
 ) -> float:
     """What a cached step emitting y_t adds to e_acc: input_score under
-    input-guided, else drift_score (0.0 before the first grouping)."""
+    input-guided, else drift_score."""
     if kind is SkipKind.INPUT_GUIDED:
         return input_score(z, y_t, dt)
-    return drift_score(g, y_t, y_prev) if g is not None else 0.0
+    return drift_score(g, y_t, y_prev)
 
 
 def should_full(
@@ -130,10 +125,10 @@ def should_full(
 
     k counts the cached steps since the last FULL and e_acc the scores they
     accumulated (cache_score). full_count counts every FULL evaluation so
-    far, which warmup compares against (the history's depth, len(h),
-    saturates at three).
+    far: the first HISTORY_DEPTH steps are FULL, the warmup that the
+    curvature (and every forecast) needs.
     """
-    if full_count < cfg.warmup_fulls:
+    if full_count < HISTORY_DEPTH:
         return True
     if cfg.kind is SkipKind.FIXED_INTERVAL:
         return k + 1 > cfg.interval

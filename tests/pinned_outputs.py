@@ -13,13 +13,17 @@ Regenerate the data (a change to a check: say so in CHANGES.md) with
 It first prints one line per file it adds, removes or changes against the
 committed data (the trace under its own name), so an intended byte change
 can name each file it touches. A changed CSV's line also names each column
-that changed and the largest relative change in it, for example
+that changed and the largest relative change in it, and a changed
+manifest's line each key added, removed or changed, section by section, for
+example
 
     changed run-3-random-grouping-cas.steps.csv: rel_err max rel 8.9e-16
+    changed eps0.manifest.ini: removed skipper.warmup_fulls, removed output.c_cache
 """
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import csv
 import hashlib
@@ -181,6 +185,27 @@ def column_changes(old: bytes, new: bytes) -> str:
     return ", ".join(notes + [f"{column} max rel {rel:.2g}" for column, rel in worst.items()])
 
 
+def _manifest_values(data: bytes) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(data.decode())
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def key_changes(old: bytes, new: bytes) -> str:
+    """What changed in a manifest, section by section: each added key, each
+    removed key, then each key whose value differs ('changed skipper.eta
+    0.2 -> 0.3'). Empty if only the layout changed."""
+    old_values, new_values = _manifest_values(old), _manifest_values(new)
+    notes = []
+    for section in dict.fromkeys([*old_values, *new_values]):
+        was, now = old_values.get(section, {}), new_values.get(section, {})
+        notes += [f"added {section}.{key}" for key in now if key not in was]
+        notes += [f"removed {section}.{key}" for key in was if key not in now]
+        notes += [f"changed {section}.{key} {value} -> {now[key]}"
+                  for key, value in was.items() if key in now and now[key] != value]
+    return ", ".join(notes)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = generate(Path(tmp))
@@ -192,10 +217,13 @@ def main() -> int:
             print(f"added {name}")
         elif name not in files:
             print(f"removed {name}")
-        elif old[name] != files[name] and name.endswith(".csv"):
-            print(f"changed {name}: {column_changes(old[name], files[name])}")
         elif old[name] != files[name]:
-            print(f"changed {name}")
+            notes = ""
+            if name.endswith(".csv"):
+                notes = column_changes(old[name], files[name])
+            elif name.endswith(".manifest.ini"):
+                notes = key_changes(old[name], files[name])
+            print(f"changed {name}: {notes}" if notes else f"changed {name}")
     if DATA.exists():
         shutil.rmtree(DATA)
     DATA.mkdir(parents=True)

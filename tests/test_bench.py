@@ -25,6 +25,7 @@ from worldcache import (
     uniform_grid,
 )
 from worldcache import bench, kernels
+from worldcache.bench import CACHE_COST
 from worldcache.curvature import group_tokens
 from worldcache.pipeline import step_errors
 
@@ -177,10 +178,11 @@ class TestCompareRuns:
         with pytest.raises(DimensionError):
             compare_runs(a, b)
 
-    def test_rejects_bad_cache_cost(self):
+    def test_a_cached_step_costs_cache_cost(self):
         cached, ref = _pair()
-        with pytest.raises(ParameterError):
-            compare_runs(cached, ref, c_cache=-0.5)
+        m = compare_runs(cached, ref)
+        assert m.cache_count
+        assert m.est_speedup == m.steps / (m.full_count + CACHE_COST * m.cache_count)
 
 
 def _square(seed):

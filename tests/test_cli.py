@@ -174,20 +174,26 @@ class TestRunCommand:
         assert "eta = 0.31" in text
         assert "run_id = rid" in text
 
-    def test_a_manifest_with_the_removed_horizon_mode_key_is_a_usage_error(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("section, line", [
+        ("predictor", "horizon_mode = timestep-delta"),
+        ("skipper", "warmup_fulls = 3"),
+        ("output", "c_cache = 0.01"),
+    ], ids=["horizon_mode", "warmup_fulls", "c_cache"])
+    def test_a_manifest_with_a_removed_key_is_a_usage_error(
+        self, tmp_path, capsys, section, line
     ):
         assert main(_run_args(tmp_path / "a")) == 0
         manifest = tmp_path / "a" / "rid.manifest.ini"
         text = manifest.read_text(encoding="utf-8")
         manifest.write_text(
-            text.replace("[predictor]\n", "[predictor]\nhorizon_mode = timestep-delta\n"),
-            encoding="utf-8",
+            text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"), encoding="utf-8"
         )
         capsys.readouterr()
         assert main(["run", "--config", str(manifest), "--out", str(tmp_path / "b")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "predictor.horizon_mode" in err
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"config error: unknown key {section}.{key} in {manifest}\n"
+        )
         assert not (tmp_path / "b").exists()
 
 
@@ -221,12 +227,9 @@ class TestExitCodes:
              "invalid workload parameters: seed must be >= 0, got -2"),
             (["run", "--seed", "1", "--predictor", "random-grouping", "--rng-seed", "-3"],
              "invalid policy parameters: rng_seed must be >= 0, got -3"),
-            (["run", "--seed", "1", "--warmup-fulls", "2"],
-             "invalid policy parameters: warmup_fulls=2 is below the 3 FULL outputs "
-             "required by chtp/cas"),
-            (["record", "t.wct", "--seed", "1", "--warmup-fulls", "2"],
-             "invalid policy parameters: warmup_fulls=2 is below the 3 FULL outputs "
-             "required by chtp/cas"),
+            # with no seed to fall back on, random-grouping has no permutation
+            (["replay", "t.wct", "--predictor", "random-grouping"],
+             "invalid policy parameters: random-grouping requires rng_seed"),
             (["run", "--seed", "1", "--p-stable", "1.5"],
              "invalid policy parameters: percentiles must lie in [0, 1], "
              "got p_stable=1.5, p_chaotic=0.7"),
@@ -264,21 +267,25 @@ class TestExitCodes:
             (["sweep", "--seed", "1", "--set", "sweep.tau=0.1,0.2"],
              "unknown key sweep.tau in overrides"),
             (["run", "--seed", "1", "--config"], "unknown key skipper.tau in {}"),
-            # c_cache has one rule, checked before any work
-            (["run", "--seed", "1", "--c-cache", "inf"],
-             "invalid output parameters: c_cache must be finite and >= 0, got inf"),
+            # warmup is the curvature's three FULL outputs, and a cached
+            # step's modelled cost a constant: neither is a flag
+            (["run", "--seed", "1", "--warmup-fulls", "2"],
+             "unrecognized arguments: --warmup-fulls 2"),
+            (["run", "--seed", "1", "--c-cache", "0.5"],
+             "unrecognized arguments: --c-cache 0.5"),
             # a workload key that the kind does not read is set in vain
             (["run", "--seed", "1", "--set", "workload.trace_path=x.wct"],
              "workload.trace_path is set, but workload.kind = synthetic does not read it"),
             (["replay", "t.wct", "--preset", "smooth"],
              "workload.preset is set, but workload.kind = trace does not read it"),
         ],
-        ids=["run-seed", "record-seed", "rng-seed", "run-warmup", "record-warmup",
+        ids=["run-seed", "record-seed", "rng-seed", "random-grouping-no-rng-seed",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
              "run-t-max-inf", "run-t-max-subnormal", "record-t-max-0", "run-steps-negative",
              "removed-skipper",
              "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
-             "removed-tau-axis", "removed-tau-key", "c-cache-inf", "synthetic-trace-path",
+             "removed-tau-axis", "removed-tau-key", "removed-warmup-flag",
+             "removed-c-cache-flag", "synthetic-trace-path",
              "trace-preset"],
     )
     def test_a_negative_seed_is_a_usage_error(
@@ -818,12 +825,10 @@ _COMMON_OPTIONS = [
     (("--skipper",), "skipper"),
     (("--eta",), "eta"),
     (("--interval",), "interval"),
-    (("--warmup-fulls",), "warmup_fulls"),
     (("--steps",), "steps"),
     (("--t-max",), "t_max"),
     (("--out",), "out"),
     (("--run-id",), "run_id"),
-    (("--c-cache",), "c_cache"),
 ]
 _HELP = [(("-h", "--help"), "help")]
 _TRACE = [((), "trace")]

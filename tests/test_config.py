@@ -42,7 +42,6 @@ class TestDefaults:
         assert cfg.values["predictor"]["n_max"] == 6
         assert cfg.values["predictor"]["eps"] == 1e-8
         assert cfg.values["skipper"]["eta"] == 0.2
-        assert cfg.values["skipper"]["warmup_fulls"] == 3
         assert cfg.values["scheduler"]["steps"] == 50
 
     def test_typed_views_construct(self):
@@ -59,6 +58,13 @@ class TestDefaults:
         assert cfg.predictor_config() == PredictorConfig()
         assert cfg.skip_config() == SkipConfig()
         assert cfg.synthetic_spec() == SyntheticSpec(seed=7)
+
+    @pytest.mark.parametrize("section, cls", [
+        ("predictor", PredictorConfig), ("skipper", SkipConfig),
+    ])
+    def test_policy_keys_are_the_dataclass_fields_in_order(self, section, cls):
+        # manifests echo keys in SCHEMA order, and a deleted field leaves no key
+        assert list(SCHEMA[section]) == [f.name for f in dataclasses.fields(cls)]
 
     def test_random_grouping_inherits_workload_seed(self):
         cfg = _resolve(

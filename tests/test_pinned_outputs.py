@@ -3,7 +3,7 @@ tests/data/pinned/ (see tests/pinned_outputs.py, which also regenerates it).
 A change to a decision, a value's last bit or a column order fails here."""
 
 from pinned_outputs import (
-    REGENERATE, build, column_changes, expected, generate, recorded_build,
+    REGENERATE, build, column_changes, expected, generate, key_changes, recorded_build,
 )
 
 
@@ -37,3 +37,13 @@ def test_a_changed_csv_is_reported_column_by_column():
     new = b"step,rel_err,decision,reason\n0,0.50000000000000011,FULL,warmup\n1,0.25,FULL,drift\n"
     assert column_changes(old, new) == "added reason, rel_err max rel 2.2e-16, decision max rel inf"
     assert column_changes(old, old.rsplit(b"1,", 1)[0]) == "2 -> 1 rows"
+
+
+def test_a_changed_manifest_is_reported_key_by_key():
+    old = b"[skipper]\neta = 0.2\nwarmup_fulls = 3\n\n[output]\nrun_id = a\nc_cache = 0.01\n"
+    new = b"[skipper]\neta = 0.3\nlookahead = false\n\n[output]\nrun_id = a\n"
+    assert key_changes(old, new) == (
+        "added skipper.lookahead, removed skipper.warmup_fulls, changed skipper.eta 0.2 -> 0.3, "
+        "removed output.c_cache"
+    )
+    assert key_changes(old, old.replace(b" = ", b"=")) == ""

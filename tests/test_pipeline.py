@@ -30,7 +30,7 @@ from worldcache import (
     write_trace,
 )
 from worldcache import kernels, pipeline, skipper
-from worldcache.curvature import TokenGroup, group_tokens
+from worldcache.curvature import HISTORY_DEPTH, TokenGroup, group_tokens
 from worldcache.errors import OrderingError
 from worldcache.pipeline import step_errors
 
@@ -150,6 +150,22 @@ class TestRunStructure:
                 backbone, sched, z0, PredictorConfig(), SkipConfig(eta=eta)
             )
             assert [r.decision for r in result.records[:3]] == [Decision.FULL] * 3
+
+    @pytest.mark.parametrize("skip_kind", list(SkipKind))
+    @pytest.mark.parametrize("predictor_kind", list(PredictorKind))
+    def test_warmup_is_the_curvature_history_for_every_policy(
+        self, predictor_kind, skip_kind
+    ):
+        # whatever a forecast needs, the first HISTORY_DEPTH steps are FULL;
+        # with a budget that never fires, the next step caches
+        backbone, sched, z0 = _setup(steps=6)
+        result = run(
+            backbone, sched, z0,
+            PredictorConfig(kind=predictor_kind, rng_seed=0),
+            SkipConfig(kind=skip_kind, eta=math.inf, interval=1),
+        )
+        decisions = [r.decision for r in result.records[:HISTORY_DEPTH + 1]]
+        assert decisions == [Decision.FULL] * HISTORY_DEPTH + [Decision.CACHE]
 
     def test_full_records_read_zero_k_and_accumulator(self):
         backbone, sched, z0 = _setup()
@@ -351,24 +367,6 @@ class TestRunValidation:
                 PredictorConfig(kind=PredictorKind.RANDOM_GROUPING),
                 SkipConfig(),
             )
-
-    def test_warmup_below_history_requirement(self):
-        backbone, sched, z0 = _setup()
-        with pytest.raises(ParameterError):
-            run(
-                backbone, sched, z0,
-                PredictorConfig(),
-                SkipConfig(warmup_fulls=2),
-            )
-
-    def test_reuse_with_input_guided_allows_short_warmup(self):
-        backbone, sched, z0 = _setup(steps=10)
-        result = run(
-            backbone, sched, z0,
-            PredictorConfig(kind=PredictorKind.UNIFORM_REUSE),
-            SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=1e9, warmup_fulls=1),
-        )
-        assert result.full_count >= 1
 
     def test_backbone_shape_drift_aborts(self):
         class DriftingBackbone:

@@ -198,8 +198,6 @@ class TestCacheScore:
         z, y_t, y_prev = TokenMatrix([[4.0]]), TokenMatrix([[3.0]]), TokenMatrix([[1.0]])
         g = _assignment([0.5], [C])
         assert cache_score(kind, g, y_t, y_prev, z, -1.0) == drift_score(g, y_t, y_prev) == 1.0
-        # before the first grouping there is no curvature to weight a drift by
-        assert cache_score(kind, None, y_t, y_prev, z, -1.0) == 0.0
 
 
 class TestShouldFull:
@@ -253,11 +251,6 @@ class TestShouldFull:
         cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=0.0)
         assert should_full(cfg, 0, 0.0, 3) is True
 
-    def test_input_guided_keeps_its_warmup(self):
-        cfg = SkipConfig(kind=SkipKind.INPUT_GUIDED, eta=1e9, warmup_fulls=4)
-        assert should_full(cfg, 1, 0.0, 3) is True
-        assert should_full(cfg, 1, 0.0, 4) is False
-
     @given(st.floats(0, 2), st.floats(0, 2), st.floats(0, 3))
     def test_lower_eta_never_flips_full_to_cache(self, eta_lo, eta_hi, e_acc):
         lo, hi = min(eta_lo, eta_hi), max(eta_lo, eta_hi)
@@ -278,8 +271,6 @@ class TestSkipConfigValidation:
     def test_inf_eta_allowed(self):
         assert SkipConfig(eta=math.inf).eta == math.inf
 
-    def test_rejects_bad_interval_and_warmup(self):
+    def test_rejects_bad_interval(self):
         with pytest.raises(ParameterError):
             SkipConfig(interval=0)
-        with pytest.raises(ParameterError):
-            SkipConfig(warmup_fulls=0)
