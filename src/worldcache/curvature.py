@@ -51,6 +51,11 @@ class FullHistory:
     that extrapolate forward multiply by the matching signed horizon.
     len(h) is the number of FULL outputs pushed, capped at 3: one for the
     newest output and one for each velocity.
+
+    push_full gives v_prev every row. Once the curvature has read it, the
+    pipeline keeps only the rows the forecast reads (predictor.row_split's
+    chaotic rows, in order; zero rows under uniform-reuse and -linear), and
+    the next push replaces it. compute_curvature rejects such a history.
     """
 
     output: TokenMatrix | None = None
@@ -115,6 +120,10 @@ def compute_curvature(h: FullHistory, eps: float = DEFAULT_EPS) -> np.ndarray:
         )
     if eps < 0 or not math.isfinite(eps):
         raise ParameterError(f"eps must be a finite value >= 0, got {eps}")
+    if h.v_prev.shape != h.v_latest.shape:
+        raise DimensionError(
+            f"v_prev shape {h.v_prev.shape} does not match v_latest {h.v_latest.shape}"
+        )
     return kernels.curvature_rows(h.v_latest.data, h.v_prev.data, h.dt, eps)
 
 

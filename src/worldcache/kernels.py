@@ -109,8 +109,10 @@ def curvature_rows(v_latest, v_prev, dt, eps):
 def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
     """Forecast rows from the last FULL output: the rows listed in `stable`
     (ascending indices) are reused, those in `chaotic` take the damped rule
-    and the rest the linear one. A uniform baseline is one split: no rows
-    for linear everywhere, every row chaotic for damped everywhere.
+    and the rest the linear one. v_prev holds the older velocity of the
+    chaotic rows only, one row per entry of `chaotic` and in its order. A
+    uniform baseline is one split: no rows for linear everywhere, every row
+    chaotic for damped everywhere.
 
     The blend runs under the FPU's overflow and invalid flags, which its
     finite operands set only past the float range; the result is scanned only
@@ -126,7 +128,7 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
             out += y_star
         out[stable] = y_star.take(stable, axis=0)
         vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
-        vel += alpha * v_prev.take(chaotic, axis=0)
+        vel += alpha * v_prev
         vel *= horizon
         vel += y_star.take(chaotic, axis=0)
         out[chaotic] = vel

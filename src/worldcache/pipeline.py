@@ -4,7 +4,8 @@ run() walks a descending timestep grid. At each decision point
 skipper.should_full picks, from plain values the loop carries (the streak
 length and the scores accumulated over it), FULL (call the backbone, push
 the output into the history, refresh the token grouping once three outputs
-exist, reset the streak) or CACHE (forecast the output from the history,
+exist and keep only the rows of the older velocity that the forecast reads,
+reset the streak) or CACHE (forecast the output from the history,
 extend the streak, and add skipper.cache_score to the streak's total where
 something reads it).
 Either way the emitted output advances the latent through the scheduler.
@@ -15,7 +16,7 @@ which makes every step FULL by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
@@ -28,7 +29,7 @@ from .curvature import (
     group_tokens, push_full,
 )
 from .errors import OrderingError, ParameterError
-from .predictor import PredictorConfig, PredictorKind, predict, randomize_groups
+from .predictor import PredictorConfig, PredictorKind, predict, randomize_groups, row_split
 from .skipper import SkipConfig, SkipKind, cache_score, should_full
 
 
@@ -239,6 +240,14 @@ def run(
                 if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING:
                     refresh = full_count - HISTORY_DEPTH  # 0 at the first refresh
                     group = randomize_groups(group, predictor_cfg.rng_seed, refresh)
+                # Until the next push only the damped rule reads v_prev, and
+                # only its chaotic rows: keep those, or the array itself when
+                # every row is chaotic.
+                n = y_t.n_tokens
+                _, chaotic = row_split(predictor_cfg.kind, group, n)
+                if chaotic.size < n:
+                    v_prev = TokenMatrix._wrap(history.v_prev.data.take(chaotic, axis=0))
+                    history = replace(history, v_prev=v_prev)
             k, e_acc = 0, 0.0
             decision = Decision.FULL
             e_t = 0.0

@@ -12,7 +12,9 @@ Uniform baselines apply a single rule to every token: they are the same
 blend with every token in one group (no token stable or chaotic for
 uniform-linear, every token chaotic for uniform-damped), and uniform-reuse
 returns the last FULL output itself. The random-grouping baseline keeps the
-heterogeneous rules but permutes the labels.
+heterogeneous rules but permutes the labels. row_split maps a kind to its
+(stable, chaotic) rows; only the chaotic ones read the older velocity, so
+the pipeline keeps only those rows of it through a cached streak.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ MIN_HISTORY = {
 }
 
 _NEEDS_GROUPS = (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING)
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,33 @@ def hermite_alpha(k: int, n_max: int) -> float:
     return 3.0 * x * x - 2.0 * x * x * x
 
 
+def row_split(
+    kind: PredictorKind, g: GroupAssignment | None, n_tokens: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (stable, chaotic) rows of `kind`'s forecast over n_tokens rows:
+    ascending indices of the rows it reuses and of those it takes the damped
+    rule for, the only rows that read v_prev; every other row is linear.
+
+    chtp and random-grouping read them off `g` (required, covering n_tokens);
+    uniform-linear has neither, uniform-damped every row chaotic and
+    uniform-reuse every row stable.
+    """
+    if kind in _NEEDS_GROUPS:
+        if g is None:
+            raise ParameterError(f"{kind.value} requires a group assignment")
+        if g.n_tokens != n_tokens:
+            raise DimensionError(
+                f"assignment covers {g.n_tokens} tokens, history has {n_tokens}"
+            )
+        stable, _, chaotic = g.members
+        return stable, chaotic
+    if kind is PredictorKind.UNIFORM_LINEAR:
+        return _NO_ROWS, _NO_ROWS
+    if kind is PredictorKind.UNIFORM_DAMPED:
+        return _NO_ROWS, np.arange(n_tokens)
+    return np.arange(n_tokens), _NO_ROWS  # UNIFORM_REUSE
+
+
 def predict(
     h: FullHistory,
     g: GroupAssignment | None,
@@ -114,8 +144,11 @@ def predict(
     t - t_full, which is negative on descending schedules and makes the
     linear rule exact on trajectories affine in scheduler time. The
     heterogeneous kinds apply the labels in `g` as given; the pipeline
-    refreshes (and for random-grouping permutes) them at FULL steps. A
-    forecast past the float range raises ParameterError.
+    refreshes (and for random-grouping permutes) them at FULL steps. h.v_prev
+    holds either every row, as push_full makes it, or only the chaotic rows
+    of row_split, in order, as the pipeline keeps it; any other row count
+    raises DimensionError. A forecast past the float range raises
+    ParameterError.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1 on cached steps, got {k}")
@@ -131,32 +164,25 @@ def predict(
     if cfg.kind is PredictorKind.UNIFORM_REUSE:
         return y_star
 
-    if cfg.kind in _NEEDS_GROUPS:
-        if g is None:
-            raise ParameterError(f"{cfg.kind.value} requires a group assignment")
-        if g.n_tokens != y_star.n_tokens:
-            raise DimensionError(
-                f"assignment covers {g.n_tokens} tokens, history has {y_star.n_tokens}"
-            )
-        stable, _, chaotic = g.members
-    elif cfg.kind is PredictorKind.UNIFORM_LINEAR:
-        stable = chaotic = _NO_ROWS
-    else:  # UNIFORM_DAMPED: every row chaotic
-        stable, chaotic = _NO_ROWS, np.arange(y_star.n_tokens)
-
+    n = y_star.n_tokens
+    stable, chaotic = row_split(cfg.kind, g, n)
     alpha = hermite_alpha(k, cfg.n_max)
     v_latest = h.v_latest.data
-    # Uniform-linear may run on two outputs and reads no v_prev then (no row
-    # is chaotic); substitute v_latest so the kernel takes the same arguments.
-    v_prev = h.v_prev.data if h.v_prev is not None else v_latest
+    # Uniform-linear may run on two outputs and reads no v_prev (no row is
+    # chaotic); zero rows of v_latest stand in so the kernel takes the same
+    # arguments.
+    v_prev = h.v_prev.data if h.v_prev is not None else v_latest[:0]
+    if len(v_prev) == n and chaotic.size < n:
+        v_prev = v_prev.take(chaotic, axis=0)
+    elif len(v_prev) != chaotic.size:
+        raise DimensionError(
+            f"v_prev has {len(v_prev)} rows, for {n} tokens and {chaotic.size} chaotic"
+        )
     with finite_math():  # the blend's FloatingPointError becomes ParameterError
         out = kernels.blend_rows(
             y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha
         )
     return TokenMatrix._wrap(out)
-
-
-_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def randomize_groups(

@@ -115,6 +115,17 @@ class TestComputeCurvature:
         with pytest.raises(ParameterError):
             compute_curvature(h, eps=float("nan"))
 
+    @pytest.mark.parametrize("prev_rows", [1, 4])
+    def test_rejects_a_v_prev_of_another_shape(self, prev_rows):
+        # a history whose v_prev holds only some rows, as the pipeline keeps
+        # it through a cached streak: neither broadcast nor numpy's ValueError
+        rng = np.random.default_rng(3)
+        v_latest, v_prev = rng.normal(size=(6, 3)), rng.normal(size=(prev_rows, 3))
+        h = FullHistory(output=TokenMatrix(np.zeros((6, 3))), t=1.0, dt=-1.0,
+                        v_latest=TokenMatrix(v_latest), v_prev=TokenMatrix(v_prev))
+        with pytest.raises(DimensionError):
+            compute_curvature(h)
+
     @given(
         hnp.arrays(np.float64, (3, 5, 4), elements=st.floats(-100, 100)),
         st.floats(0.5, 10),

@@ -195,8 +195,9 @@ class TestBlendRows:
         labels = data.draw(_labels_for(y_star.shape[0]))
         if forced is not None:
             labels = np.full_like(labels, forced)
-        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), horizon, alpha)
+        chaotic = _rows(labels, LABEL_CHAOTIC)
+        out = blend_rows(y_star, v_latest, v_prev[chaotic], _rows(labels, LABEL_STABLE),
+                         chaotic, horizon, alpha)
         want = [
             ref_blend(y, vl, vp, lab, horizon, alpha)
             for y, vl, vp, lab in zip(
@@ -211,8 +212,9 @@ class TestBlendRows:
         v_prev = np.array([[0.0], [0.0], [0.0]])
         labels = np.array([LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC],
                           dtype=np.int8)
-        out = blend_rows(y_star, v_latest, v_prev, _rows(labels, LABEL_STABLE),
-                         _rows(labels, LABEL_CHAOTIC), 3.0, 0.5)
+        chaotic = _rows(labels, LABEL_CHAOTIC)
+        out = blend_rows(y_star, v_latest, v_prev[chaotic], _rows(labels, LABEL_STABLE),
+                         chaotic, 3.0, 0.5)
         # stable: reuse; linear: 1 + 3*2; damped: 1 + 3*(0.5*2 + 0.5*0)
         assert np.array_equal(out, np.array([[1.0], [7.0], [4.0]]))
 
@@ -222,14 +224,15 @@ class TestBlendRows:
         labels = np.array([LABEL_STABLE, LABEL_LINEAR], dtype=np.int8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = blend_rows(y_star, v_latest, v_latest, _rows(labels, LABEL_STABLE),
-                             _rows(labels, LABEL_CHAOTIC), 3.0, 0.5)
+            chaotic = _rows(labels, LABEL_CHAOTIC)
+            out = blend_rows(y_star, v_latest, v_latest[chaotic],
+                             _rows(labels, LABEL_STABLE), chaotic, 3.0, 0.5)
         assert np.array_equal(out, np.array([[1.0], [7.0]]))
 
     def test_an_empty_split_is_linear_everywhere(self):
         y_star, v_latest, v_prev, _ = _random_inputs(3, n=12, d=5)
-        out = blend_rows(y_star, v_latest, v_prev, _NONE, _NONE, -2.0, 0.4)
-        ignored = blend_rows(y_star, v_latest, -v_prev, _NONE, _NONE, -2.0, 0.9)
+        out = blend_rows(y_star, v_latest, v_prev[_NONE], _NONE, _NONE, -2.0, 0.4)
+        ignored = blend_rows(y_star, v_latest, -v_prev[_NONE], _NONE, _NONE, -2.0, 0.9)
         assert np.array_equal(out, ignored)  # no row reads v_prev or alpha
         assert np.array_equal(out, y_star + -2.0 * v_latest)
 
@@ -242,7 +245,7 @@ class TestBlendRows:
     def test_alpha_zero_all_chaotic_equals_empty_split(self):
         y_star, v_latest, v_prev, _ = _random_inputs(5, n=6, d=2)
         damped = blend_rows(y_star, v_latest, v_prev, _NONE, np.arange(6), 2.0, 0.0)
-        linear = blend_rows(y_star, v_latest, v_prev, _NONE, _NONE, 2.0, 0.99)
+        linear = blend_rows(y_star, v_latest, v_prev[_NONE], _NONE, _NONE, 2.0, 0.99)
         assert np.array_equal(damped, linear)
 
 

@@ -1,10 +1,11 @@
 """Peak memory of the loop, of the synthetic backbone, of `record` and of the
 trace readers, under tracemalloc.
 
-A cached run keeps the newest FULL output and two velocities, not the three
-outputs they were taken from, and lets go of its last forecast before a FULL
-step calls the backbone; the backbone's output enters the package without a
-copy (`TokenMatrix.adopt`). `record` casts each oracle output into one
+A cached run keeps the newest FULL output, its velocity and, of the older
+velocity, only the rows the damped forecast reads (none in the oracle), not
+the three outputs they were taken from, and lets go of its last forecast
+before a FULL step calls the backbone; the backbone's output enters the
+package without a copy (`TokenMatrix.adopt`). `record` casts each oracle output into one
 float32 array as it is made, so it holds the trace's float32 payload and no
 float64 outputs. The loop's, the backbone's and the trace sweep's bounds are
 in output-sized matrices (n_tokens x dims float64), with at least a tenth of
@@ -73,14 +74,16 @@ def _mixed():
     return backbone, EulerScheduler(uniform_grid(STEPS)), backbone.initial_latent()
 
 
-def test_oracle_run_peak_is_at_most_seven_matrices():
+# The oracle reads 5.14 matrices and a cached run 5.45; 6.05 and 6.07 while
+# the loop held every row of the older velocity.
+def test_oracle_run_peak_is_at_most_five_and_a_half_matrices():
     peak = _traced_peak(oracle_run, *_mixed(), record_outputs=False)
-    assert peak / MATRIX <= 7.0
+    assert peak / MATRIX <= 5.5
 
 
-def test_cached_run_peak_is_at_most_six_and_a_half_matrices():
+def test_cached_run_peak_is_at_most_five_and_three_quarter_matrices():
     peak = _traced_peak(run, *_mixed())
-    assert peak / MATRIX <= 6.5
+    assert peak / MATRIX <= 5.75
 
 
 class _Held:
@@ -100,8 +103,9 @@ def test_a_full_step_calls_the_backbone_holding_only_the_latent_and_the_history(
     with _tracing() as base:
         result = run(held, scheduler, z_init)
     assert 0 < result.cache_count and result.full_count == len(held.held)
-    # the latent, the newest output and two velocities: no forecast
-    assert max(held.held) - base <= 4.5 * MATRIX
+    # the latent, the newest output, its velocity and the chaotic 30% of the
+    # older one: no forecast (3.36 matrices; 4.06 with all of the older one)
+    assert max(held.held) - base <= 3.5 * MATRIX
 
 
 # The output plus the largest block temporary (the 40% linear block, and on

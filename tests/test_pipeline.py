@@ -514,6 +514,73 @@ class TestBaselinePolicies:
         assert a.final_latent != c.final_latent
 
 
+class TestHeldOlderVelocity:
+    """After each refresh the loop holds, of the older velocity v_prev, only
+    the rows the damped rule reads: the chaotic rows in ascending order under
+    chtp and random-grouping, push_full's own array under uniform-damped and
+    no row under uniform-reuse and uniform-linear (and in the oracle)."""
+
+    @staticmethod
+    def _held(monkeypatch, call):
+        """Runs call() and returns its result and (full, group, held) for
+        each history the loop hands predict or the next push_full after a
+        refresh: full is what push_full made, group the refresh's grouping."""
+        state, seen = {"full": None, "group": None}, []
+
+        def push(h, t, y):
+            if state["group"] is not None:
+                seen.append((state["full"], state["group"], h))
+            state["full"], state["group"] = pipeline_push(h, t, y), None
+            return state["full"]
+
+        def grouping(fn):
+            def wrapper(*args):
+                state["group"] = fn(*args)
+                return state["group"]
+            return wrapper
+
+        def forecast(h, *args):
+            seen.append((state["full"], state["group"], h))
+            return pipeline_predict(h, *args)
+
+        pipeline_push, pipeline_predict = pipeline.push_full, pipeline.predict
+        monkeypatch.setattr(pipeline, "push_full", push)
+        monkeypatch.setattr(pipeline, "predict", forecast)
+        monkeypatch.setattr(pipeline, "group_tokens", grouping(pipeline.group_tokens))
+        monkeypatch.setattr(pipeline, "randomize_groups", grouping(pipeline.randomize_groups))
+        return call(), seen
+
+    @pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
+    def test_each_kind_keeps_the_rows_its_damped_rule_reads(self, monkeypatch, kind):
+        backbone, sched, z0 = _setup()
+        cfg = PredictorConfig(kind=kind, rng_seed=3)
+        result, seen = self._held(
+            monkeypatch, lambda: run(backbone, sched, z0, cfg, SkipConfig(kind=SkipKind.CAS)))
+        assert result.cache_count
+        # every refresh but one closing the run is seen
+        refreshes = result.full_count - (HISTORY_DEPTH - 1)
+        assert len({id(full) for full, _, _ in seen}) in (refreshes - 1, refreshes)
+        for full, group, held in seen:
+            assert held.output is full.output and held.v_latest is full.v_latest
+            if kind is PredictorKind.UNIFORM_DAMPED:
+                assert held.v_prev is full.v_prev
+                continue
+            if kind in (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING):
+                rows = np.flatnonzero(group.labels == TokenGroup.CHAOTIC)
+            else:
+                rows = np.empty(0, dtype=np.intp)
+            assert held.v_prev.shape == (rows.size, full.v_prev.dims)
+            assert np.array_equal(held.v_prev.data, full.v_prev.data[rows])
+
+    def test_the_oracle_holds_no_older_velocity_and_builds_no_members(self, monkeypatch):
+        backbone, sched, z0 = _setup(steps=12)
+        result, seen = self._held(monkeypatch, lambda: oracle_run(backbone, sched, z0))
+        assert len(seen) == result.full_count - HISTORY_DEPTH
+        for full, group, held in seen:
+            assert held.v_prev.shape == (0, full.v_prev.dims)
+            assert "members" not in vars(group)
+
+
 def _bits(values) -> bytes:
     """The float64 bits of a tuple of errors, so NaN equals NaN."""
     return np.array(values, dtype=np.float64).tobytes()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,42 @@ class TestUniformKindsAreRowSplits:
             uniform = predict(h, None, k, horizon, PredictorConfig(kind=kind))
             split = predict(h, group_tokens(kappa, 0.0, p_chaotic), k, horizon, chtp)
             assert uniform.data.tobytes() == split.data.tobytes(), kind
+
+
+class TestCutHistory:
+    """predict reads the same forecast off a history whose v_prev holds every
+    row (as push_full makes it) and off its twin that keeps only the chaotic
+    rows (as the pipeline holds it through a cached streak)."""
+
+    @staticmethod
+    def _chaotic(kind, g, n):
+        if kind in (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING):
+            return g.members[TokenGroup.CHAOTIC]
+        if kind is PredictorKind.UNIFORM_DAMPED:
+            return np.arange(n)
+        return np.empty(0, dtype=np.intp)
+
+    @pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
+    def test_full_and_cut_histories_forecast_the_same_bits(self, kind):
+        rng = np.random.default_rng(23)
+        outputs = rng.normal(size=(3, 10, 4))
+        h = _history([(9, outputs[0]), (6, outputs[1]), (2, outputs[2])])
+        g = group_tokens(rng.random(10))
+        cut = replace(h, v_prev=TokenMatrix(h.v_prev.data[self._chaotic(kind, g, 10)]))
+        cfg = PredictorConfig(kind=kind, rng_seed=0)
+        for k in (1, 3, 7):
+            full = predict(h, g, k, -2.5, cfg)
+            assert full.data.tobytes() == predict(cut, g, k, -2.5, cfg).data.tobytes()
+
+    @pytest.mark.parametrize("kind", [PredictorKind.CHTP, PredictorKind.UNIFORM_LINEAR],
+                             ids=lambda k: k.value)
+    def test_other_row_counts_are_rejected(self, kind):
+        h = _history([(3, np.zeros((10, 2))), (2, np.ones((10, 2))), (1, np.ones((10, 2)))])
+        g = group_tokens(np.arange(10.0))  # 3 chaotic rows
+        for rows in (1, 9):
+            cut = replace(h, v_prev=TokenMatrix(h.v_prev.data[:rows]))
+            with pytest.raises(DimensionError):
+                predict(cut, g, 1, -1.0, PredictorConfig(kind=kind))
 
 
 class TestRandomizeGroups:
