@@ -52,6 +52,7 @@ from .predictor import (
     hermite_alpha,
     predict,
     randomize_groups,
+    refresh,
 )
 from .skipper import (
     SkipConfig,
@@ -88,6 +89,7 @@ __all__ = [
     "push_full",
     "randomize_groups",
     "read_trace",
+    "refresh",
     "run",
     "RunMetrics",
     "RunResult",

@@ -135,31 +135,16 @@ class ResolvedConfig:
         return EulerScheduler(uniform_grid(sched["steps"], sched["t_max"]))
 
     def predictor_config(self) -> PredictorConfig:
-        p = self.values["predictor"]
-        rng_seed = p["rng_seed"]
-        if (
-            rng_seed is None
-            and p["kind"] == PredictorKind.RANDOM_GROUPING.value
-            and self.values["workload"]["seed"] is not None
-        ):
-            rng_seed = self.values["workload"]["seed"]
-        return PredictorConfig(
-            kind=PredictorKind(p["kind"]),
-            n_max=p["n_max"],
-            rng_seed=rng_seed,
-            p_stable=p["p_stable"],
-            p_chaotic=p["p_chaotic"],
-            eps=p["eps"],
-        )
+        p = dict(self.values["predictor"])
+        p["kind"] = PredictorKind(p["kind"])
+        if p["rng_seed"] is None and p["kind"] is PredictorKind.RANDOM_GROUPING:
+            p["rng_seed"] = self.values["workload"]["seed"]
+        return PredictorConfig(**p)
 
     def skip_config(self) -> SkipConfig:
-        s = self.values["skipper"]
-        return SkipConfig(
-            kind=SkipKind(s["kind"]),
-            eta=s["eta"],
-            interval=s["interval"],
-            enforce_streak_cap=s["enforce_streak_cap"],
-        )
+        s = dict(self.values["skipper"])
+        s["kind"] = SkipKind(s["kind"])
+        return SkipConfig(**s)
 
 
 def read_config_file(path) -> dict[str, dict[str, str]]:

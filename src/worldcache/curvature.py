@@ -52,10 +52,11 @@ class FullHistory:
     len(h) is the number of FULL outputs pushed, capped at 3: one for the
     newest output and one for each velocity.
 
-    push_full gives v_prev every row. Once the curvature has read it, the
-    pipeline keeps only the rows the forecast reads (predictor.row_split's
-    chaotic rows, in order; zero rows under uniform-reuse and -linear), and
-    the next push replaces it. compute_curvature rejects such a history.
+    push_full gives v_prev every row. Once the curvature has read it,
+    predictor.refresh keeps only the rows the forecast reads (row_split's
+    chaotic rows, in order; zero rows under uniform-reuse and -linear), the
+    one form predict reads, and the next push replaces it.
+    compute_curvature rejects such a history.
     """
 
     output: TokenMatrix | None = None

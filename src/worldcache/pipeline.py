@@ -3,11 +3,11 @@
 run() walks a descending timestep grid. At each decision point
 skipper.should_full picks, from plain values the loop carries (the streak
 length and the scores accumulated over it), FULL (call the backbone, push
-the output into the history, refresh the token grouping once three outputs
-exist and keep only the rows of the older velocity that the forecast reads,
-reset the streak) or CACHE (forecast the output from the history,
-extend the streak, and add skipper.cache_score to the streak's total where
-something reads it).
+the output into the history, hand it to predictor.refresh once three
+outputs exist, which returns the regrouped tokens and the history the
+forecast reads, and reset the streak) or CACHE (forecast the output from
+that history, extend the streak, and add skipper.cache_score to the
+streak's total where something reads it).
 Either way the emitted output advances the latent through the scheduler.
 oracle_run() is the no-cache reference: run() with a zero drift budget,
 which makes every step FULL by construction.
@@ -16,7 +16,7 @@ which makes every step FULL by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
@@ -24,12 +24,9 @@ import numpy as np
 
 from . import kernels
 from .core import Timestep, TokenMatrix, axpy_rows
-from .curvature import (
-    HISTORY_DEPTH, FullHistory, GroupAssignment, TokenGroup, compute_curvature,
-    group_tokens, push_full,
-)
+from .curvature import HISTORY_DEPTH, FullHistory, GroupAssignment, TokenGroup, push_full
 from .errors import OrderingError, ParameterError
-from .predictor import PredictorConfig, PredictorKind, predict, randomize_groups, row_split
+from .predictor import PredictorConfig, PredictorKind, predict, refresh
 from .skipper import SkipConfig, SkipKind, cache_score, should_full
 
 
@@ -235,19 +232,7 @@ def run(
             full_count += 1
             history = push_full(history, t, y_t)
             if len(history) == HISTORY_DEPTH:
-                kappa = compute_curvature(history, predictor_cfg.eps)
-                group = group_tokens(kappa, predictor_cfg.p_stable, predictor_cfg.p_chaotic)
-                if predictor_cfg.kind is PredictorKind.RANDOM_GROUPING:
-                    refresh = full_count - HISTORY_DEPTH  # 0 at the first refresh
-                    group = randomize_groups(group, predictor_cfg.rng_seed, refresh)
-                # Until the next push only the damped rule reads v_prev, and
-                # only its chaotic rows: keep those, or the array itself when
-                # every row is chaotic.
-                n = y_t.n_tokens
-                _, chaotic = row_split(predictor_cfg.kind, group, n)
-                if chaotic.size < n:
-                    v_prev = TokenMatrix._wrap(history.v_prev.data.take(chaotic, axis=0))
-                    history = replace(history, v_prev=v_prev)
+                history, group = refresh(history, predictor_cfg, full_count - HISTORY_DEPTH)
             k, e_acc = 0, 0.0
             decision = Decision.FULL
             e_t = 0.0

@@ -13,14 +13,18 @@ blend with every token in one group (no token stable or chaotic for
 uniform-linear, every token chaotic for uniform-damped), and uniform-reuse
 returns the last FULL output itself. The random-grouping baseline keeps the
 heterogeneous rules but permutes the labels. row_split maps a kind to its
-(stable, chaotic) rows; only the chaotic ones read the older velocity, so
-the pipeline keeps only those rows of it through a cached streak.
+(stable, chaotic) rows; only the chaotic ones read the older velocity.
+
+refresh is the one mask refresh the pipeline runs at each FULL step once
+HISTORY_DEPTH outputs exist: it takes the curvature, groups the tokens
+(permuting them under random-grouping) and cuts the older velocity to the
+chaotic rows, the one form of history predict reads through a cached streak.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,9 +35,12 @@ from .curvature import (
     DEFAULT_EPS,
     DEFAULT_P_CHAOTIC,
     DEFAULT_P_STABLE,
+    HISTORY_DEPTH,
     FullHistory,
     GroupAssignment,
     check_percentiles,
+    compute_curvature,
+    group_tokens,
 )
 from .errors import DimensionError, InsufficientHistoryError, ParameterError
 
@@ -48,15 +55,6 @@ class PredictorKind(str, Enum):
     RANDOM_GROUPING = "random-grouping"
 
 
-# Minimum FULL outputs (len of the history) each predictor kind needs before it can run.
-MIN_HISTORY = {
-    PredictorKind.CHTP: 3,
-    PredictorKind.UNIFORM_REUSE: 1,
-    PredictorKind.UNIFORM_LINEAR: 2,
-    PredictorKind.UNIFORM_DAMPED: 3,
-    PredictorKind.RANDOM_GROUPING: 3,
-}
-
 _NEEDS_GROUPS = (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING)
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -65,9 +63,10 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 class PredictorConfig:
     """Prediction policy plus the grouping knobs consumed at mask refresh.
 
-    p_stable / p_chaotic / eps control the curvature grouping recomputed at
-    every FULL step once three outputs exist; rng_seed feeds the label
-    permutation of the random-grouping baseline (required for that kind).
+    p_stable / p_chaotic / eps control the curvature grouping that refresh
+    recomputes at every FULL step once three outputs exist; rng_seed feeds
+    the label permutation of the random-grouping baseline (required for
+    that kind).
     """
 
     kind: PredictorKind = PredictorKind.CHTP
@@ -130,6 +129,30 @@ def row_split(
     return np.arange(n_tokens), _NO_ROWS  # UNIFORM_REUSE
 
 
+def refresh(
+    h: FullHistory, cfg: PredictorConfig, refresh_index: int
+) -> tuple[FullHistory, GroupAssignment]:
+    """The mask refresh at a FULL step of a history HISTORY_DEPTH deep: the
+    history predict reads until the next push, and the grouping.
+
+    The tokens are grouped by the curvature of h, and under random-grouping
+    their labels permuted, seeded by (cfg.rng_seed, refresh_index); the
+    pipeline passes full_count - HISTORY_DEPTH, 0 at the first refresh. Until
+    the next push only the damped rule reads v_prev, and only row_split's
+    chaotic rows of it: the history keeps those, in order, or the array
+    itself when every row is chaotic.
+    """
+    kappa = compute_curvature(h, cfg.eps)
+    g = group_tokens(kappa, cfg.p_stable, cfg.p_chaotic)
+    if cfg.kind is PredictorKind.RANDOM_GROUPING:
+        g = randomize_groups(g, cfg.rng_seed, refresh_index)
+    n = h.output.n_tokens
+    _, chaotic = row_split(cfg.kind, g, n)
+    if chaotic.size < n:
+        h = replace(h, v_prev=TokenMatrix._wrap(h.v_prev.data.take(chaotic, axis=0)))
+    return h, g
+
+
 def predict(
     h: FullHistory,
     g: GroupAssignment | None,
@@ -143,44 +166,35 @@ def predict(
     horizon is in scheduler-time units and signed: the pipeline passes
     t - t_full, which is negative on descending schedules and makes the
     linear rule exact on trajectories affine in scheduler time. The
-    heterogeneous kinds apply the labels in `g` as given; the pipeline
-    refreshes (and for random-grouping permutes) them at FULL steps. h.v_prev
-    holds either every row, as push_full makes it, or only the chaotic rows
-    of row_split, in order, as the pipeline keeps it; any other row count
-    raises DimensionError. A forecast past the float range raises
-    ParameterError.
+    heterogeneous kinds apply the labels in `g` as given. h holds
+    HISTORY_DEPTH outputs (fewer raise InsufficientHistoryError), with v_prev
+    cut as refresh cuts it: exactly row_split's chaotic rows, in order. Any
+    other row count raises DimensionError; uniform-reuse reads neither
+    velocity. A forecast past the float range raises ParameterError.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1 on cached steps, got {k}")
     if not math.isfinite(horizon):
         raise ParameterError(f"horizon must be finite, got {horizon}")
-    need = MIN_HISTORY[cfg.kind]
-    if len(h) < need:
+    if len(h) < HISTORY_DEPTH:
         raise InsufficientHistoryError(
-            f"{cfg.kind.value} needs {need} FULL outputs, have {len(h)}"
+            f"{cfg.kind.value} needs {HISTORY_DEPTH} FULL outputs, have {len(h)}"
         )
     y_star = h.output
 
     if cfg.kind is PredictorKind.UNIFORM_REUSE:
         return y_star
 
-    n = y_star.n_tokens
-    stable, chaotic = row_split(cfg.kind, g, n)
-    alpha = hermite_alpha(k, cfg.n_max)
-    v_latest = h.v_latest.data
-    # Uniform-linear may run on two outputs and reads no v_prev (no row is
-    # chaotic); zero rows of v_latest stand in so the kernel takes the same
-    # arguments.
-    v_prev = h.v_prev.data if h.v_prev is not None else v_latest[:0]
-    if len(v_prev) == n and chaotic.size < n:
-        v_prev = v_prev.take(chaotic, axis=0)
-    elif len(v_prev) != chaotic.size:
+    stable, chaotic = row_split(cfg.kind, g, y_star.n_tokens)
+    v_prev = h.v_prev.data
+    if len(v_prev) != chaotic.size:
         raise DimensionError(
-            f"v_prev has {len(v_prev)} rows, for {n} tokens and {chaotic.size} chaotic"
+            f"v_prev has {len(v_prev)} rows, for {chaotic.size} chaotic tokens"
         )
+    alpha = hermite_alpha(k, cfg.n_max)
     with finite_math():  # the blend's FloatingPointError becomes ParameterError
         out = kernels.blend_rows(
-            y_star.data, v_latest, v_prev, stable, chaotic, float(horizon), alpha
+            y_star.data, h.v_latest.data, v_prev, stable, chaotic, float(horizon), alpha
         )
     return TokenMatrix._wrap(out)
 
@@ -190,8 +204,8 @@ def randomize_groups(
 ) -> GroupAssignment:
     """Permute labels uniformly at random while preserving group sizes.
 
-    Deterministic in (seed, refresh_index): the pipeline calls this once per
-    mask refresh so a whole cached streak shares one permutation, matching the
+    Deterministic in (seed, refresh_index): refresh calls this once per mask
+    refresh so a whole cached streak shares one permutation, matching the
     refresh cadence of the real grouping.
     """
     rng = np.random.default_rng((int(seed), int(refresh_index)))

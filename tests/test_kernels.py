@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from worldcache.curvature import TokenGroup
 from worldcache.kernels import (
     blend_rows,
     curvature_rows,
@@ -16,7 +15,7 @@ from worldcache.kernels import (
     sumsq,
 )
 
-LABEL_STABLE, LABEL_LINEAR, LABEL_CHAOTIC = (int(g) for g in TokenGroup)
+from forecasts import LABEL_CHAOTIC, LABEL_LINEAR, LABEL_STABLE, ref_blend
 
 
 def _rng(seed=0):
@@ -38,7 +37,8 @@ def _rows(labels, label):
 
 
 # ---------------------------------------------------------------------------
-# Scalar pure-Python reference of the four formulas, one row at a time.
+# Scalar pure-Python reference of the four formulas, one row at a time (the
+# blend's, ref_blend, is shared with the forecast tests).
 #
 # On dyadic inputs (k / 1024 with |k| <= 2**20) every square and every row sum
 # is exact, so the reference and the kernels round the same operations in the
@@ -55,17 +55,6 @@ def ref_curvature(v_latest, v_prev, dt, eps):
     if denom == 0.0:
         return 0.0 if a_norm == 0.0 else math.inf
     return a_norm / denom
-
-
-def ref_blend(y_star, v_latest, v_prev, label, horizon, alpha):
-    if label == LABEL_STABLE:
-        return list(y_star)
-    if label == LABEL_LINEAR:
-        return [y + horizon * v for y, v in zip(y_star, v_latest)]
-    return [
-        y + horizon * ((1.0 - alpha) * vl + alpha * vp)
-        for y, vl, vp in zip(y_star, v_latest, v_prev)
-    ]
 
 
 def ref_drift_mean(y_t, y_prev, kappa, labels):

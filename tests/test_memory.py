@@ -23,6 +23,8 @@ import pytest
 
 from worldcache import (
     EulerScheduler,
+    PredictorConfig,
+    PredictorKind,
     Preset,
     SyntheticBackbone,
     SyntheticSpec,
@@ -74,16 +76,31 @@ def _mixed():
     return backbone, EulerScheduler(uniform_grid(STEPS)), backbone.initial_latent()
 
 
-# The oracle reads 5.14 matrices and a cached run 5.45; 6.05 and 6.07 while
-# the loop held every row of the older velocity.
+# The oracle reads 5.11 matrices and a default cached run 5.36; 6.05 and 6.07
+# while the loop held every row of the older velocity.
 def test_oracle_run_peak_is_at_most_five_and_a_half_matrices():
     peak = _traced_peak(oracle_run, *_mixed(), record_outputs=False)
     assert peak / MATRIX <= 5.5
 
 
-def test_cached_run_peak_is_at_most_five_and_three_quarter_matrices():
-    peak = _traced_peak(run, *_mixed())
-    assert peak / MATRIX <= 5.75
+# A cached run's peak per predictor kind (rng_seed 3), with the reading beside
+# each bound. Under uniform-damped the blend gathers and scatters whole
+# matrices, as it takes every row as chaotic. Only random-grouping's streaks
+# here run past one cached step, where the last forecast is held beside the
+# next (uniform-reuse's forecast is the FULL output itself).
+_CACHED_RUN_BOUND = {
+    PredictorKind.CHTP: 5.5,              # 5.36
+    PredictorKind.UNIFORM_REUSE: 5.25,    # 5.13
+    PredictorKind.UNIFORM_LINEAR: 5.25,   # 5.13
+    PredictorKind.UNIFORM_DAMPED: 7.2,    # 7.05
+    PredictorKind.RANDOM_GROUPING: 6.4,   # 6.26
+}
+
+
+@pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
+def test_cached_run_peak_is_at_most_its_kinds_bound(kind):
+    peak = _traced_peak(run, *_mixed(), PredictorConfig(kind=kind, rng_seed=3))
+    assert peak / MATRIX <= _CACHED_RUN_BOUND[kind]
 
 
 class _Held:

@@ -31,6 +31,8 @@ from worldcache import (
 )
 from worldcache.cli import main
 
+from forecasts import cut_history
+
 NON_FINITE = "token matrix contains non-finite values"
 STABLE, LINEAR, CHAOTIC = (int(g) for g in TokenGroup)
 
@@ -43,7 +45,8 @@ def _quiet(fn, *args):
 
 
 def _history(y_star, v_latest, v_prev) -> FullHistory:
-    """Three FULL outputs ending in y_star, with the given velocities."""
+    """Three FULL outputs ending in y_star, with the given velocities, as
+    push_full makes them: v_prev has every row."""
     return FullHistory(
         TokenMatrix(y_star), 0.0, 1.0, TokenMatrix(v_latest), TokenMatrix(v_prev)
     )
@@ -101,14 +104,16 @@ class TestForecast:
     @pytest.mark.parametrize("label", [LINEAR, CHAOTIC])
     def test_a_row_past_the_range_raises(self, label):
         h = _history([[1.0], [1.0]], [[1e308], [2.0]], [[1e308], [2.0]])
+        g = _groups([label, LINEAR])
         with pytest.raises(ParameterError, match=NON_FINITE):
-            _quiet(predict, h, _groups([label, LINEAR]), 6, 3.0, PredictorConfig())
+            _quiet(predict, cut_history(h, g), g, 6, 3.0, PredictorConfig())
 
     def test_a_chaotic_row_past_the_range_on_its_older_velocity_raises(self):
         # alpha = 1 at k >= n_max: the damped rule reads only v_prev
         h = _history([[1.0], [1.0]], [[2.0], [2.0]], [[1e308], [2.0]])
+        g = _groups([CHAOTIC, LINEAR])
         with pytest.raises(ParameterError, match=NON_FINITE):
-            _quiet(predict, h, _groups([CHAOTIC, LINEAR]), 6, 3.0, PredictorConfig())
+            _quiet(predict, cut_history(h, g), g, 6, 3.0, PredictorConfig())
 
     @pytest.mark.parametrize(
         "label, v_prev, want",
@@ -121,7 +126,8 @@ class TestForecast:
         # the linear rule of a stable or chaotic row is replaced by its own
         # rule; at alpha = 1 the chaotic row reads only v_prev
         h = _history([[1.0], [1.0]], [[1e308], [2.0]], [[v_prev], [2.0]])
-        out = _quiet(predict, h, _groups([label, LINEAR]), 6, 3.0, PredictorConfig())
+        g = _groups([label, LINEAR])
+        out = _quiet(predict, cut_history(h, g), g, 6, 3.0, PredictorConfig())
         assert out.data.tolist() == [[want], [7.0]]
 
 
@@ -197,5 +203,6 @@ class TestGuardsMatchAScan:
             PredictorKind.UNIFORM_LINEAR: linear,
             PredictorKind.UNIFORM_DAMPED: damped,
         }.get(kind, np.where(rows == STABLE, y, np.where(rows == CHAOTIC, damped, linear)))
-        args = (_history(y, v_latest, v_prev), _groups(labels), k, horizon, cfg)
+        g = _groups(labels)
+        args = (cut_history(_history(y, v_latest, v_prev), g, kind), g, k, horizon, cfg)
         _raises_unless_finite(predict, args, want)

@@ -34,6 +34,11 @@ def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
     assert metric["backbone_sim.write_trace_s"] > 0
     assert metric["backbone_sim.read_trace_calls"] == 1
     assert metric["backbone_sim.trace_bytes"] == 2 * 3932661
+    # the groupings the refreshes build and the forecasts they feed, counted
+    # through the names the loop calls: a call the rebinding misses reads 0
+    assert metric["curvature.groupings_built"] == 242
+    assert metric["curvature.grouping_read_ratio"] == 123 / 242
+    assert metric["predictor.predict_calls"] == 454
 
 
 def test_policy_bound_is_correct():

@@ -29,7 +29,7 @@ from worldcache import (
     uniform_grid,
     write_trace,
 )
-from worldcache import kernels, pipeline, skipper
+from worldcache import kernels, pipeline, predictor, skipper
 from worldcache.curvature import HISTORY_DEPTH, TokenGroup, group_tokens
 from worldcache.errors import OrderingError
 from worldcache.pipeline import step_errors
@@ -329,9 +329,9 @@ class TestConstantTrajectories:
         ref = oracle_run(backbone, sched, z0)
         groups = []
         with mock.patch.object(
-            pipeline, "group_tokens", _capturing(groups, pipeline.group_tokens)
+            predictor, "group_tokens", _capturing(groups, predictor.group_tokens)
         ), mock.patch.object(
-            pipeline, "randomize_groups", _capturing(groups, pipeline.randomize_groups)
+            predictor, "randomize_groups", _capturing(groups, predictor.randomize_groups)
         ):
             result = run(backbone, sched, z0, pcfg, oracle_outputs=ref.surrogates)
 
@@ -546,8 +546,8 @@ class TestHeldOlderVelocity:
         pipeline_push, pipeline_predict = pipeline.push_full, pipeline.predict
         monkeypatch.setattr(pipeline, "push_full", push)
         monkeypatch.setattr(pipeline, "predict", forecast)
-        monkeypatch.setattr(pipeline, "group_tokens", grouping(pipeline.group_tokens))
-        monkeypatch.setattr(pipeline, "randomize_groups", grouping(pipeline.randomize_groups))
+        monkeypatch.setattr(predictor, "group_tokens", grouping(predictor.group_tokens))
+        monkeypatch.setattr(predictor, "randomize_groups", grouping(predictor.randomize_groups))
         return call(), seen
 
     @pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)

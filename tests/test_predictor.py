@@ -15,14 +15,16 @@ from worldcache import (
     Timestep,
     TokenGroup,
     TokenMatrix,
-    compute_curvature,
     group_tokens,
     hermite_alpha,
     predict,
     push_full,
+    refresh,
 )
 from worldcache.curvature import GroupAssignment
 from worldcache.predictor import randomize_groups
+
+from forecasts import LABEL_CHAOTIC, LABEL_LINEAR, LABEL_STABLE, cut_history, ref_blend
 
 
 def _history(ts_and_rows):
@@ -111,22 +113,23 @@ class TestPredict:
     def test_all_stable_is_pure_reuse(self):
         h = _history([(3, [[1.0], [2.0]]), (2, [[3.0], [4.0]]), (1, [[5.0], [6.0]])])
         g = _labels([TokenGroup.STABLE, TokenGroup.STABLE])
-        out = predict(h, g, 2, -1.0, PredictorConfig())
+        out = predict(cut_history(h, g), g, 2, -1.0, PredictorConfig())
         assert out == h.output
 
     def test_linear_branch_arithmetic(self):
         # y* = 5, v = 2, horizon = 3 -> 11; the descending grid 3 -> 1 with
         # outputs 9 -> 5 yields v = (5-9)/(1-3) = 2
-        h = _history([(3, [9.0]), (1, [5.0])])
+        h = _history([(5, [13.0]), (3, [9.0]), (1, [5.0])])
         assert h.v_latest.data.tolist() == [[2.0]]
         g = _labels([TokenGroup.LINEAR])
-        out = predict(h, g, 1, 3.0, PredictorConfig(kind=PredictorKind.UNIFORM_LINEAR))
+        kind = PredictorKind.UNIFORM_LINEAR
+        out = predict(cut_history(h, g, kind), g, 1, 3.0, PredictorConfig(kind=kind))
         assert out.data.tolist() == [[11.0]]
 
     def test_linear_branch_via_grouped_kind(self):
         h = _history([(3, [9.0]), (2, [7.0]), (1, [5.0])])
         g = _labels([TokenGroup.LINEAR])
-        out = predict(h, g, 1, 3.0, PredictorConfig())
+        out = predict(cut_history(h, g), g, 1, 3.0, PredictorConfig())
         assert out.data.tolist() == [[11.0]]
 
     def test_chaotic_branch_arithmetic(self):
@@ -140,18 +143,16 @@ class TestPredict:
         assert out.data.tolist() == [[3.0]]
 
     def test_uniform_reuse_ignores_labels(self):
-        h = _history([(3, [[1.0], [2.0]]), (2, [[7.0], [9.0]])])
+        h = _history([(4, [[0.0], [0.0]]), (3, [[1.0], [2.0]]), (2, [[7.0], [9.0]])])
         g = _labels([TokenGroup.CHAOTIC, TokenGroup.LINEAR])
-        out = predict(
-            h, g, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_REUSE)
-        )
+        kind = PredictorKind.UNIFORM_REUSE
+        out = predict(cut_history(h, g, kind), g, 1, -1.0, PredictorConfig(kind=kind))
         assert out == h.output
 
     def test_uniform_kinds_accept_missing_assignment(self):
-        h = _history([(3, [1.0]), (2, [2.0])])
-        out = predict(
-            h, None, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_LINEAR)
-        )
+        h = _history([(4, [0.0]), (3, [1.0]), (2, [2.0])])
+        kind = PredictorKind.UNIFORM_LINEAR
+        out = predict(cut_history(h, None, kind), None, 1, -1.0, PredictorConfig(kind=kind))
         assert out.data.tolist() == [[3.0]]
 
     def test_heterogeneous_kinds_require_assignment(self):
@@ -166,16 +167,14 @@ class TestPredict:
             predict(h, g, 1, -1.0, PredictorConfig())
 
     def test_history_depth_requirements(self):
+        # every kind forecasts from HISTORY_DEPTH outputs, as the warmup makes
         one = _history([(3, [1.0])])
         two = _history([(3, [1.0]), (2, [2.0])])
-        assert predict(
-            one, None, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_REUSE)
-        ) == one.output
-        with pytest.raises(InsufficientHistoryError):
-            predict(one, None, 1, -1.0, PredictorConfig(kind=PredictorKind.UNIFORM_LINEAR))
         g = _labels([TokenGroup.CHAOTIC])
-        with pytest.raises(InsufficientHistoryError):
-            predict(two, g, 1, -1.0, PredictorConfig())
+        for kind in PredictorKind:
+            for h in (one, two):
+                with pytest.raises(InsufficientHistoryError):
+                    predict(h, g, 1, -1.0, PredictorConfig(kind=kind, rng_seed=0))
 
     def test_rejects_bad_k_and_horizon(self):
         h = _history([(3, [1.0]), (2, [2.0]), (1, [3.0])])
@@ -194,7 +193,7 @@ class TestPredict:
             ]
         )
         g = _labels([TokenGroup.STABLE, TokenGroup.LINEAR, TokenGroup.CHAOTIC])
-        out = predict(h, g, 3, -2.0, PredictorConfig(n_max=6))
+        out = predict(cut_history(h, g), g, 3, -2.0, PredictorConfig(n_max=6))
         # stable reuses 2; linear extrapolates 3 + (-2)(-2) = 7
         # chaotic blends v_latest=-3, v_prev=-1 at alpha .5 -> -2, 4+(-2)(-2)=8
         assert out.data.tolist() == [[2.0], [7.0], [8.0]]
@@ -219,15 +218,15 @@ class TestPredict:
             scaled = _history(
                 [(9, s * outputs[0]), (6, s * outputs[1]), (2, s * outputs[2])]
             )
-            a = predict(base, g, k, horizon, cfg)
-            b = predict(scaled, g, k, horizon, cfg)
+            a = predict(cut_history(base, g, kind), g, k, horizon, cfg)
+            b = predict(cut_history(scaled, g, kind), g, k, horizon, cfg)
             np.testing.assert_allclose(b.data, s * a.data, rtol=1e-9, atol=1e-9)
 
 
 class TestUniformKindsAreRowSplits:
     """A uniform kind is the heterogeneous blend with every token in one
     group: no row stable or chaotic for uniform-linear, every row chaotic for
-    uniform-damped. The forecasts agree bit for bit."""
+    uniform-damped. The forecasts off each one's refresh agree bit for bit."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -244,39 +243,52 @@ class TestUniformKindsAreRowSplits:
         rng = np.random.default_rng(seed)
         outputs = 10.0**log_scale * rng.normal(size=(3, n, d))
         h = _history([(9, outputs[0]), (6, outputs[1]), (2, outputs[2])])
-        kappa = compute_curvature(h)
-        chtp = PredictorConfig(kind=PredictorKind.CHTP)
         for kind, p_chaotic in ((PredictorKind.UNIFORM_LINEAR, 1.0),
                                 (PredictorKind.UNIFORM_DAMPED, 0.0)):
-            uniform = predict(h, None, k, horizon, PredictorConfig(kind=kind))
-            split = predict(h, group_tokens(kappa, 0.0, p_chaotic), k, horizon, chtp)
+            cfg = PredictorConfig(kind=kind)
+            held, _ = refresh(h, cfg, 0)
+            uniform = predict(held, None, k, horizon, cfg)
+            chtp = PredictorConfig(p_stable=0.0, p_chaotic=p_chaotic)
+            held, g = refresh(h, chtp, 0)
+            split = predict(held, g, k, horizon, chtp)
             assert uniform.data.tobytes() == split.data.tobytes(), kind
 
 
 class TestCutHistory:
-    """predict reads the same forecast off a history whose v_prev holds every
-    row (as push_full makes it) and off its twin that keeps only the chaotic
-    rows (as the pipeline holds it through a cached streak)."""
+    """refresh keeps, of v_prev, the rows the damped rule reads, and predict
+    reads that one form: its forecast off refresh's history is, bit for bit,
+    the scalar blend of the full arrays push_full made, and a v_prev with any
+    other row count is rejected."""
 
-    @staticmethod
-    def _chaotic(kind, g, n):
-        if kind in (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING):
-            return g.members[TokenGroup.CHAOTIC]
-        if kind is PredictorKind.UNIFORM_DAMPED:
-            return np.arange(n)
-        return np.empty(0, dtype=np.intp)
+    # the one label a uniform kind gives every row
+    _UNIFORM_LABEL = {
+        PredictorKind.UNIFORM_REUSE: LABEL_STABLE,
+        PredictorKind.UNIFORM_LINEAR: LABEL_LINEAR,
+        PredictorKind.UNIFORM_DAMPED: LABEL_CHAOTIC,
+    }
 
     @pytest.mark.parametrize("kind", list(PredictorKind), ids=lambda k: k.value)
-    def test_full_and_cut_histories_forecast_the_same_bits(self, kind):
+    def test_refreshed_history_forecasts_the_blend_of_the_full_arrays(self, kind):
         rng = np.random.default_rng(23)
         outputs = rng.normal(size=(3, 10, 4))
         h = _history([(9, outputs[0]), (6, outputs[1]), (2, outputs[2])])
-        g = group_tokens(rng.random(10))
-        cut = replace(h, v_prev=TokenMatrix(h.v_prev.data[self._chaotic(kind, g, 10)]))
         cfg = PredictorConfig(kind=kind, rng_seed=0)
+        held, g = refresh(h, cfg, 0)
+        labels = [self._UNIFORM_LABEL.get(kind)] * 10
+        if kind in (PredictorKind.CHTP, PredictorKind.RANDOM_GROUPING):
+            labels = g.labels.tolist()
+        rows = list(zip(h.output.data.tolist(), h.v_latest.data.tolist(),
+                        h.v_prev.data.tolist(), labels))
         for k in (1, 3, 7):
-            full = predict(h, g, k, -2.5, cfg)
-            assert full.data.tobytes() == predict(cut, g, k, -2.5, cfg).data.tobytes()
+            alpha = hermite_alpha(k, cfg.n_max)
+            want = np.array([ref_blend(*row, -2.5, alpha) for row in rows])
+            assert predict(held, g, k, -2.5, cfg).data.tobytes() == want.tobytes()
+
+    def test_a_push_full_history_is_rejected_under_chtp(self):
+        h = _history([(3, np.zeros((10, 2))), (2, np.ones((10, 2))), (1, np.ones((10, 2)))])
+        g = group_tokens(np.arange(10.0))  # 3 chaotic rows of v_prev's 10
+        with pytest.raises(DimensionError):
+            predict(h, g, 1, -1.0, PredictorConfig())
 
     @pytest.mark.parametrize("kind", [PredictorKind.CHTP, PredictorKind.UNIFORM_LINEAR],
                              ids=lambda k: k.value)
