@@ -29,7 +29,7 @@ class Modality(IntEnum):
     OTHER = 2
 
 
-_NON_FINITE = "token matrix contains non-finite values"
+NON_FINITE = "token matrix contains non-finite values"
 
 
 class finite_math(np.errstate):
@@ -51,7 +51,7 @@ class finite_math(np.errstate):
     def __exit__(self, exc_type, exc, tb):
         super().__exit__(exc_type, exc, tb)
         if exc_type is FloatingPointError:
-            raise ParameterError(_NON_FINITE) from None
+            raise ParameterError(NON_FINITE) from None
 
 
 class TokenMatrix:
@@ -85,7 +85,7 @@ class TokenMatrix:
                 f"token matrix must be 2-D (n_tokens x dims), got shape {arr.shape}"
             )
         if arr.size and not np.isfinite(arr).all():
-            raise ParameterError(_NON_FINITE)
+            raise ParameterError(NON_FINITE)
         arr.setflags(write=False)
         self._data, self._fro = arr, None
         return self
@@ -160,7 +160,7 @@ def axpy_rows(a: TokenMatrix, b: TokenMatrix, s: float) -> TokenMatrix:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.data.size and not math.isfinite(s):  # inf * b sets no flag
-        raise ParameterError(_NON_FINITE)
+        raise ParameterError(NON_FINITE)
     with finite_math():
         out = s * b.data
         out += a.data

@@ -1,15 +1,16 @@
 """Numeric kernels for the rowwise policy math, in numpy.
 
-Row norms, curvature, the prediction blend and the drift score run on every
-step. The blend takes one (stable, chaotic) row split; the uniform baselines
-are that split with every token in one group. Every norm squares its input
+The curvature runs at each mask refresh, the prediction blend and the drift
+score on cached steps, and row norms wherever groups are scored. The blend
+takes one (stable, chaotic) row split; the uniform baselines are that split
+with every token in one group. The blend and the drift score build each
+output-sized array once, in place where they can. Every norm squares its input
 once, by einsum into row sums (sumsq); a Frobenius norm adds those pairwise
 (np.add.reduce), and the drift score adds its rows strictly left to right, so
 a run is bit-reproducible. row_norms, fro_norm and curvature_rows are
 scale-safe: a sum of squares past the normal range is redone at a power of 2.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -53,12 +54,17 @@ def row_norms(a: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
 def fro_norm(a: np.ndarray, sums: np.ndarray | None = None) -> float:
     """Frobenius norm, the root of the pairwise sum of the row sums (sumsq(a)
     unless given: a caller that gives them ignores overflow, as step_errors does)."""
-    quiet = np.errstate(over="ignore") if sums is None else contextlib.nullcontext()
-    with quiet:  # a norm past the float range is inf
-        sq = float(np.add.reduce(sumsq(a) if sums is None else sums))
-        if sq == math.inf or 0.0 < sq < _TINY:  # ||a|| = 2**k ||2**-k a||, as in row_norms
-            k = int(np.frexp(np.abs(a).max())[1])
-            return float(np.ldexp(math.sqrt(np.add.reduce(sumsq(np.ldexp(a, -k)))), k))
+    if sums is None:
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            return _fro(a, sumsq(a))
+    return _fro(a, sums)
+
+
+def _fro(a, sums):
+    sq = float(np.add.reduce(sums))
+    if sq == math.inf or 0.0 < sq < _TINY:  # ||a|| = 2**k ||2**-k a||, as in row_norms
+        k = int(np.frexp(np.abs(a).max())[1])
+        return float(np.ldexp(math.sqrt(np.add.reduce(sumsq(np.ldexp(a, -k)))), k))
     return math.sqrt(sq)
 
 
@@ -112,7 +118,8 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
     and the rest the linear one. v_prev holds the older velocity of the
     chaotic rows only, one row per entry of `chaotic` and in its order. A
     uniform baseline is one split: no rows for linear everywhere, every row
-    chaotic for damped everywhere.
+    chaotic for damped everywhere, where the damped rows are the forecast
+    itself and nothing is gathered or scattered.
 
     The blend runs under the FPU's overflow and invalid flags, which its
     finite operands set only past the float range; the result is scanned only
@@ -121,17 +128,26 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
     chaotic rows take the linear rule first and are then overwritten, so an
     overflow there is discarded."""
     fired = []
-    out = np.empty_like(y_star)
     with np.errstate(over="call", invalid="call", call=lambda err, flag: fired.append(err)):
-        if stable.size + chaotic.size < len(out):
-            np.multiply(horizon, v_latest, out=out)
+        if chaotic.size == len(y_star):  # every row damped, in order
+            out = np.multiply(1.0 - alpha, v_latest)
+            out += alpha * v_prev
+            out *= horizon
             out += y_star
-        out[stable] = y_star.take(stable, axis=0)
-        vel = (1.0 - alpha) * v_latest.take(chaotic, axis=0)
-        vel += alpha * v_prev
-        vel *= horizon
-        vel += y_star.take(chaotic, axis=0)
-        out[chaotic] = vel
+        else:
+            out = np.empty_like(y_star)
+            if stable.size + chaotic.size < len(out):
+                np.multiply(horizon, v_latest, out=out)
+                out += y_star
+            out[stable] = y_star.take(stable, axis=0)
+            vel = v_latest.take(chaotic, axis=0)
+            vel *= 1.0 - alpha
+            scratch = np.multiply(alpha, v_prev)
+            vel += scratch
+            vel *= horizon
+            # the rows were checked by the take above; "raise" would buffer
+            vel += y_star.take(chaotic, axis=0, out=scratch, mode="clip")
+            out[chaotic] = vel
     if fired and not np.isfinite(out).all():
         raise FloatingPointError(f"{fired[0]} in a forecast row")
     return out
@@ -140,12 +156,18 @@ def blend_rows(y_star, v_latest, v_prev, stable, chaotic, horizon, alpha):
 def drift_mean(y_t, y_prev, kappa, chaotic):
     """Mean of kappa_i ||y_t,i - y_prev,i|| over the rows listed in `chaotic`
     (ascending indices), or over all rows if it is empty. Only those rows'
-    norms are computed. A non-finite mean (an inf kappa, or a difference past
-    the float range) is returned without a warning, for the caller to reject."""
-    if chaotic.size:
-        y_t, y_prev = y_t.take(chaotic, axis=0), y_prev.take(chaotic, axis=0)
-        kappa = kappa.take(chaotic)
+    norms are computed, from one array of their differences. A non-finite
+    mean (an inf kappa, or a difference past the float range) is returned
+    without a warning, for the caller to reject."""
     with np.errstate(over="ignore", invalid="ignore"):
-        diff_norm = np.sqrt(sumsq(y_t - y_prev))
+        if chaotic.size:
+            diff = y_t.take(chaotic, axis=0)
+            diff -= y_prev.take(chaotic, axis=0)
+            kappa = kappa.take(chaotic)
+        else:
+            diff = y_t - y_prev
+        terms = sumsq(diff)
+        np.sqrt(terms, out=terms)
+        np.multiply(kappa, terms, out=terms)
         # cumsum adds strictly left to right, unlike sum's pairwise tree
-        return np.cumsum(kappa * diff_norm)[-1] / kappa.size
+        return np.cumsum(terms)[-1] / kappa.size

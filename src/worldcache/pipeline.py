@@ -110,14 +110,17 @@ class RunResult:
 
 
 _TINY = 1e-30
+_NO_GROUP_ERRORS = (math.nan,) * len(TokenGroup)
 
 
-def _diff_norms(diff: np.ndarray, groups: tuple[np.ndarray, ...]) -> tuple[float, list[float]]:
+def _diff_norms(
+    diff: np.ndarray, groups: tuple[np.ndarray, ...]
+) -> tuple[float, Sequence[float]]:
     """||diff||_F and its mean row norm per group (as .mean() rounds it), from one sumsq."""
     sums = kernels.sumsq(diff)
     num = kernels.fro_norm(diff, sums)
     if not groups:
-        return num, [math.nan] * len(TokenGroup)
+        return num, _NO_GROUP_ERRORS
     row_err = kernels.row_norms(diff, sums)
     return num, [
         float(np.add.reduce(row_err.take(rows)) / rows.size) if rows.size else math.nan
@@ -139,11 +142,12 @@ def step_errors(
     (kernels.row_norms). ||y_o||_F is oracle_y's kept norm, so a reference
     output scored by many runs is normed once. oracle_y may also be a float32
     trace block with the norm of its widening (TraceOutputs.references):
-    y - block widens each entry exactly, so the errors have the widened
-    matrix's bits. Where the difference, a norm or a group's sum passes the
-    float range, the values that overflowed are taken again at an exact
-    power-of-two scale, so an error is inf only if it lies past the float
-    range itself; the others keep their bits.
+    the block is widened once, exactly, into the array the difference is
+    taken in, so the errors have the widened matrix's bits. Where the
+    difference, a norm or a group's sum passes the float range, the values
+    that overflowed are taken again at an exact power-of-two scale, so an
+    error is inf only if it lies past the float range itself; the others keep
+    their bits.
 
     When y is oracle_y itself (a replayed FULL step emits the reference's own
     output), nothing is computed: every difference is 0, so rel and each
@@ -151,14 +155,19 @@ def step_errors(
     """
     if y is oracle_y:
         if g is None:
-            return 0.0, math.nan, math.nan, math.nan
+            return (0.0, *_NO_GROUP_ERRORS)
         return (0.0, *(0.0 if rows.size else math.nan for rows in g.members))
     groups = () if g is None else g.members
     if isinstance(oracle_y, TokenMatrix):
         oracle_y = oracle_y.data, oracle_y.fro_norm()
     ref, den = oracle_y
     with np.errstate(over="ignore"):  # what overflows is taken again below
-        num, per_group = _diff_norms(y.data - ref, groups)
+        if ref.dtype == np.float64:
+            diff = y.data - ref
+        else:  # widen the block once (exactly) and subtract into it
+            diff = ref.astype(np.float64)
+            np.subtract(y.data, diff, out=diff)
+        num, per_group = _diff_norms(diff, groups)
         rel = num / (den + _TINY)
         if math.inf in (num, den, *per_group):
             # Norms and means scale exactly with y and y_o, so take them at
@@ -175,7 +184,7 @@ def step_errors(
                 rel = float(np.ldexp(num_s / (den + _TINY), k))
             per_group = [float(np.ldexp(s, k)) if m == math.inf else m
                          for m, s in zip(per_group, means_s)]
-    return rel, per_group[0], per_group[1], per_group[2]
+    return (rel, *per_group)
 
 
 def run(

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .core import TokenMatrix, finite_math
+from .core import NON_FINITE, TokenMatrix
 from .curvature import (
     DEFAULT_EPS,
     DEFAULT_P_CHAOTIC,
@@ -192,10 +192,12 @@ def predict(
             f"v_prev has {len(v_prev)} rows, for {chaotic.size} chaotic tokens"
         )
     alpha = hermite_alpha(k, cfg.n_max)
-    with finite_math():  # the blend's FloatingPointError becomes ParameterError
+    try:  # the blend watches the FPU flags itself
         out = kernels.blend_rows(
             y_star.data, h.v_latest.data, v_prev, stable, chaotic, float(horizon), alpha
         )
+    except FloatingPointError:
+        raise ParameterError(NON_FINITE) from None
     return TokenMatrix._wrap(out)
 
 

@@ -39,6 +39,11 @@ def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
     assert metric["curvature.groupings_built"] == 242
     assert metric["curvature.grouping_read_ratio"] == 123 / 242
     assert metric["predictor.predict_calls"] == 454
+    assert metric["skipper.drift_score_calls"] == 214
+    # the kernels those calls make, reached through the module attribute: a
+    # kernel inlined into its caller would read 0 in the per-layer report
+    assert metric["kernels.blend_rows_s"] > 0
+    assert metric["kernels.drift_mean_s"] > 0
 
 
 def test_policy_bound_is_correct():
