@@ -40,13 +40,13 @@ from .backbone_sim import (
 from .bench import RunMetrics, compare_runs, sweep
 from .config import (
     ResolvedConfig,
-    apply_axis_override,
     echo_config,
     format_value,
     merge,
     read_config_file,
     resolve,
     sweep_axes,
+    sweep_cell,
     sweep_seeds,
 )
 from .core import TokenMatrix
@@ -181,31 +181,28 @@ def _collect_overrides(args) -> dict[str, dict[str, str]]:
 
 
 def _load(args) -> ResolvedConfig:
+    """The config of a one-run command, which reads no [sweep] key: setting one
+    would only change the run id."""
     file_raw = read_config_file(args.config) if getattr(args, "config", None) else None
-    return resolve(file_raw, _collect_overrides(args))
+    cfg = resolve(file_raw, _collect_overrides(args))
+    for key, val in cfg.values["sweep"].items():
+        if val:
+            raise ConfigError(f"sweep.{key} is set, but {args.command} does not read it")
+    return cfg
 
 
 def _run_identifier(cfg: ResolvedConfig) -> str:
     explicit = cfg.values["output"]["run_id"]
     if explicit:
         return explicit
-    digest = hashlib.sha256(echo_config(cfg).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(echo_config(cfg.values).encode("utf-8")).hexdigest()
     return "run-" + digest[:12]
 
 
-def _manifest_meta(command: str) -> dict[str, str]:
-    return {
-        "version": __version__,
-        "command": command,
-        "backend": kernels.BACKEND,
-    }
-
-
 def _write_manifest(path: Path, cfg: ResolvedConfig, command: str, run_id: str) -> None:
-    values = {sec: dict(kv) for sec, kv in cfg.values.items()}
-    values["output"]["run_id"] = run_id
-    text = echo_config(ResolvedConfig(values), _manifest_meta(command))
-    path.write_text(text, encoding="utf-8")
+    values = {**cfg.values, "output": {**cfg.values["output"], "run_id": run_id}}
+    meta = {"version": __version__, "command": command, "backend": kernels.BACKEND}
+    path.write_text(echo_config(values, meta), encoding="utf-8")
 
 
 class _Reference(NamedTuple):
@@ -227,8 +224,7 @@ def _reference(cfg: ResolvedConfig) -> _Reference:
         backbone = read_trace(w["trace_path"])
         scheduler, outputs = EulerScheduler(backbone.replay_grid()), backbone.outputs.references
     else:
-        backbone, outputs = SyntheticBackbone(cfg.synthetic_spec()), None
-        scheduler = cfg.synthetic_scheduler()
+        backbone, scheduler, outputs = SyntheticBackbone(cfg.spec), cfg.scheduler, None
     z_init = backbone.initial_latent()
     oracle = oracle_run(backbone, scheduler, z_init, record_outputs=outputs is None)
     outputs = oracle.surrogates if outputs is None else outputs
@@ -242,8 +238,8 @@ def _execute(
         ref.backbone,
         ref.scheduler,
         ref.z_init,
-        cfg.predictor_config(),
-        cfg.skip_config(),
+        cfg.predictor,
+        cfg.skipper,
         oracle_outputs=ref.outputs,
         full_records=full_records,
     )
@@ -304,23 +300,21 @@ def cmd_run(args) -> int:
 
 
 def _sweep_cells(file_raw, base_overrides, seed):
-    """One seed's cells, sharing the reference of the seed's base config (sweep
-    axes set only [predictor] and [skipper] keys); module level so process
-    pools can pickle it."""
+    """One seed's cells, sharing the seed's base config and its reference
+    (sweep axes set only [predictor] and [skipper] keys); module level so
+    process pools can pickle it."""
     overrides = {sec: dict(kv) for sec, kv in base_overrides.items()}
     overrides.setdefault("workload", {})["seed"] = str(seed)
-    ref = _reference(resolve(file_raw, overrides))
-    return functools.partial(_sweep_worker, file_raw, overrides, ref)
+    cfg = resolve(file_raw, overrides)
+    return functools.partial(_sweep_worker, cfg, _reference(cfg))
 
 
-def _sweep_worker(file_raw, seed_overrides, ref, point) -> RunMetrics:
-    """One sweep cell, scored against its seed's reference. The sweep CSV
-    reads only the counts and the relative errors, so the run keeps no full
-    records: no per-group error is scored, and outside CAS no drift."""
-    overrides = {sec: dict(kv) for sec, kv in seed_overrides.items()}
-    for axis, value in point.items():
-        apply_axis_override(overrides, axis, value)
-    return _execute(resolve(file_raw, overrides), ref, full_records=False)[1]
+def _sweep_worker(cfg, ref, point) -> RunMetrics:
+    """One sweep cell: its seed's config at point, scored against the seed's
+    reference. The sweep CSV reads only the counts and the relative errors,
+    so the run keeps no full records: no per-group error is scored, and
+    outside CAS no drift."""
+    return _execute(sweep_cell(cfg, point), ref, full_records=False)[1]
 
 
 def cmd_sweep(args) -> int:
@@ -388,13 +382,12 @@ def cmd_record(args) -> int:
         trace_path = trace_path.with_suffix(trace_path.suffix + TRACE_EXTENSION)
 
     # cast each output as it is made: no float64 outputs are held together
-    spec, scheduler = cfg.synthetic_spec(), cfg.synthetic_scheduler()
-    steps, backbone = cfg.values["scheduler"]["steps"], SyntheticBackbone(spec)
+    spec, steps, backbone = cfg.spec, cfg.values["scheduler"]["steps"], SyntheticBackbone(cfg.spec)
     blocks = np.empty((steps, spec.n_tokens, spec.dims), dtype=np.float32)
     slots = enumerate(blocks)
-    oracle_run(backbone, scheduler, backbone.initial_latent(), record_outputs=False,
+    oracle_run(backbone, cfg.scheduler, backbone.initial_latent(), record_outputs=False,
                sink=lambda y: cast_block(*next(slots), y.data))
-    grid = scheduler.timesteps[:steps]
+    grid = cfg.scheduler.timesteps[:steps]
     write_trace(trace_path, TraceBackbone(grid, blocks))
 
     run_id = _run_identifier(cfg)

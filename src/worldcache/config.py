@@ -4,17 +4,19 @@ A config document has sections [workload], [predictor], [skipper],
 [scheduler], [output] and, for sweeps, [sweep]. Every key is typed and
 validated; unknown sections or keys are hard errors. Precedence is
 flags > config file > defaults. _KIND_KEYS names the [workload] keys each
-workload.kind reads; setting another is an error too. The resolved
-configuration can be echoed back as a canonical INI document; a [meta]
-section in an input file (as written into run manifests) is accepted and
-ignored, so any manifest is itself a loadable config.
+workload.kind reads; setting another is an error too. resolve() checks a
+configuration by building the run's parts once, and a sweep cell
+(sweep_cell) builds only its policy again. The typed values can be echoed
+back as a canonical INI document; a [meta] section in an input file (as
+written into run manifests) is accepted and ignored, so any manifest is
+itself a loadable config.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .backbone_sim import Preset, SyntheticSpec
@@ -121,30 +123,15 @@ _ENUMS = {
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """Fully-typed configuration with every key materialized."""
+    """A checked configuration: the typed value of every key, and the run's
+    parts, each built once from those values by resolve(). A trace replays
+    its own workload and grid, so its spec and scheduler are None."""
 
     values: dict[str, dict[str, Any]]
-
-    def synthetic_spec(self) -> SyntheticSpec:
-        w = {key: self.values["workload"][key] for key in _KIND_KEYS["synthetic"]}
-        fractions = tuple(w.pop(f"{part}_fraction") for part in ("stable", "linear", "chaotic"))
-        return SyntheticSpec(fractions=fractions, **w)
-
-    def synthetic_scheduler(self) -> EulerScheduler:
-        sched = self.values["scheduler"]
-        return EulerScheduler(uniform_grid(sched["steps"], sched["t_max"]))
-
-    def predictor_config(self) -> PredictorConfig:
-        p = dict(self.values["predictor"])
-        p["kind"] = PredictorKind(p["kind"])
-        if p["rng_seed"] is None and p["kind"] is PredictorKind.RANDOM_GROUPING:
-            p["rng_seed"] = self.values["workload"]["seed"]
-        return PredictorConfig(**p)
-
-    def skip_config(self) -> SkipConfig:
-        s = dict(self.values["skipper"])
-        s["kind"] = SkipKind(s["kind"])
-        return SkipConfig(**s)
+    predictor: PredictorConfig
+    skipper: SkipConfig
+    spec: SyntheticSpec | None
+    scheduler: EulerScheduler | None
 
 
 def read_config_file(path) -> dict[str, dict[str, str]]:
@@ -194,16 +181,51 @@ def resolve(
     file_raw: dict[str, dict[str, str]] | None = None,
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> ResolvedConfig:
-    """merge(file_raw, overrides), then check the result as a run's config."""
-    cfg = merge(file_raw, overrides)
-    _validate(cfg)
-    return cfg
+    """merge(file_raw, overrides), then check the values as a run's config
+    by building the run's parts from them."""
+    values = merge(file_raw, overrides)
+    w = values["workload"]
+    spec = scheduler = None
+    if w["kind"] == "synthetic":
+        if w["seed"] is None:
+            raise ConfigError(
+                "workload.seed is required for synthetic (stochastic) workloads"
+            )
+        kw = {key: w[key] for key in _KIND_KEYS["synthetic"]}
+        fractions = tuple(kw.pop(f"{part}_fraction") for part in ("stable", "linear", "chaotic"))
+        try:
+            spec = SyntheticSpec(fractions=fractions, **kw)
+        except Exception as exc:
+            raise ConfigError(f"invalid workload parameters: {exc}") from exc
+    elif not w["trace_path"]:
+        raise ConfigError("workload.trace_path is required when kind = trace")
+    predictor, skipper = _policy(values)
+    if spec is not None:
+        sched = values["scheduler"]
+        try:
+            scheduler = EulerScheduler(uniform_grid(sched["steps"], sched["t_max"]))
+        except Exception as exc:
+            raise ConfigError(f"invalid scheduler parameters: {exc}") from exc
+    return ResolvedConfig(values, predictor, skipper, spec, scheduler)
+
+
+def _policy(values: dict[str, dict[str, Any]]) -> tuple[PredictorConfig, SkipConfig]:
+    """The [predictor] and [skipper] sections as configs; random-grouping with
+    no rng_seed takes the workload's seed."""
+    try:
+        p = dict(values["predictor"], kind=PredictorKind(values["predictor"]["kind"]))
+        if p["rng_seed"] is None and p["kind"] is PredictorKind.RANDOM_GROUPING:
+            p["rng_seed"] = values["workload"]["seed"]
+        s = dict(values["skipper"], kind=SkipKind(values["skipper"]["kind"]))
+        return PredictorConfig(**p), SkipConfig(**s)
+    except Exception as exc:
+        raise ConfigError(f"invalid policy parameters: {exc}") from exc
 
 
 def merge(
     file_raw: dict[str, dict[str, str]] | None = None,
     overrides: dict[str, dict[str, str]] | None = None,
-) -> ResolvedConfig:
+) -> dict[str, dict[str, Any]]:
     """Merge defaults < file < overrides and parse to typed values, without
     the cross-key checks of resolve().
 
@@ -238,32 +260,7 @@ def merge(
                                   "does not read it")
             where = f"{section}.{key}"
             values[section][key] = _parse(section, key, type_name, raw, where)
-    return ResolvedConfig(values)
-
-
-def _validate(cfg: ResolvedConfig) -> None:
-    w = cfg.values["workload"]
-    if w["kind"] == "synthetic":
-        if w["seed"] is None:
-            raise ConfigError(
-                "workload.seed is required for synthetic (stochastic) workloads"
-            )
-        try:
-            cfg.synthetic_spec()
-        except Exception as exc:
-            raise ConfigError(f"invalid workload parameters: {exc}") from exc
-    elif not w["trace_path"]:
-        raise ConfigError("workload.trace_path is required when kind = trace")
-    try:
-        cfg.predictor_config()
-        cfg.skip_config()
-    except Exception as exc:
-        raise ConfigError(f"invalid policy parameters: {exc}") from exc
-    if w["kind"] == "synthetic":
-        try:
-            cfg.synthetic_scheduler()
-        except Exception as exc:
-            raise ConfigError(f"invalid scheduler parameters: {exc}") from exc
+    return values
 
 
 def format_value(val: Any) -> str:
@@ -277,11 +274,11 @@ def format_value(val: Any) -> str:
     return str(val)
 
 
-def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
-    """Serialize the fully-resolved configuration as canonical INI text. Of
+def echo_config(values: dict[str, dict[str, Any]], meta: dict[str, str] | None = None) -> str:
+    """Serialize a configuration's typed values as canonical INI text. Of
     [workload] it writes kind and the keys that kind reads, and for a trace,
     which replays its own grid, it leaves out [scheduler], which nothing reads."""
-    kind = cfg.values["workload"]["kind"]
+    kind = values["workload"]["kind"]
     lines: list[str] = []
     if meta:
         lines.append("[meta]")
@@ -294,14 +291,14 @@ def echo_config(cfg: ResolvedConfig, meta: dict[str, str] | None = None) -> str:
         lines.append(f"[{section}]")
         keys = ("kind", *_KIND_KEYS[kind]) if section == "workload" else SCHEMA[section]
         for key in keys:
-            lines.append(f"{key} = {format_value(cfg.values[section][key])}")
+            lines.append(f"{key} = {format_value(values[section][key])}")
         lines.append("")
     return "\n".join(lines)
 
 
-def sweep_axes(cfg: ResolvedConfig) -> dict[str, list[str]]:
+def sweep_axes(values: dict[str, dict[str, Any]]) -> dict[str, list[str]]:
     """Parse the [sweep] section's populated axes, in canonical order."""
-    sw = cfg.values["sweep"]
+    sw = values["sweep"]
     axes: dict[str, list[str]] = {}
     for name in SWEEP_AXES:
         raw = sw.get(name, "")
@@ -317,8 +314,8 @@ def sweep_axes(cfg: ResolvedConfig) -> dict[str, list[str]]:
     return axes
 
 
-def sweep_seeds(cfg: ResolvedConfig) -> list[int]:
-    raw = cfg.values["sweep"]["seeds"]
+def sweep_seeds(values: dict[str, dict[str, Any]]) -> list[int]:
+    raw = values["sweep"]["seeds"]
     if not raw:
         raise ConfigError("sweep.seeds is required for sweeps")
     try:
@@ -332,9 +329,13 @@ def sweep_seeds(cfg: ResolvedConfig) -> list[int]:
     return seeds
 
 
-def apply_axis_override(
-    overrides: dict[str, dict[str, str]], axis: str, value: str
-) -> None:
-    """Route one sweep-axis value onto its (section, key) override slot."""
-    section, key = _AXIS_TARGET[axis]
-    overrides.setdefault(section, {})[key] = value
+def sweep_cell(cfg: ResolvedConfig, point: dict[str, str]) -> ResolvedConfig:
+    """cfg with each sweep axis of point set to its value. Every axis sets a
+    [predictor] or [skipper] key, so only the policy is built again."""
+    values = {**cfg.values, "predictor": dict(cfg.values["predictor"]),
+              "skipper": dict(cfg.values["skipper"])}
+    for axis, raw in point.items():
+        section, key = _AXIS_TARGET[axis]
+        values[section][key] = _parse(section, key, SCHEMA[section][key][0], raw, f"sweep.{axis}")
+    predictor, skipper = _policy(values)
+    return replace(cfg, values=values, predictor=predictor, skipper=skipper)

@@ -2,11 +2,13 @@
 
 A TokenMatrix is the unit of data everywhere in the package: one float64 row
 per token. Data is checked for finiteness where it enters (backbone outputs,
-trace reads, initial latents). The values the loop computes from it (Euler
-updates, velocities, forecasts) are not scanned: they are computed under the
+trace reads, initial latents). The values the loop computes from it are not
+scanned on every step. Euler updates and velocities are computed under the
 FPU's overflow and invalid flags (`finite_math`), which finite operands can
-only set when a value passes the float range. So downstream math (which
-divides by norms) never has to re-check.
+only set when a value passes the float range. A forecast watches the same
+two flags itself (`kernels.blend_rows`) and scans its result only when one
+fires, and `predict` raises ParameterError for a row past the range. So
+downstream math (which divides by norms) never has to re-check.
 """
 
 from __future__ import annotations

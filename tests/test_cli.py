@@ -278,6 +278,13 @@ class TestExitCodes:
              "workload.trace_path is set, but workload.kind = synthetic does not read it"),
             (["replay", "t.wct", "--preset", "smooth"],
              "workload.preset is set, but workload.kind = trace does not read it"),
+            # a one-run command reads no [sweep] key, which would change only its run id
+            (["run", "--seed", "1", "--set", "sweep.eta=0.1,0.5"],
+             "sweep.eta is set, but run does not read it"),
+            (["replay", "t.wct", "--set", "sweep.seeds=3"],
+             "sweep.seeds is set, but replay does not read it"),
+            (["record", "t.wct", "--seed", "1", "--set", "sweep.skipper=cas"],
+             "sweep.skipper is set, but record does not read it"),
         ],
         ids=["run-seed", "record-seed", "rng-seed", "random-grouping-no-rng-seed",
              "p-stable-range", "p-stable-above-p-chaotic", "run-t-max-0", "run-t-max-negative",
@@ -286,7 +293,7 @@ class TestExitCodes:
              "removed-sweep-skipper", "record-no-steps", "removed-tau-flag",
              "removed-tau-axis", "removed-tau-key", "removed-warmup-flag",
              "removed-c-cache-flag", "synthetic-trace-path",
-             "trace-preset"],
+             "trace-preset", "run-sweep-axis", "replay-sweep-seeds", "record-sweep-axis"],
     )
     def test_a_negative_seed_is_a_usage_error(
         self, tmp_path, tmp_path_factory, capsys, argv, err
@@ -553,6 +560,15 @@ class TestSweepCommand:
         assert code == 0
         assert reads == ["file", "flags"]
 
+    def test_a_sweep_resolves_its_base_and_each_seed_once(self, tmp_path, monkeypatch):
+        # a cell builds only its policy again, whatever the number of cells
+        calls, real = [], cli.resolve
+        monkeypatch.setattr(cli, "resolve", lambda *a: calls.append(a) or real(*a))
+        code = main(["sweep", "--set", "sweep.eta=0.1,0.3", "--set", "sweep.n_max=3,6",
+                     "--seeds", "1,2", "--out", str(tmp_path), "--run-id", "sw", *FAST])
+        assert code == 0
+        assert len(calls) == 1 + 2
+
     def test_failed_cells_are_reported_not_fatal(self, tmp_path, capsys):
         code = main(["sweep", "--seed", "1", "--set", "sweep.eta=0.2,-1",
                      "--seeds", "1", "--out", str(tmp_path),
@@ -571,7 +587,10 @@ class TestSweepCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "0/1 cells ok" in captured.out
-        assert "ConfigError: invalid policy parameters: " in captured.err
+        assert captured.err == (
+            "sweep cell failed (p_stable=0.9, seed=1): ConfigError: invalid policy "
+            "parameters: p_stable must not exceed p_chaotic, got 0.9 > 0.7\n"
+        )
         header, rows = _read_rows(tmp_path / "sw.sweep.csv")
         assert header.startswith("p_stable,seed,")
         assert rows == []
@@ -899,7 +918,7 @@ class TestSweepScoresOnlyWhatItWrites:
         def cell(cfg, ref, **kwargs):
             before = len(scores)
             cached, metrics = execute(cfg, ref, **kwargs)
-            cells.append((cfg.skip_config().kind, len(scores) - before, cached.cache_count))
+            cells.append((cfg.skipper.kind, len(scores) - before, cached.cache_count))
             return cached, metrics
 
         monkeypatch.setattr(skipper, "drift_score", counted)

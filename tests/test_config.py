@@ -15,13 +15,13 @@ from worldcache.config import (
     SWEEP_AXES,
     _AXIS_TARGET,
     _KIND_KEYS,
-    apply_axis_override,
     echo_config,
     format_value,
     merge,
     read_config_file,
     resolve,
     sweep_axes,
+    sweep_cell,
     sweep_seeds,
 )
 
@@ -44,20 +44,24 @@ class TestDefaults:
         assert cfg.values["skipper"]["eta"] == 0.2
         assert cfg.values["scheduler"]["steps"] == 50
 
-    def test_typed_views_construct(self):
+    def test_resolve_builds_the_run_s_parts(self):
         cfg = _resolve(workload={"seed": 7})
-        spec = cfg.synthetic_spec()
-        assert spec.seed == 7
-        pc = cfg.predictor_config()
-        assert pc.kind is PredictorKind.CHTP
-        sc = cfg.skip_config()
-        assert sc.kind is SkipKind.CAS
+        assert cfg.spec.seed == 7
+        assert cfg.predictor.kind is PredictorKind.CHTP
+        assert cfg.skipper.kind is SkipKind.CAS
+        assert [t.value for t in cfg.scheduler.timesteps] == [float(50 - i) for i in range(51)]
+
+    def test_a_trace_builds_no_workload_or_grid(self):
+        # the trace's own blocks and grid are replayed
+        cfg = _resolve(workload={"kind": "trace", "trace_path": "t.wct"})
+        assert cfg.spec is None and cfg.scheduler is None
+        assert cfg.skipper == SkipConfig()
 
     def test_defaults_are_the_dataclasses_own(self):
         cfg = _resolve(workload={"seed": 7})
-        assert cfg.predictor_config() == PredictorConfig()
-        assert cfg.skip_config() == SkipConfig()
-        assert cfg.synthetic_spec() == SyntheticSpec(seed=7)
+        assert cfg.predictor == PredictorConfig()
+        assert cfg.skipper == SkipConfig()
+        assert cfg.spec == SyntheticSpec(seed=7)
 
     @pytest.mark.parametrize("section, cls", [
         ("predictor", PredictorConfig), ("skipper", SkipConfig),
@@ -71,14 +75,14 @@ class TestDefaults:
             workload={"seed": 42},
             predictor={"kind": "random-grouping"},
         )
-        assert cfg.predictor_config().rng_seed == 42
+        assert cfg.predictor.rng_seed == 42
 
     def test_explicit_rng_seed_wins(self):
         cfg = _resolve(
             workload={"seed": 42},
             predictor={"kind": "random-grouping", "rng_seed": 5},
         )
-        assert cfg.predictor_config().rng_seed == 5
+        assert cfg.predictor.rng_seed == 5
 
 
 class TestValidation:
@@ -142,7 +146,7 @@ class TestValidation:
         assert cfg.values == _resolve(workload={"seed": 1}).values
 
     def test_merge_parses_without_the_run_checks(self):
-        assert merge().values["workload"]["seed"] is None
+        assert merge()["workload"]["seed"] is None
         with pytest.raises(ConfigError, match="n_tokens"):
             merge(None, {"workload": {"n_tokens": "many"}})
 
@@ -195,7 +199,7 @@ class TestEcho:
             workload={"seed": 11, "n_tokens": 48},
             skipper={"eta": 0.3},
         )
-        text = echo_config(cfg)
+        text = echo_config(cfg.values)
         path = tmp_path / "echo.ini"
         path.write_text(text, encoding="utf-8")
         again = resolve(read_config_file(path), {})
@@ -207,14 +211,14 @@ class TestEcho:
          ({"kind": "trace", "trace_path": "t.wct"}, ["kind", "seed", "trace_path"])],
     )
     def test_echo_writes_the_keys_the_kind_reads(self, workload, keys):
-        text = echo_config(_resolve(workload=workload))
+        text = echo_config(_resolve(workload=workload).values)
         section = text.split("[workload]\n", 1)[1].split("\n\n", 1)[0]
         assert [line.split(" = ")[0] for line in section.splitlines()] == keys
 
     def test_echo_is_deterministic(self):
         a = _resolve(workload={"seed": 1})
         b = _resolve(workload={"seed": 1})
-        assert echo_config(a) == echo_config(b)
+        assert echo_config(a.values) == echo_config(b.values)
 
     def test_float_formatting_survives_round_trip(self):
         # 17 significant digits reproduce any float64 exactly
@@ -224,16 +228,21 @@ class TestEcho:
         assert format_value(None) == ""
 
 
+# a valid value other than the default for each sweep axis
+_CELL_VALUE = {"eta": "0.5", "p_stable": "0.25", "p_chaotic": "0.9", "n_max": "4",
+               "predictor": "random-grouping", "skipper": "fixed-interval", "interval": "3"}
+
+
 class TestSweepConfig:
     def test_axes_parsed_in_canonical_order(self):
         cfg = _resolve(
             workload={"seed": 1},
             sweep={"eta": "0.1, 0.2", "interval": "2,4", "seeds": "1,2,3"},
         )
-        axes = sweep_axes(cfg)
+        axes = sweep_axes(cfg.values)
         assert list(axes.keys()) == ["eta", "interval"]
         assert axes["eta"] == ["0.1", "0.2"]
-        assert sweep_seeds(cfg) == [1, 2, 3]
+        assert sweep_seeds(cfg.values) == [1, 2, 3]
 
     def test_axis_table_is_the_sweep_schema(self):
         assert SWEEP_AXES == tuple(_AXIS_TARGET)
@@ -255,20 +264,25 @@ class TestSweepConfig:
         section, key = _AXIS_TARGET[axis]
         default = SCHEMA[section][key][1]
         text = format_value(default)
-        assert sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: text})) == {axis: [text]}
-        overrides = {"workload": {"seed": "1"}}
-        apply_axis_override(overrides, axis, text)
-        got = resolve(None, overrides).values[section][key]
+        assert sweep_axes(merge(None, {"sweep": {axis: text}})) == {axis: [text]}
+        got = sweep_cell(_resolve(workload={"seed": 1}), {axis: text}).values[section][key]
         assert got == default and type(got) is type(default)
         with pytest.raises(ConfigError, match=f"sweep.{axis}"):
-            sweep_axes(_resolve(workload={"seed": 1}, sweep={axis: "banana"}))
+            sweep_axes(merge(None, {"sweep": {axis: "banana"}}))
 
-    def test_axis_override_targets_right_section(self):
-        overrides: dict = {}
-        apply_axis_override(overrides, "eta", "0.25")
-        assert overrides == {"skipper": {"eta": "0.25"}}
-        apply_axis_override(overrides, "predictor", "uniform-linear")
-        assert overrides["predictor"]["kind"] == "uniform-linear"
+    @pytest.mark.parametrize("workload", [
+        {"seed": "4"}, {"kind": "trace", "trace_path": "t.wct", "seed": "4"},
+    ], ids=["synthetic", "trace"])
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_a_cell_is_the_resolve_of_its_overrides(self, workload, axis):
+        # a cell rebuilds only its policy, and gets what resolving all of its
+        # overrides would: the values and every built part
+        text = _CELL_VALUE[axis]
+        base = {"workload": workload, "sweep": {axis: text, "seeds": "4"}}
+        section, key = _AXIS_TARGET[axis]
+        cell = sweep_cell(resolve(None, base), {axis: text})
+        assert cell == resolve(None, {**base, section: {key: text}})
+        assert cell.values[section][key] != SCHEMA[section][key][1]
 
     def test_bad_axis_value_is_config_error(self):
         cfg = _resolve(
@@ -276,4 +290,4 @@ class TestSweepConfig:
             sweep={"eta": "0.1, soup", "seeds": "1"},
         )
         with pytest.raises(ConfigError):
-            sweep_axes(cfg)
+            sweep_axes(cfg.values)

@@ -34,6 +34,8 @@ def test_traced_trace_sweep_reports_every_declared_per_layer_metric():
     assert metric["backbone_sim.write_trace_s"] > 0
     assert metric["backbone_sim.read_trace_calls"] == 1
     assert metric["backbone_sim.trace_bytes"] == 2 * 3932661
+    # one _sweep_worker call per cell of the 10-cell sweep
+    assert metric["cli.cells"] == 10
     # the groupings the refreshes build and the forecasts they feed, counted
     # through the names the loop calls: a call the rebinding misses reads 0
     assert metric["curvature.groupings_built"] == 242
